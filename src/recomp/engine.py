@@ -19,7 +19,7 @@ from typing import Optional
 from . import syntax as sx
 from .decompose import decompose
 from .lts import (Cancelled, StateBoundExceeded, compose, minimize,
-                  pi_reachable)
+                  pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import DEFAULT_BOUND, err_lts, err_reach, to_lts
@@ -58,28 +58,6 @@ class StatsReport:
     elapsed_ms: int
 
 
-def _witness_trace(l):
-    """Shortest action path from an initial state to pi."""
-    parent = {s: None for s in l.initials}
-    frontier = list(l.initials)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            if s == l.pi:
-                trace = []
-                cur = s
-                while parent[cur] is not None:
-                    cur, lab = parent[cur]
-                    trace.append(l.alphabet[lab])
-                return tuple(reversed(trace))
-            for lab, t in l.out(s):
-                if t not in parent:
-                    parent[t] = (s, lab)
-                    nxt.append(t)
-        frontier = nxt
-    return None
-
-
 def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
                 cancel=None, short_circuit=True):
     """Iterative compose-and-check over the property group and the
@@ -100,7 +78,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
 
     try:
         if not groups:
-            # Monolithic: stream the reachability check, skip the LTS.
+            # Monolithic: search only up to the first violating state.
             violated, count, trace = err_reach(d_p, prop, bound, cancel)
             stages.append(Stage(d_p.name, count))
             max_states = count
@@ -135,9 +113,10 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             max_states = max(max_states, gen, d.n_states)
             if short_circuit and not pi_reachable(d):
                 return report(Verdict(HOLDS), k_done)
-        if not pi_reachable(d):
+        trace = pi_trace(d)
+        if trace is None:
             return report(Verdict(HOLDS), k_done)
-        return report(Verdict(VIOLATED, witness=_witness_trace(d)), k_done)
+        return report(Verdict(VIOLATED, witness=trace), k_done)
     except StateBoundExceeded:
         return report(Verdict(INCONCLUSIVE, reason="bound-exceeded"), k_done)
     except Cancelled:

@@ -1,12 +1,16 @@
 """Labeled transition systems and the operations the verifier needs:
-parallel composition, error-state reachability, bisimulation
-minimization, and the trace oracles used by the test suite.
+exploration, parallel composition, the search for the error state,
+bisimulation minimization, and trace and bisimilarity comparisons.
 
 States are dense integers.  Transitions are kept in compressed sparse
 row form (one offsets array plus parallel label/target arrays), which
-keeps multi-million-edge systems affordable.  Labels are concrete
-actions `(name, argument)`; hidden actions are relabeled to a tau label
-that is unique per LTS, so tau never synchronizes in a composition.
+keeps multi-million-edge systems affordable.  `explore` is the one
+breadth-first builder of that form: state-graph enumeration, error
+automata and composition all feed it a successor function, and it alone
+places the error state pi (last index, a self-loop on every label).
+`pi_trace` is the one search for pi.  Labels are concrete actions
+`(name, argument)`; hidden actions are relabeled to a tau label that is
+unique per LTS, so tau never synchronizes in a composition.
 """
 
 from __future__ import annotations
@@ -80,11 +84,6 @@ class Lts:
         lo, hi = self.offsets[s], self.offsets[s + 1]
         return zip(self.labels[lo:hi], self.dsts[lo:hi])
 
-    def iter_edges(self):
-        for s in range(self.n_states):
-            for l, t in self.out(s):
-                yield s, l, t
-
     def grouped(self, s):
         """Outgoing edges of s grouped by label index."""
         by = {}
@@ -93,9 +92,113 @@ class Lts:
         return by
 
 
-def unit_lts():
-    """The identity of parallel composition: one state, empty alphabet."""
-    return Lts.from_edges(1, (), [], [0])
+# --------------------------------------------------------------------------
+# Exploration
+
+
+def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
+            stop_at_pi=False):
+    """Breadth-first LTS construction over hashable state keys.
+
+    `successors(key)` yields (label index, successor key) pairs.  States
+    are numbered in discovery order and each row is appended to the CSR
+    arrays as it is expanded.  Keys for which `is_pi` holds collapse into
+    one absorbing pi, the last state, with a self-loop on every label;
+    `is_pi` runs once per distinct key.  With `stop_at_pi` the search
+    ends at the first edge into pi, leaving states discovered but not
+    expanded without edges.
+    """
+    index = {}
+    order = []
+    offsets = array("q", [0])
+    labels = array("i")
+    dsts = array("i")
+    pi_seen = False
+
+    def intern(key):
+        nonlocal pi_seen
+        if is_pi(key):
+            index[key] = -1
+            pi_seen = True
+            return -1
+        i = len(order)
+        if bound is not None and i >= bound:
+            raise StateBoundExceeded(bound)
+        index[key] = i
+        order.append(key)
+        return i
+
+    init = []
+    for key in initials:
+        i = index.get(key)
+        init.append(intern(key) if i is None else i)
+        if stop_at_pi and pi_seen:
+            break
+
+    get = index.get
+    labels_append, dsts_append = labels.append, dsts.append
+    done = stop_at_pi and pi_seen
+    head = 0
+    while head < len(order) and not done:
+        for lab, key in successors(order[head]):
+            i = get(key)
+            if i is None:
+                i = intern(key)
+                done = stop_at_pi and i < 0
+            labels_append(lab)
+            dsts_append(i)
+            if done:
+                break
+        head += 1
+        offsets.append(len(dsts))
+        if head % _POLL_EVERY == 0:
+            _check_cancel(cancel)
+    offsets.extend([len(dsts)] * (len(order) - head))
+
+    n = len(order)
+    pi = None
+    if pi_seen:
+        pi = n
+        n += 1
+        for j, t in enumerate(dsts):
+            if t < 0:
+                dsts[j] = pi
+        init = [pi if s < 0 else s for s in init]
+        labels.extend(range(len(alphabet)))
+        dsts.extend([pi] * len(alphabet))
+        offsets.append(len(dsts))
+    return Lts(n, tuple(alphabet), offsets, labels, dsts, tuple(init), pi)
+
+
+def pi_trace(l):
+    """Shortest label path from an initial state to pi, or None if pi is
+    unreachable."""
+    if l.pi is None:
+        return None
+    via = {s: None for s in l.initials}
+    queue = list(l.initials)
+    head = 0
+    while l.pi not in via:
+        if head == len(queue):
+            return None
+        s = queue[head]
+        head += 1
+        for lab, t in l.out(s):
+            if t not in via:
+                via[t] = (s, lab)
+                queue.append(t)
+                if t == l.pi:
+                    break
+    trace = []
+    s = l.pi
+    while via[s] is not None:
+        s, lab = via[s]
+        trace.append(l.alphabet[lab])
+    return tuple(reversed(trace))
+
+
+def pi_reachable(l):
+    return pi_trace(l) is not None
 
 
 # --------------------------------------------------------------------------
@@ -113,103 +216,39 @@ def compose(a, b, bound=None, cancel=None):
 
     alphabet = sorted(set(a.alphabet) | set(b.alphabet), key=repr)
     uidx = {l: i for i, l in enumerate(alphabet)}
-    a_map = [uidx[l] for l in a.alphabet]
-    b_map = [uidx[l] for l in b.alphabet]
     shared = set(a.alphabet) & set(b.alphabet)
-    a_shared = {i for i, l in enumerate(a.alphabet) if l in shared}
-    b_shared = {i for i, l in enumerate(b.alphabet) if l in shared}
-    b_by_union = [dict() for _ in range(b.n_states)]
-    for y in range(b.n_states):
-        g = b.grouped(y)
-        b_by_union[y] = {b_map[l]: ts for l, ts in g.items()}
 
-    PI = -1
-    index = {}
-    order = []
-    pi_seen = False
+    a_union = [uidx[lab] for lab in a.alphabet]
+    a_sync = [lab in shared for lab in a.alphabet]
+    # b, a minimized group in the engine, is grouped once up front.  a,
+    # the composite so far, is grouped per reached state: grouping all of
+    # it up front took more memory than the product's own arrays.
+    b_rows = [[(uidx[b.alphabet[lab]], ts, b.alphabet[lab] in shared)
+               for lab, ts in b.grouped(y).items()]
+              for y in range(b.n_states)]
+    b_sync = [{ul: ts for ul, ts, sync in row if sync} for row in b_rows]
 
-    def intern(x, y):
-        nonlocal pi_seen
-        if a.pi is not None and x == a.pi:
-            pi_seen = True
-            return PI
-        key = (x, y)
-        i = index.get(key)
-        if i is None:
-            i = len(order)
-            if bound is not None and i >= bound:
-                raise StateBoundExceeded(bound)
-            index[key] = i
-            order.append(key)
-        return i
-
-    initials = []
-    for x in a.initials:
-        for y in b.initials:
-            initials.append(intern(x, y))
-
-    edges = []
-    head = 0
-    while head < len(order):
-        x, y = order[head]
-        src = head
-        head += 1
-        a_adj = a.grouped(x)
-        b_adj = b_by_union[y]
-        for l, ts in a_adj.items():
-            ul = a_map[l]
-            if l in a_shared:
+    def successors(key):
+        x, y = key
+        for lab, ts in a.grouped(x).items():
+            ul = a_union[lab]
+            if a_sync[lab]:
+                ts2 = b_sync[y].get(ul, ())
                 for t in ts:
-                    for t2 in b_adj.get(ul, ()):
-                        edges.append((src, ul, intern(t, t2)))
+                    for t2 in ts2:
+                        yield ul, (t, t2)
             else:
                 for t in ts:
-                    edges.append((src, ul, intern(t, y)))
-        for ul, ts in b_adj.items():
-            if alphabet[ul] not in shared:
+                    yield ul, (t, y)
+        for ul, ts, sync in b_rows[y]:
+            if not sync:
                 for t2 in ts:
-                    edges.append((src, ul, intern(x, t2)))
-        if head % _POLL_EVERY == 0:
-            _check_cancel(cancel)
+                    yield ul, (x, t2)
 
-    n = len(order)
-    pi = None
-    if pi_seen:
-        pi = n
-        n += 1
-        edges = [(s if s != PI else pi, l, t if t != PI else pi)
-                 for s, l, t in edges]
-        initials = [s if s != PI else pi for s in initials]
-        for l in range(len(alphabet)):
-            edges.append((pi, l, pi))
-    return Lts.from_edges(n, alphabet, edges, initials, pi)
-
-
-def compose_all(parts, bound=None, cancel=None):
-    out = unit_lts()
-    for p in parts:
-        out = compose(out, p, bound=bound, cancel=cancel)
-    return out
-
-
-# --------------------------------------------------------------------------
-# Reachability
-
-
-def reachable(l):
-    seen = set(l.initials)
-    stack = list(l.initials)
-    while stack:
-        s = stack.pop()
-        for _, t in l.out(s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def pi_reachable(l):
-    return l.pi is not None and l.pi in reachable(l)
+    a_pi = a.pi
+    return explore([(x, y) for x in a.initials for y in b.initials],
+                   successors, alphabet, lambda key: key[0] == a_pi,
+                   bound, cancel)
 
 
 # --------------------------------------------------------------------------
@@ -242,9 +281,8 @@ def _refine(n, adj, seed):
 
 def _quotient(l, block):
     n_blocks = max(block) + 1 if l.n_states else 0
-    rep_edges = set()
-    for s, lab, t in l.iter_edges():
-        rep_edges.add((block[s], lab, block[t]))
+    rep_edges = {(block[s], lab, block[t])
+                 for s in range(l.n_states) for lab, t in l.out(s)}
     initials = sorted({block[s] for s in l.initials})
     pi = block[l.pi] if l.pi is not None else None
     return Lts.from_edges(n_blocks, l.alphabet, sorted(rep_edges),
@@ -308,26 +346,20 @@ def minimize(l, mode="strong", hide=None):
 
 def hide_labels(l, hide):
     """Relabel the given actions to one fresh tau label."""
-    hidden = {i for i, lab in enumerate(l.alphabet) if lab in hide}
-    if not hidden:
+    kept = [i for i, lab in enumerate(l.alphabet) if lab not in hide]
+    if len(kept) == len(l.alphabet):
         return l
-    tau = fresh_tau()
-    alphabet = [lab for i, lab in enumerate(l.alphabet) if i not in hidden]
-    alphabet.append(tau)
-    remap = {}
-    kept = 0
-    for i, lab in enumerate(l.alphabet):
-        if i in hidden:
-            remap[i] = len(alphabet) - 1
-        else:
-            remap[i] = kept
-            kept += 1
-    edges = [(s, remap[lab], t) for s, lab, t in l.iter_edges()]
-    return Lts.from_edges(l.n_states, alphabet, edges, l.initials, l.pi)
+    alphabet = tuple(l.alphabet[i] for i in kept) + (fresh_tau(),)
+    remap = [len(kept)] * len(l.alphabet)  # hidden labels go to tau
+    for j, i in enumerate(kept):
+        remap[i] = j
+    labels = array("i", [remap[lab] for lab in l.labels])
+    return Lts(l.n_states, alphabet, l.offsets, labels, l.dsts, l.initials,
+               l.pi)
 
 
 # --------------------------------------------------------------------------
-# Trace oracles (test-scale)
+# Trace and bisimilarity comparisons (test-scale)
 
 
 def trace_set(l, length, alphabet=None):
@@ -420,7 +452,7 @@ def bisimilar(a, b):
 
 
 # --------------------------------------------------------------------------
-# Textual dump
+# Label formatting
 
 
 def fmt_label(label):
@@ -432,15 +464,3 @@ def fmt_label(label):
     if name == "τ":
         return "tau"
     return "%s(%s)" % (name, fmt_value(arg))
-
-
-def dump(l):
-    """Edge-list text form: initial states, then one line per edge."""
-    lines = ["states %d" % l.n_states]
-    for s in sorted(l.initials):
-        lines.append("init %d" % s)
-    if l.pi is not None:
-        lines.append("pi %d" % l.pi)
-    for s, lab, t in l.iter_edges():
-        lines.append("%d %s %d" % (s, fmt_label(l.alphabet[lab]), t))
-    return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import syntax as sx
-from .recompose import P, RecompositionMap, alphabets, make_map
+from .recompose import (P, RecompositionMap, alphabets, interaction_sets,
+                        make_map)
 
 S1, S2, S3, S4 = "S1", "S2", "S3", "S4"
 KINDS = (S1, S2, S3, S4)
@@ -40,21 +41,15 @@ class DataFlowOrder:
 def dataflow_from_alphabets(alpha):
     """The layered order over 1-based component indices, from symbolic
     alphabets alone (component 1 is the property component)."""
-    alpha = {i + 1: set(a) for i, a in enumerate(alpha)}
-    x = {1}
-    e_sets = [frozenset(x)]
-    while True:
-        joint = set().union(*(alpha[i] for i in x)) if x else set()
-        nxt = x | {j for j in alpha if alpha[j] & joint}
-        if nxt == x:
-            break
-        e_sets.append(frozenset(nxt - x))
-        x = nxt
+    alpha = [set(a) for a in alpha]
+    x = interaction_sets(alpha)
+    # layer 0 is X0, layer i is X(i) - X(i-1); the repeated last set adds none
+    e_sets = [x[0]] + [cur - prev for prev, cur in zip(x, x[1:-1])]
     f_edges = set()
     for earlier, later in zip(e_sets, e_sets[1:]):
         for j in earlier:
             for k in later:
-                if alpha[j] & alpha[k]:
+                if alpha[j - 1] & alpha[k - 1]:
                     f_edges.add((j, k))
     order = {(i, i) for e in e_sets for i in e}
     order |= f_edges

@@ -154,23 +154,31 @@ class ReductionTrace:
     kept: frozenset
 
 
-def necessary_components(components):
-    """Alphabet-interaction fixpoint from the property component.
+def interaction_sets(alpha):
+    """Alphabet-interaction fixpoint over symbolic alphabets, one per
+    1-based component index.
 
-    X0 = {1}; each step adds every component whose symbolic alphabet
-    intersects the alphabet of the set so far; stops when stable (the
-    final repeated set is recorded, so convergence is visible).
+    X0 = {1}; each step adds every component whose alphabet intersects
+    the alphabet of the set so far; the final, repeated set is recorded,
+    so convergence is visible.
     """
-    alpha = {i + 1: a for i, a in enumerate(alphabets(components))}
+    alpha = {i + 1: set(a) for i, a in enumerate(alpha)}
     x = frozenset({1})
     sets = [x]
     while True:
-        joint = set().union(*(alpha[i] for i in x)) if x else set()
+        joint = set().union(*(alpha[i] for i in x))
         nxt = x | {j for j in alpha if alpha[j] & joint}
-        sets.append(frozenset(nxt))
+        sets.append(nxt)
         if nxt == x:
-            return ReductionTrace(tuple(sets), frozenset(x))
-        x = frozenset(nxt)
+            return tuple(sets)
+        x = nxt
+
+
+def necessary_components(components):
+    """The interaction fixpoint from the property component; its final
+    set is what static reduction keeps."""
+    sets = interaction_sets(alphabets(components))
+    return ReductionTrace(sets, sets[-1])
 
 
 def static_reduce(f, components):

@@ -2,25 +2,22 @@
 
 States are tuples of values aligned with the spec's variable order.
 `eval_expr`, `init_states` and `successors` form the reference
-interpreter.  `to_lts` and `err_lts` drive a breadth-first enumeration;
-for speed they run compiled steppers generated by `_compile_spec`, which
-translates each action body into a Python function over state tuples.
-The interpreter and the compiled path are cross-checked by the test
-suite against an independent oracle.
+interpreter.  `to_lts`, `err_lts` and `err_reach` build their state
+graphs with `lts.explore`, the breadth-first LTS builder, fed by
+compiled steppers: `_compile_spec` translates each action body into a
+Python function over state tuples.  The interpreter and the compiled
+path are cross-checked by the test suite against an independent oracle.
 """
 
 from __future__ import annotations
 
 from . import syntax as sx
 from . import values as va
-from .lts import Cancelled, Lts, StateBoundExceeded
+from .lts import explore, pi_trace
 from .syntax import SpecError
 from .values import EvalError
 
 DEFAULT_BOUND = 10_000_000
-
-# how many states to enumerate between cancellation checks
-_POLL_EVERY = 1024
 
 
 # --------------------------------------------------------------------------
@@ -315,141 +312,62 @@ def compile_predicate(spec, body):
 # LTS construction
 
 
-def _check_cancel(cancel):
-    if cancel is not None and cancel.is_set():
-        raise Cancelled()
+def _enumerate(spec, violates, bound, cancel, stop_at_pi=False):
+    """The spec's reachable state graph, built by `lts.explore` over the
+    compiled steppers.
 
-
-def _enumerate(spec, violates, bound, cancel):
-    """Shared BFS behind to_lts/err_lts.
-
-    violates(q) -> bool redirects edges into the absorbing error state;
-    pass None for plain state-graph generation.  Returns (state list,
-    edge list over state indices, initial indices, pi index or None).
-    Label indices refer to the canonical concrete-action alphabet.
+    violates(q) -> bool sends states into the absorbing error state;
+    pass None for plain state-graph generation.  Label indices refer to
+    the canonical concrete-action alphabet.
     """
     steppers = _compile_spec(spec)
     domain = sorted(domain_values(spec))
-    labels = {}
-    for name, _ in steppers:
+    alphabet = []
+    moves = []  # (label index, stepper, argument)
+    for name, step in steppers:
         for d in domain:
-            labels[(name, d)] = len(labels)
+            moves.append((len(alphabet), step, d))
+            alphabet.append((name, d))
 
-    PI = -1
-    index = {}
-    states = []
-    initials = []
-    pi = None
-    frontier = []
+    def successors(q):
+        for i, step, d in moves:
+            q2 = step(q, d)
+            if q2 is not None:
+                yield i, q2
 
-    def intern(q):
-        nonlocal pi
-        i = index.get(q)
-        if i is None:
-            if violates is not None and violates(q):
-                if pi is None:
-                    pi = PI
-                return PI
-            i = len(states)
-            if i >= bound:
-                raise StateBoundExceeded(bound)
-            index[q] = i
-            states.append(q)
-            frontier.append(q)
-        return i
-
-    for q in sorted(init_states(spec)):
-        initials.append(intern(q))
-
-    edges = []
-    done = 0
-    head = 0
-    while head < len(frontier):
-        q = frontier[head]
-        head += 1
-        src = index[q]
-        for name, step in steppers:
-            for d in domain:
-                q2 = step(q, d)
-                if q2 is not None:
-                    edges.append((src, labels[(name, d)], intern(q2)))
-        done += 1
-        if done % _POLL_EVERY == 0:
-            _check_cancel(cancel)
-
-    if pi is not None:
-        pi = len(states)
-        edges = [(pi if s == PI else s, l, pi if t == PI else t)
-                 for s, l, t in edges]
-        initials = [pi if s == PI else s for s in initials]
-        for l in range(len(labels)):
-            edges.append((pi, l, pi))
-        n = len(states) + 1
-    else:
-        n = len(states)
-
-    alphabet = tuple(sorted(labels, key=labels.get))
-    return states, Lts.from_edges(n, alphabet, edges, initials, pi)
+    return explore(sorted(init_states(spec)), successors, alphabet,
+                   violates or (lambda q: False), bound or DEFAULT_BOUND,
+                   cancel, stop_at_pi)
 
 
-def to_lts(spec, bound=None, cancel=None):
-    """Reachable state graph of a spec as an LTS."""
-    _, lts = _enumerate(spec, None, bound or DEFAULT_BOUND, cancel)
-    return lts
-
-def err_lts(spec, prop, bound=None, cancel=None):
-    """State graph with property-violating targets collapsed into pi."""
+def _violates(spec, prop):
     extra = (sx.free_idents(prop.body) - set(spec.variables)
              - set(spec.constants))
     if extra:
         raise SpecError("property %s references variables outside %s: %s"
                         % (prop.name, spec.name, ", ".join(sorted(extra))))
     check = compile_predicate(spec, prop.body)
-    _, lts = _enumerate(spec, lambda q: not check(q),
-                        bound or DEFAULT_BOUND, cancel)
-    return lts
+    return lambda q: not check(q)
+
+
+def to_lts(spec, bound=None, cancel=None):
+    """Reachable state graph of a spec as an LTS."""
+    return _enumerate(spec, None, bound, cancel)
+
+
+def err_lts(spec, prop, bound=None, cancel=None):
+    """State graph with property-violating targets collapsed into pi."""
+    return _enumerate(spec, _violates(spec, prop), bound, cancel)
 
 
 def err_reach(spec, prop, bound=None, cancel=None):
-    """Streaming monolithic check: is a property-violating state reachable?
+    """Monolithic check: is a property-violating state reachable?
 
-    Avoids materializing edges; returns (violated, state count, witness
-    action trace ending in the violating step, or None).
+    Explores only until the first violating state; returns (violated,
+    state count, witness action trace ending in the violating step, or
+    None).
     """
-    bound = bound or DEFAULT_BOUND
-    check = compile_predicate(spec, prop.body)
-    steppers = _compile_spec(spec)
-    domain = sorted(domain_values(spec))
-
-    parent = {}
-    frontier = []
-    for q in sorted(init_states(spec)):
-        if q not in parent:
-            parent[q] = None
-            if not check(q):
-                return True, len(parent), ()
-            frontier.append(q)
-    done = 0
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for name, step in steppers:
-                for d in domain:
-                    q2 = step(q, d)
-                    if q2 is not None and q2 not in parent:
-                        parent[q2] = (q, (name, d))
-                        if not check(q2):
-                            trace = []
-                            cur = q2
-                            while parent[cur] is not None:
-                                cur, act = parent[cur]
-                                trace.append(act)
-                            return True, len(parent), tuple(reversed(trace))
-                        if len(parent) > bound:
-                            raise StateBoundExceeded(bound)
-                        nxt.append(q2)
-            done += 1
-            if done % _POLL_EVERY == 0:
-                _check_cancel(cancel)
-        frontier = nxt
-    return False, len(parent), None
+    l = _enumerate(spec, _violates(spec, prop), bound, cancel,
+                   stop_at_pi=True)
+    trace = pi_trace(l)
+    return trace is not None, l.n_states, trace

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from recomp.lts import (Lts, StateBoundExceeded, bisimilar, compose,
-                        compose_all, dump, hide_labels, minimize,
-                        pi_reachable, reachable, trace_set, traces_equal,
-                        unit_lts)
+                        explore, hide_labels, minimize, pi_reachable,
+                        pi_trace, trace_set, traces_equal)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -39,12 +38,55 @@ def test_from_edges_layout():
     assert l.grouped(0) == {0: [1], 1: [2]}
 
 
+def _counter(key):
+    # A: k -> k + 1, B: k -> 2k, over 0..7
+    if key < 7:
+        yield 0, key + 1
+    if 0 < key < 4:
+        yield 1, 2 * key
+
+
+def test_explore_appends_rows_in_discovery_order_with_pi_last():
+    l = explore([0], _counter, LABELS[:2], lambda k: k == 4)
+    # keys 0, 1, 2, 3, 6, 7 in discovery order, then pi for key 4
+    assert (l.n_states, l.pi, l.initials) == (7, 6, (0,))
+    assert list(l.offsets) == [0, 1, 3, 5, 7, 8, 8, 10]
+    assert list(l.labels) == [0, 0, 1, 0, 1, 0, 1, 0, 0, 1]
+    assert list(l.dsts) == [1, 2, 2, 3, 6, 6, 4, 5, 6, 6]
+
+
+def test_explore_can_stop_at_the_first_edge_into_pi():
+    l = explore([0], _counter, LABELS[:2], lambda k: k == 4,
+                stop_at_pi=True)
+    assert (l.n_states, l.pi) == (5, 4)
+    assert list(l.offsets) == [0, 1, 3, 5, 5, 7]
+    assert list(l.dsts) == [1, 2, 2, 3, 4, 4, 4]
+    assert pi_trace(l) == (LABELS[0], LABELS[0], LABELS[1])
+
+
+def test_explore_respects_bound():
+    with pytest.raises(StateBoundExceeded):
+        explore([0], _counter, LABELS[:2], lambda k: False, bound=7)
+    assert explore([0], _counter, LABELS[:2], lambda k: False,
+                   bound=8).n_states == 8
+
+
+def test_pi_trace_is_a_shortest_path():
+    l = Lts.from_edges(4, LABELS[:3],
+                       [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 2, 3),
+                        (0, 2, 2), (3, 0, 3)], [0], pi=3)
+    assert pi_trace(l) == (LABELS[0], LABELS[0])
+    assert pi_trace(Lts.from_edges(1, LABELS[:1], [], [0], pi=0)) == ()
+    assert pi_trace(Lts.from_edges(2, LABELS[:1], [(0, 0, 1)], [0])) is None
+
+
 def test_unit_is_identity():
     rng = random.Random(7)
+    unit = Lts.from_edges(1, (), [], [0])  # one state, empty alphabet
     for _ in range(20):
         l = rand_lts(rng)
-        assert bisimilar(compose(unit_lts(), l), l)
-        assert bisimilar(compose(l, unit_lts()), l)
+        assert bisimilar(compose(unit, l), l)
+        assert bisimilar(compose(l, unit), l)
 
 
 def test_compose_commutative_up_to_bisimulation():
@@ -184,23 +226,17 @@ def test_bisimilar_implies_trace_equal():
     assert hits > 0
 
 
-def test_reachable_ignores_disconnected_states():
-    l = Lts.from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3)], [0])
-    assert reachable(l) == {0, 1}
+def test_pi_in_a_disconnected_part_is_unreachable():
+    l = Lts.from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3), (3, 0, 3)],
+                       [0], pi=3)
+    assert not pi_reachable(l)
 
 
-def test_compose_all_folds_left():
+def test_compose_folds_left_from_the_unit():
     rng = random.Random(17)
     parts = [rand_lts(rng, 3) for _ in range(3)]
-    folded = compose_all(parts)
+    folded = Lts.from_edges(1, (), [], [0])
+    for p in parts:
+        folded = compose(folded, p)
     manual = compose(compose(parts[0], parts[1]), parts[2])
     assert bisimilar(folded, manual)
-
-
-def test_dump_lists_edges():
-    l = Lts.from_edges(2, [("A", None)], [(0, 0, 1)], [0], pi=1)
-    text = dump(l)
-    assert "states 2" in text
-    assert "init 0" in text
-    assert "pi 1" in text
-    assert "0 A 1" in text
