@@ -6,18 +6,18 @@ the groups incrementally against an error automaton."""
 from .decompose import decompose
 from .engine import (Verdict, StatsReport, comp_verify, recomp_verify,
                      run_portfolio)
-from .lts import Lts, bisimilar, compose, minimize, pi_reachable, trace_set
+from .lts import Lts, compose, minimize, pi_reachable
 from .order import Strategy, data_flow_order, make_strategy, total_order
 from .parser import parse, pretty
 from .recompose import RecompositionMap, compose_specs, static_reduce
-from .semantics import err_lts, eval_expr, init_states, successors, to_lts
+from .semantics import err_lts, init_states, to_lts
 from .syntax import SpecAst, SpecError, free_vars, normalize
 
 __all__ = [
     "Lts", "RecompositionMap", "SpecAst", "SpecError", "StatsReport",
-    "Strategy", "Verdict", "bisimilar", "comp_verify", "compose",
-    "compose_specs", "data_flow_order", "decompose", "err_lts", "eval_expr",
-    "free_vars", "init_states", "make_strategy", "minimize", "normalize",
-    "parse", "pi_reachable", "pretty", "recomp_verify", "run_portfolio",
-    "static_reduce", "successors", "to_lts", "total_order", "trace_set",
+    "Strategy", "Verdict", "comp_verify", "compose", "compose_specs",
+    "data_flow_order", "decompose", "err_lts", "free_vars", "init_states",
+    "make_strategy", "minimize", "normalize", "parse", "pi_reachable",
+    "pretty", "recomp_verify", "run_portfolio", "static_reduce", "to_lts",
+    "total_order",
 ]

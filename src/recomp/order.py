@@ -26,16 +26,12 @@ KINDS = (S1, S2, S3, S4)
 class DataFlowOrder:
     e_sets: tuple  # of frozensets of component indices (1-based), disjoint
     f_edges: frozenset  # of (earlier, later) index pairs
-    order: frozenset  # reflexive-transitive closure of f_edges
 
     def covers(self):
         out = set()
         for e in self.e_sets:
             out |= e
         return out
-
-    def leq(self, i, j):
-        return (i, j) in self.order
 
 
 def dataflow_from_alphabets(alpha):
@@ -51,17 +47,7 @@ def dataflow_from_alphabets(alpha):
             for k in later:
                 if alpha[j - 1] & alpha[k - 1]:
                     f_edges.add((j, k))
-    order = {(i, i) for e in e_sets for i in e}
-    order |= f_edges
-    changed = True
-    while changed:
-        changed = False
-        for (i, j) in list(order):
-            for (j2, k) in list(order):
-                if j == j2 and (i, k) not in order:
-                    order.add((i, k))
-                    changed = True
-    return DataFlowOrder(tuple(e_sets), frozenset(f_edges), frozenset(order))
+    return DataFlowOrder(tuple(e_sets), frozenset(f_edges))
 
 
 def data_flow_order(components):

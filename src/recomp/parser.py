@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 
 from . import syntax as sx
+from .semantics import eval_const
 from .syntax import SpecError
 from . import values as va
 
@@ -380,8 +381,6 @@ class _Parser:
 
 def _bind_config(constants, entries):
     """Evaluate CONFIG entries in order; later entries may use earlier ones."""
-    from .semantics import eval_expr
-
     env = {}
     out = []
     for cname, e in entries:
@@ -391,7 +390,7 @@ def _bind_config(constants, entries):
         if bad:
             raise SpecError("CONFIG value for %s references unbound %s"
                             % (cname, ", ".join(sorted(bad))))
-        env[cname] = eval_expr(e, env)
+        env[cname] = eval_const(e, env)
         out.append((cname, env[cname]))
     return out
 

@@ -1,12 +1,14 @@
 """Explicit-state semantics: evaluation and state-graph generation.
 
 States are tuples of values aligned with the spec's variable order.
-`eval_expr`, `init_states` and `successors` form the reference
-interpreter.  `to_lts`, `err_lts` and `err_reach` build their state
-graphs with `lts.explore`, the breadth-first LTS builder, fed by
-compiled steppers: `_compile_spec` translates each action body into a
-Python function over state tuples.  The interpreter and the compiled
-path are cross-checked by the test suite against an independent oracle.
+Every spec expression is evaluated by Python code that `_Codegen`
+generates: `eval_const` for expressions closed over the constants
+(CONFIG values, Init right-hand sides, the Next domain), `_compile_spec`
+for the action steppers and `compile_predicate` for properties.
+`to_lts`, `err_lts` and `err_reach` build their state graphs with
+`lts.explore`, the breadth-first LTS builder, fed by those steppers.
+The test suite cross-checks the compiled code against an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -21,171 +23,21 @@ DEFAULT_BOUND = 10_000_000
 
 
 # --------------------------------------------------------------------------
-# Interpreter
-
-
-def eval_expr(e, env, penv=None):
-    """Evaluate an expression under name bindings.
-
-    env maps unprimed identifiers (variables, constants, parameters and
-    quantifier-bound names) to values; penv maps primed variables.
-    """
-    if isinstance(e, sx.Name):
-        try:
-            return env[e.id]
-        except KeyError:
-            raise EvalError("unbound identifier %r" % e.id)
-    if isinstance(e, sx.Prime):
-        if penv is None or e.id not in penv:
-            raise EvalError("unbound primed variable %r" % e.id)
-        return penv[e.id]
-    if isinstance(e, sx.BoolLit):
-        return va.mk_bool(e.value)
-    if isinstance(e, sx.IntLit):
-        return va.mk_int(e.value)
-    if isinstance(e, sx.StrLit):
-        return va.mk_str(e.value)
-    if isinstance(e, sx.SetLit):
-        return va.mk_set(eval_expr(x, env, penv) for x in e.elems)
-    if isinstance(e, sx.TupleLit):
-        return va.mk_tup(eval_expr(x, env, penv) for x in e.elems)
-    if isinstance(e, sx.RecordLit):
-        return va.mk_rec((f, eval_expr(x, env, penv)) for f, x in e.fields)
-    if isinstance(e, sx.FuncLit):
-        dom = va.set_elems(eval_expr(e.domain, env, penv))
-        inner = dict(env)
-        pairs = []
-        for d in dom:
-            inner[e.var] = d
-            pairs.append((d, eval_expr(e.body, inner, penv)))
-        return va.mk_fun(pairs)
-    if isinstance(e, sx.Apply):
-        return va.apply_value(eval_expr(e.fn, env, penv),
-                              eval_expr(e.arg, env, penv))
-    if isinstance(e, sx.Except):
-        return va.except_value(eval_expr(e.fn, env, penv),
-                               eval_expr(e.key, env, penv),
-                               eval_expr(e.value, env, penv))
-    if isinstance(e, sx.Union):
-        return va.set_union(eval_expr(e.left, env, penv),
-                            eval_expr(e.right, env, penv))
-    if isinstance(e, sx.Add):
-        return va.add_values(eval_expr(e.left, env, penv),
-                             eval_expr(e.right, env, penv))
-    if isinstance(e, sx.In):
-        return va.set_member(eval_expr(e.elem, env, penv),
-                             eval_expr(e.set, env, penv))
-    if isinstance(e, sx.Eq):
-        return va.mk_bool(eval_expr(e.left, env, penv)
-                          == eval_expr(e.right, env, penv))
-    if isinstance(e, sx.Not):
-        return va.mk_bool(not va.is_true(eval_expr(e.operand, env, penv)))
-    if isinstance(e, sx.And):
-        return va.mk_bool(all(va.is_true(eval_expr(x, env, penv))
-                              for x in e.operands))
-    if isinstance(e, sx.Or):
-        return va.mk_bool(any(va.is_true(eval_expr(x, env, penv))
-                              for x in e.operands))
-    if isinstance(e, sx.Implies):
-        if not va.is_true(eval_expr(e.left, env, penv)):
-            return va.TRUE
-        return eval_expr(e.right, env, penv)
-    if isinstance(e, (sx.Forall, sx.Exists)):
-        dom = va.set_elems(eval_expr(e.domain, env, penv))
-        inner = dict(env)
-        results = []
-        for d in dom:
-            inner[e.var] = d
-            results.append(va.is_true(eval_expr(e.body, inner, penv)))
-        return va.mk_bool(all(results) if isinstance(e, sx.Forall)
-                          else any(results))
-    if isinstance(e, sx.Unchanged):
-        return va.mk_bool(all(env[n] == (penv or {}).get(n) for n in e.names))
-    raise EvalError("cannot evaluate %r" % (e,))
-
-
-def state_env(spec, q):
-    env = dict(spec.config)
-    env.update(zip(spec.variables, q))
-    return env
-
-
-def init_states(spec):
-    """The (at most one, by the `v = e` Init discipline) initial states."""
-    consts = dict(spec.config)
-    assignment = {}
-    for c in spec.init:
-        v = c.left.id
-        val = eval_expr(c.right, consts)
-        if v in assignment and assignment[v] != val:
-            return set()
-        assignment[v] = val
-    return {tuple(assignment[v] for v in spec.variables)}
-
-
-def domain_values(spec):
-    if spec.next_domain is None:
-        return ()
-    return va.set_elems(eval_expr(spec.next_domain, dict(spec.config)))
-
-
-def _action_step(spec, action, env, d):
-    """Successor of one action instance, or None if disabled.
-
-    Raises SpecError if the action leaves a variable unconstrained.
-    """
-    env = dict(env)
-    env[action.param] = d
-    updates = {}
-    framed = set()
-    for c in action.conjuncts:
-        kind = sx.classify_conjunct(c)
-        if kind == "guard":
-            if not va.is_true(eval_expr(c, env)):
-                return None
-        elif kind == "update":
-            val = eval_expr(c.right, env)
-            v = c.left.id
-            if v in updates and updates[v] != val:
-                return None
-            updates[v] = val
-        else:
-            framed.update(c.names)
-    loose = set(spec.variables) - set(updates) - framed
-    if loose:
-        raise SpecError("action %s leaves %s unconstrained"
-                        % (action.name, ", ".join(sorted(loose))))
-    for v in framed:
-        if v in updates and updates[v] != env[v]:
-            return None
-    return tuple(updates.get(v, env[v]) for v in spec.variables)
-
-
-def successors(spec, q):
-    """All ((action, argument), successor) pairs from state q."""
-    env = state_env(spec, q)
-    out = set()
-    for a in spec.actions:
-        for d in domain_values(spec):
-            q2 = _action_step(spec, a, env, d)
-            if q2 is not None:
-                out.add(((a.name, d), q2))
-    return out
-
-
-# --------------------------------------------------------------------------
-# Compiled steppers
+# Compiled evaluation
 #
 # Each action becomes `def step(q, d)` returning the successor tuple or
-# None; each property becomes `def prop(q)` returning a Python bool.
-# The generated code calls the same value helpers as the interpreter.
+# None; each property becomes `def prop(q)` returning a Python bool; a
+# closed expression becomes `def val()` returning its value.  The code
+# writes scalar literals and tuples as tagged tuples and does everything
+# else through the helpers in `values`.
 
 
 class _Codegen:
-    def __init__(self, spec):
-        self.spec = spec
-        self.var_index = {v: i for i, v in enumerate(spec.variables)}
-        self.consts = dict(spec.config)
+    def __init__(self, consts, variables=(), name="const"):
+        self.name = name
+        self.variables = variables
+        self.var_index = {v: i for i, v in enumerate(variables)}
+        self.consts = dict(consts)
 
     def expr(self, e, bound):
         go = lambda x: self.expr(x, bound)
@@ -257,7 +109,7 @@ class _Codegen:
                 updates.setdefault(c.left.id, []).append(c.right)
             else:
                 framed.update(c.names)
-        loose = set(self.spec.variables) - set(updates) - framed
+        loose = set(self.variables) - set(updates) - framed
         if loose:
             raise SpecError("action %s leaves %s unconstrained"
                             % (action.name, ", ".join(sorted(loose))))
@@ -273,7 +125,7 @@ class _Codegen:
                 lines.append("    if n_%s != q[%d]: return None"
                              % (v, self.var_index[v]))
         parts = []
-        for v in self.spec.variables:
+        for v in self.variables:
             parts.append("n_%s" % v if v in updates
                          else "q[%d]" % self.var_index[v])
         lines.append("    return (%s)" % "".join(p + ", " for p in parts))
@@ -282,6 +134,10 @@ class _Codegen:
     def predicate_fn(self, body):
         src = "def prop(q):\n    return _is_true(%s)" % self.expr(body, set())
         return self._build(src, "prop")
+
+    def value_fn(self, e):
+        return self._build("def val():\n    return %s" % self.expr(e, set()),
+                           "val")
 
     def _build(self, src, name):
         ns = {
@@ -295,17 +151,43 @@ class _Codegen:
         }
         for cname, cval in self.consts.items():
             ns["c_" + cname] = cval
-        exec(compile(src, "<spec:%s>" % self.spec.name, "exec"), ns)
+        exec(compile(src, "<spec:%s>" % self.name, "exec"), ns)
         return ns[name]
 
 
 def _compile_spec(spec):
-    cg = _Codegen(spec)
+    cg = _Codegen(spec.config, spec.variables, spec.name)
     return [(a.name, cg.action_fn(a)) for a in spec.actions]
 
 
 def compile_predicate(spec, body):
-    return _Codegen(spec).predicate_fn(body)
+    return _Codegen(spec.config, spec.variables, spec.name).predicate_fn(body)
+
+
+def eval_const(e, consts):
+    """Value of an expression closed over `consts` (name -> value pairs)."""
+    return _Codegen(consts).value_fn(e)()
+
+
+def init_states(spec):
+    """The (at most one, by the `v = e` Init discipline) initial states."""
+    return _init_and_domain(spec)[0]
+
+
+def _init_and_domain(spec):
+    """The initial states and the Next domain's elements, both evaluated
+    by one compiled function."""
+    domain = spec.next_domain
+    if domain is None:
+        domain = sx.SetLit(())
+    exprs = tuple(c.right for c in spec.init) + (domain,)
+    values = eval_const(sx.TupleLit(exprs), spec.config)[1]
+    domain = va.set_elems(values[-1])
+    assignment = {}
+    for c, val in zip(spec.init, values):
+        if assignment.setdefault(c.left.id, val) != val:
+            return set(), domain
+    return {tuple(assignment[v] for v in spec.variables)}, domain
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +203,7 @@ def _enumerate(spec, violates, bound, cancel, stop_at_pi=False):
     the canonical concrete-action alphabet.
     """
     steppers = _compile_spec(spec)
-    domain = sorted(domain_values(spec))
+    initials, domain = _init_and_domain(spec)
     alphabet = []
     moves = []  # (label index, stepper, argument)
     for name, step in steppers:
@@ -335,7 +217,7 @@ def _enumerate(spec, violates, bound, cancel, stop_at_pi=False):
             if q2 is not None:
                 yield i, q2
 
-    return explore(sorted(init_states(spec)), successors, alphabet,
+    return explore(sorted(initials), successors, alphabet,
                    violates or (lambda q: False), bound or DEFAULT_BOUND,
                    cancel, stop_at_pi)
 

@@ -195,9 +195,6 @@ class SpecAst:
                 return a
         raise SpecError("unknown action %r in %s" % (name, self.name))
 
-    def config_map(self):
-        return dict(self.config)
-
     def structure(self):
         """Comparable content, independent of the module name."""
         return (
@@ -280,10 +277,6 @@ def symbolic_actions(spec):
     return {a.name for a in spec.actions}
 
 
-def conjuncts(action):
-    return list(action.conjuncts)
-
-
 def has_primes(e):
     return any(isinstance(x, (Prime, Unchanged)) for x in _walk(e))
 
@@ -299,11 +292,6 @@ def classify_conjunct(c):
     if has_primes(c):
         raise SpecError("conjunct is neither a guard, an update, nor a frame")
     return "guard"
-
-
-def update_target(c):
-    assert classify_conjunct(c) == "update"
-    return c.left.id
 
 
 def count_occurrences(spec, v):

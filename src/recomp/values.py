@@ -34,14 +34,6 @@ def mk_bool(b):
     return TRUE if b else FALSE
 
 
-def mk_int(n):
-    return ("int", n)
-
-
-def mk_str(s):
-    return ("str", s)
-
-
 def mk_set(elems):
     return ("set", tuple(sorted(set(elems))))
 
@@ -52,10 +44,6 @@ def mk_rec(pairs):
 
 def mk_fun(pairs):
     return ("fun", tuple(sorted(pairs)))
-
-
-def mk_tup(elems):
-    return ("tup", tuple(elems))
 
 
 def is_true(v):

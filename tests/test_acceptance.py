@@ -13,12 +13,13 @@ from dataclasses import replace
 import pytest
 
 import oracle as oc
+from lts_oracle import traces_equal
 from recomp import parse, decompose, normalize, total_order
 from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
                            run_portfolio)
-from recomp.lts import StateBoundExceeded, compose, traces_equal
+from recomp.lts import StateBoundExceeded, compose
 from recomp.order import Strategy, dataflow_from_alphabets
 from recomp.recompose import (P, compose_all, compose_specs, make_map,
                               necessary_components)

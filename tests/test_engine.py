@@ -1,10 +1,14 @@
 import multiprocessing
+import os
+import threading
+import time
 
 import pytest
 
 import oracle as oc
 from recomp import parse
 from recomp.corpus import consensus, lockserv, tpcounter, twophase
+from recomp import engine
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
 from recomp.order import Strategy
@@ -147,6 +151,53 @@ def test_portfolio_timeout():
     assert verdict.outcome == INCONCLUSIVE
     assert verdict.reason == "timeout"
     assert winner is None
+
+
+@pytest.fixture
+def s1_dies(monkeypatch):
+    """Workers running S1 exit at once without posting a result; the
+    forked workers inherit the patched engine."""
+    def verify(spec, prop, strategy, **kwargs):
+        if strategy.kind == "S1":
+            os._exit(137)
+        return recomp_verify(spec, prop, strategy, **kwargs)
+
+    monkeypatch.setattr(engine, "recomp_verify", verify)
+
+
+def _bounded(call, seconds=60):
+    """call() in a daemon thread; fails the test instead of hanging."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    t0 = time.monotonic()
+    worker.start()
+    worker.join(seconds)
+    assert out, "no result after %d s" % seconds
+    return out[0], time.monotonic() - t0
+
+
+def test_portfolio_reports_a_dead_worker(tp, s1_dies):
+    (verdict, stats, winner), seconds = _bounded(lambda: run_portfolio(
+        tp, tp.property("Consistent"), ["S1"], workers=1))
+    assert verdict == Verdict(INCONCLUSIVE, reason="S1 exited with code 137")
+    assert winner is None
+    assert seconds < 10
+
+
+def test_portfolio_survives_a_dead_worker(tp, s1_dies):
+    (verdict, stats, winner), _ = _bounded(lambda: run_portfolio(
+        tp, tp.property("Consistent"), ["S1", "S4"], workers=2, timeout=50))
+    assert verdict.outcome == HOLDS
+    assert winner == Strategy("S4")
+    assert stats.strategy == "S4"
+
+
+def test_portfolio_launches_the_next_strategy_after_a_dead_worker(
+        tp, s1_dies):
+    (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+        tp, tp.property("NoPrepares"), ["S1", "S2"], workers=1, timeout=50))
+    assert verdict.outcome == VIOLATED
+    assert winner == Strategy("S2")
 
 
 def test_portfolio_requires_a_strategy(tp):

@@ -26,20 +26,6 @@ def test_layers_partition_the_covered_components():
         assert dfo.e_sets[0] == frozenset({1})
 
 
-def test_order_is_reflexive_and_transitive():
-    rng = random.Random(42)
-    for _ in range(60):
-        alpha = rand_alphabets(rng)
-        dfo = dataflow_from_alphabets(alpha)
-        covered = dfo.covers()
-        for i in covered:
-            assert dfo.leq(i, i)
-        for (i, j) in dfo.order:
-            for (j2, k) in dfo.order:
-                if j == j2:
-                    assert dfo.leq(i, k)
-
-
 def test_edges_connect_adjacent_layers_with_shared_actions():
     rng = random.Random(43)
     for _ in range(60):

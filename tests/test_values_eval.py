@@ -1,7 +1,9 @@
-"""Expression evaluation, checked three ways: the interpreter, the
-compiled steppers, and the independent oracle in tests/oracle.py."""
+"""Expression evaluation: the compiled evaluator (`eval_const`, the
+compiled steppers and `compile_predicate`) checked against the
+independent oracle in tests/oracle.py."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -10,157 +12,247 @@ from recomp import parse
 from recomp import syntax as sx
 from recomp import values as va
 from recomp.corpus import consensus, lockserv, twophase
-from recomp.semantics import (compile_predicate, eval_expr, init_states,
-                              successors, to_lts)
+from recomp.semantics import (_compile_spec, _init_and_domain,
+                              compile_predicate, eval_const, init_states,
+                              to_lts)
 from recomp.values import EvalError
 
 
 def test_set_values_are_canonical():
-    a = va.mk_set([va.mk_int(2), va.mk_int(1), va.mk_int(2)])
-    b = va.mk_set([va.mk_int(1), va.mk_int(2)])
+    a = va.mk_set([("int", 2), ("int", 1), ("int", 2)])
+    b = va.mk_set([("int", 1), ("int", 2)])
     assert a == b
 
 
 def test_function_apply_and_except():
-    f = va.mk_fun([(va.mk_str("a"), va.mk_int(1)),
-                   (va.mk_str("b"), va.mk_int(2))])
-    assert va.apply_value(f, va.mk_str("b")) == va.mk_int(2)
-    g = va.except_value(f, va.mk_str("a"), va.mk_int(9))
-    assert va.apply_value(g, va.mk_str("a")) == va.mk_int(9)
-    assert va.apply_value(g, va.mk_str("b")) == va.mk_int(2)
+    f = va.mk_fun([(("str", "a"), ("int", 1)),
+                   (("str", "b"), ("int", 2))])
+    assert va.apply_value(f, ("str", "b")) == ("int", 2)
+    g = va.except_value(f, ("str", "a"), ("int", 9))
+    assert va.apply_value(g, ("str", "a")) == ("int", 9)
+    assert va.apply_value(g, ("str", "b")) == ("int", 2)
     with pytest.raises(EvalError):
-        va.apply_value(f, va.mk_str("zz"))
+        va.apply_value(f, ("str", "zz"))
 
 
 def test_tuple_apply_is_one_based():
-    t = va.mk_tup([va.mk_str("p"), va.mk_str("q")])
-    assert va.apply_value(t, va.mk_int(1)) == va.mk_str("p")
-    assert va.apply_value(t, va.mk_int(2)) == va.mk_str("q")
+    t = ("tup", (("str", "p"), ("str", "q")))
+    assert va.apply_value(t, ("int", 1)) == ("str", "p")
+    assert va.apply_value(t, ("int", 2)) == ("str", "q")
 
 
 def test_fmt_value_round_trips_ordering():
-    s = va.mk_set([va.mk_str("b"), va.mk_str("a")])
+    s = va.mk_set([("str", "b"), ("str", "a")])
     assert va.fmt_value(s) == '{"a", "b"}'
 
 
 # --------------------------------------------------------------------------
-# random expressions: interpreter vs oracle
+# random expressions: eval_const vs oracle
+#
+# Every draw is well-typed by construction: `_rand_expr` builds an
+# expression of a requested type, functions are applied only to a key
+# of the literal domain they were built over, tuples only at an index
+# they have, and `+` only to integers.
+
+SCALARS = ("int", "str", "bool")
+TYPES = SCALARS + ("set", "fun", "rec", "tup")
+CONSTS = {"k0": ("int", 1), "k1": ("str", "a"),
+          "k2": va.mk_set([("int", 0), ("int", 2)])}
+CONST_TYPES = {"k0": "int", "k1": "str", "k2": "set"}
 
 
-def _rand_expr(rng, names, depth):
-    """A small closed boolean/set/int expression over bound names."""
-    if depth == 0:
-        return rng.choice([
-            sx.IntLit(rng.randrange(3)),
-            sx.StrLit(rng.choice("abc")),
-            sx.BoolLit(rng.random() < 0.5),
-            sx.Name(rng.choice(names)),
-        ])
-    sub = lambda: _rand_expr(rng, names, depth - 1)
-    kind = rng.randrange(8)
-    if kind == 0:
-        return sx.SetLit(tuple(sub() for _ in range(rng.randrange(3))))
-    if kind == 1:
-        return sx.Union(sx.SetLit((sub(),)), sx.SetLit((sub(),)))
-    if kind == 2:
-        return sx.In(sub(), sx.SetLit(tuple(sub() for _ in range(2))))
-    if kind == 3:
-        return sx.Eq(sub(), sub())
-    if kind == 4:
-        return sx.Not(sx.Eq(sub(), sub()))
-    if kind == 5:
-        return sx.Forall("q", sx.SetLit((sub(), sub())),
-                         sx.Eq(sx.Name("q"), sub()))
-    if kind == 6:
-        return sx.Exists("q", sx.SetLit((sub(), sub())),
-                         sx.Eq(sx.Name("q"), sub()))
-    return sx.Implies(sx.Eq(sub(), sub()), sx.Eq(sub(), sub()))
+def _literal(rng, ty):
+    if ty == "int":
+        return sx.IntLit(rng.randrange(3))
+    if ty == "str":
+        return sx.StrLit(rng.choice("abc"))
+    return sx.BoolLit(rng.random() < 0.5)
 
 
-def test_interpreter_matches_oracle_on_random_expressions():
+def _rand_fun(rng, body_ty, depth, env):
+    """A function expression with a non-empty literal domain, and the
+    literal keys of that domain."""
+    key_ty = rng.choice(("int", "str"))
+    pool = range(3) if key_ty == "int" else "abc"
+    keys = [sx.IntLit(k) if key_ty == "int" else sx.StrLit(k)
+            for k in rng.sample(pool, rng.randrange(1, 4))]
+    body = _rand_expr(rng, body_ty, depth, {**env, "x": key_ty})
+    f = sx.FuncLit("x", sx.SetLit(tuple(keys)), body)
+    if rng.random() < 0.4:
+        value = _rand_expr(rng, body_ty, depth, env)
+        f = sx.Except(f, rng.choice(keys), value)
+    return f, keys
+
+
+def _reordered(rng, e):
+    """e with its record fields or set elements in another order, which
+    denotes the same value."""
+    if isinstance(e, sx.RecordLit):
+        return sx.RecordLit(tuple(rng.sample(e.fields, len(e.fields))))
+    if isinstance(e, sx.SetLit):
+        return sx.SetLit(tuple(rng.sample(e.elems, len(e.elems))))
+    return e
+
+
+def _rand_expr(rng, ty, depth, env):
+    """A random expression of type `ty`; env maps the names in scope
+    (constants and bound variables) to their types."""
+    names = sorted(n for n, t in env.items() if t == ty)
+    if depth == 0 and ty in SCALARS:
+        if names and rng.random() < 0.4:
+            return sx.Name(rng.choice(names))
+        return _literal(rng, ty)
+    d = max(depth - 1, 0)
+    sub = lambda t: _rand_expr(rng, t, d, env)
+    any_ty = lambda: rng.choice(TYPES if d else SCALARS)
+    if ty in ("int", "str") or (ty == "bool" and rng.random() < 0.2):
+        kind = rng.randrange(4 if ty == "int" else 3)
+        if kind == 0:
+            return _rand_expr(rng, ty, 0, env)
+        if kind == 1:
+            f, keys = _rand_fun(rng, ty, d, env)
+            return sx.Apply(f, rng.choice(keys))
+        if kind == 2:
+            elems = [sub(any_ty()) for _ in range(rng.randrange(3))]
+            i = rng.randrange(len(elems) + 1)
+            elems.insert(i, sub(ty))
+            return sx.Apply(sx.TupleLit(tuple(elems)), sx.IntLit(i + 1))
+        return sx.Add(sub("int"), sub("int"))
+    if ty == "bool":
+        kind = rng.randrange(9)
+        if kind == 0:
+            return _rand_expr(rng, ty, 0, env)
+        if kind == 1:
+            t = any_ty()
+            left = sub(t)
+            right = _reordered(rng, left) if rng.random() < 0.3 else sub(t)
+            return sx.Eq(left, right)
+        if kind == 2:
+            return sx.Not(sub("bool"))
+        if kind in (3, 4):
+            operands = tuple(sub("bool") for _ in range(rng.randrange(2, 4)))
+            return (sx.And if kind == 3 else sx.Or)(operands)
+        if kind == 5:
+            return sx.Implies(sub("bool"), sub("bool"))
+        if kind == 6:
+            return sx.In(sub(any_ty()), sub("set"))
+        t = any_ty()
+        dom = sx.SetLit(tuple(sub(t) for _ in range(rng.randrange(3))))
+        body = _rand_expr(rng, "bool", d, {**env, "q": t})
+        return (sx.Forall if kind == 7 else sx.Exists)("q", dom, body)
+    if ty == "set":
+        kind = rng.randrange(3)
+        if kind == 0 and names:
+            return sx.Name(rng.choice(names))
+        if kind == 1:
+            return sx.Union(sub("set"), sub("set"))
+        return sx.SetLit(tuple(sub(any_ty()) for _ in range(rng.randrange(4))))
+    if ty == "fun":
+        return _rand_fun(rng, any_ty(), d, env)[0]
+    if ty == "rec":
+        fields = rng.sample("fgh", rng.randrange(1, 4))
+        return sx.RecordLit(tuple((f, sub(any_ty())) for f in fields))
+    return sx.TupleLit(tuple(sub(any_ty()) for _ in range(rng.randrange(4))))
+
+
+def test_eval_const_matches_oracle_on_random_expressions():
     rng = random.Random(20240817)
-    env = {"k0": va.mk_int(1), "k1": va.mk_str("a"),
-           "k2": va.mk_set([va.mk_int(0), va.mk_int(2)])}
-    oenv = {k: oc._conv(v) for k, v in env.items()}
-    for _ in range(300):
-        e = _rand_expr(rng, list(env), 3)
-        try:
-            got = eval_expr(e, dict(env))
-        except EvalError:
-            # ill-typed draw (e.g. union of an int); oracle must agree
-            with pytest.raises((TypeError, AttributeError)):
-                hash(oc.o_eval(e, dict(oenv)))
-            continue
-        assert oc._conv(got) == oc.o_eval(e, dict(oenv))
+    oenv = {k: oc._conv(v) for k, v in CONSTS.items()}
+    forms = Counter()
+    for _ in range(600):
+        e = _rand_expr(rng, rng.choice(TYPES), 3, CONST_TYPES)
+        forms.update(type(x).__name__ for x in sx._walk(e))
+        got = eval_const(e, CONSTS)
+        assert oc._conv(got) == oc.o_eval(e, dict(oenv)), e
+    # every expression form the compiled evaluator handles was drawn
+    assert set(forms) >= {
+        "Name", "BoolLit", "IntLit", "StrLit", "SetLit", "TupleLit",
+        "RecordLit", "FuncLit", "Apply", "Except", "Union", "Add", "In",
+        "Eq", "Not", "And", "Or", "Implies", "Forall", "Exists"}
+    assert min(forms.values()) >= 20
+
+
+@pytest.mark.parametrize("text", [
+    "1 + \"a\"",  # arithmetic on a string
+    "[x \\in {1, 2} |-> x][3]",  # outside the function domain
+    "[[x \\in {1} |-> x] EXCEPT ![2] = 0]",  # EXCEPT outside the domain
+    "<<1, 2>>[0]",  # tuples are indexed from 1
+    "~1",  # negation of an integer
+    "1 \\in 2",  # membership in a non-set
+    "v + 1",  # a state variable is not a constant
+], ids=["add", "apply", "except", "index", "not", "member", "variable"])
+def test_eval_const_rejects_ill_typed_expressions(text):
+    e = parse("MODULE M\n\nVARIABLES v\n\nINIT\n  /\\ v = 0\n\n"
+              "PROPERTY P\n  %s\n" % text).property("P").body
+    with pytest.raises(EvalError):
+        eval_const(e, CONSTS)
 
 
 # --------------------------------------------------------------------------
-# states and steps
+# states and steps: compiled steppers vs oracle
 
 
-@pytest.mark.parametrize("text", [twophase(2), lockserv(2), consensus(2)],
-                         ids=["twophase2", "lockserv2", "consensus2"])
-def test_interpreted_successors_match_oracle(text):
+def _oracle_state(spec, q):
+    return tuple(sorted(zip(spec.variables, (oc._conv(v) for v in q))))
+
+
+def _compiled_reach(spec):
+    """Reachable states by search over the compiled steppers, each with
+    its set of ((action, argument), successor) pairs."""
+    steppers = _compile_spec(spec)
+    initials, domain = _init_and_domain(spec)
+    succ = {}
+    frontier = list(initials)
+    while frontier:
+        q = frontier.pop()
+        if q not in succ:
+            succ[q] = {((name, d), q2) for name, step in steppers
+                       for d in domain for q2 in [step(q, d)]
+                       if q2 is not None}
+            frontier.extend(q2 for _, q2 in succ[q])
+    return succ
+
+
+SMALL = [twophase(2), lockserv(2), consensus(2)]
+SMALL_IDS = ["twophase2", "lockserv2", "consensus2"]
+
+
+@pytest.mark.parametrize("text", SMALL, ids=SMALL_IDS)
+def test_compiled_successors_match_oracle(text):
     spec = parse(text)
     (q0,) = init_states(spec)
-    frontier = [q0]
-    seen = {q0}
-    for _ in range(3):  # three BFS levels are plenty to cover all actions
-        nxt = []
-        for q in frontier:
-            succ = successors(spec, q)
-            state = tuple(sorted(zip(spec.variables, (oc._conv(v) for v in q))))
-            expected = oc.oracle_successors(spec, state)
-            got = sorted(((a, oc._conv(d)),
-                          tuple(sorted(zip(spec.variables,
-                                           (oc._conv(v) for v in q2)))))
-                         for (a, d), q2 in succ)
-            assert got == sorted(expected)
-            for _, q2 in succ:
-                if q2 not in seen:
-                    seen.add(q2)
-                    nxt.append(q2)
-        frontier = nxt
+    assert _oracle_state(spec, q0) == oc.oracle_init(spec)
+    succ = _compiled_reach(spec)
+    for q, out in succ.items():
+        got = sorted(((a, oc._conv(d)), _oracle_state(spec, q2))
+                     for (a, d), q2 in out)
+        expected = oc.oracle_successors(spec, _oracle_state(spec, q))
+        assert got == sorted(expected)
+    seen, _ = oc.oracle_reach(spec)
+    assert {_oracle_state(spec, q) for q in succ} == seen
 
 
 @pytest.mark.parametrize("text", [twophase(3), lockserv(3), consensus(3)],
                          ids=["twophase3", "lockserv3", "consensus3"])
-def test_compiled_enumeration_matches_interpreter(text):
+def test_compiled_enumeration_matches_oracle(text):
     spec = parse(text)
     l = to_lts(spec)  # compiled steppers
-    seen = set(init_states(spec))
-    frontier = list(seen)
-    edges = 0
-    while frontier:
-        q = frontier.pop()
-        for _, q2 in successors(spec, q):
-            edges += 1
-            if q2 not in seen:
-                seen.add(q2)
-                frontier.append(q2)
+    seen, edges = oc.oracle_reach(spec)
     assert l.n_states == len(seen)
-    assert l.n_edges == edges
+    assert l.n_edges == len(edges)
 
 
-def test_compiled_predicate_matches_interpreter(tp3):
-    prop = tp3.property("Consistent")
-    pred = compile_predicate(tp3, prop.body)
-    for q in list(oc_states(tp3))[:50]:
-        env = dict(tp3.config)
-        env.update(zip(tp3.variables, q))
-        assert pred(q) == va.is_true(eval_expr(prop.body, env))
-
-
-def oc_states(spec):
-    seen = set(init_states(spec))
-    frontier = list(seen)
-    while frontier:
-        q = frontier.pop()
-        for _, q2 in successors(spec, q):
-            if q2 not in seen:
-                seen.add(q2)
-                frontier.append(q2)
-    return seen
+@pytest.mark.parametrize("text", [twophase(3)] + SMALL,
+                         ids=["twophase3"] + SMALL_IDS)
+def test_compiled_predicate_matches_oracle(text):
+    spec = parse(text)
+    consts = oc._consts(spec)
+    states = _compiled_reach(spec)
+    for prop in spec.properties:
+        pred = compile_predicate(spec, prop.body)
+        for q in states:
+            env = {**consts, **dict(_oracle_state(spec, q))}
+            assert pred(q) == bool(oc.o_eval(prop.body, env))
 
 
 def test_conflicting_init_has_no_states():
@@ -173,8 +265,7 @@ def test_unconstrained_variable_is_an_error():
             "ACTION Step(d)\n  /\\ x' = 1\n\n"
             "NEXT \\E d \\in {\"a\"} :\n  \\/ Step(d)\n")
     spec = parse(text)
-    (q0,) = init_states(spec)
     with pytest.raises(sx.SpecError):
-        successors(spec, q0)
+        _compile_spec(spec)
     with pytest.raises(sx.SpecError):
         to_lts(spec)
