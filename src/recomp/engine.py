@@ -92,7 +92,8 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         if short_circuit and not pi_reachable(d):
             stages.append(Stage(d_p.name, gen))
             return report(Verdict(HOLDS), 0)
-        d = _minimized(d, minimize_mode, set().union(*remaining_alpha))
+        d = _minimized(d, minimize_mode, set().union(*remaining_alpha),
+                       cancel)
         stages.append(Stage(d_p.name, gen, minimized=d.n_states))
 
         composed_alpha = set(sx.symbolic_actions(d_p))
@@ -103,7 +104,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             visible = set(composed_alpha)
             for alpha in remaining_alpha[j + 1:]:
                 visible |= alpha
-            gm = _minimized(gl, minimize_mode, visible)
+            gm = _minimized(gl, minimize_mode, visible, cancel)
             d = compose(d, gm, bound=bound, cancel=cancel)
             k_done = j + 1
             composed_alpha |= remaining_alpha[j]
@@ -122,11 +123,11 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         return report(Verdict(INCONCLUSIVE, reason="cancelled"), k_done)
 
 
-def _minimized(l, mode, visible_actions):
+def _minimized(l, mode, visible_actions, cancel):
     if mode == "strong":
-        return minimize(l, "strong")
+        return minimize(l, "strong", cancel=cancel)
     hide = {lab for lab in l.alphabet if lab[0] not in visible_actions}
-    return minimize(l, "observational", hide=hide)
+    return minimize(l, "observational", hide=hide, cancel=cancel)
 
 
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
@@ -161,8 +162,7 @@ def _portfolio_worker(spec, prop, strategy, bound, minimize_mode, reduce,
                                        cancel=cancel, reduce=reduce)
     except Exception as exc:  # report, don't wedge the coordinator
         verdict = Verdict(INCONCLUSIVE, reason="error: %s" % exc)
-        stats = StatsReport(strategy=strategy.label(), n=0, m=0, k=0,
-                            stages=(), max_states=0, elapsed_ms=0)
+        stats = replace(_empty_stats(), strategy=strategy.label())
     conn.send((verdict, stats))
 
 

@@ -6,8 +6,9 @@ States are dense integers.  Transitions are kept in compressed sparse
 row form (one offsets array plus parallel label/target arrays), which
 keeps multi-million-edge systems affordable.  `explore` is the one
 breadth-first builder of that form: state-graph enumeration, error
-automata and composition all feed it a successor function, and it alone
-places the error state pi (last index, a self-loop on every label).
+automata, composition and minimization quotients all feed it a
+successor function, and it alone places the error state pi, which is
+therefore always the last state, with a self-loop on every label.
 `pi_trace` is the one search for pi.  Labels are concrete actions
 `(name, argument)`; hidden actions are relabeled to a tau label that is
 unique per LTS, so tau never synchronizes in a composition.
@@ -58,23 +59,6 @@ class Lts:
     initials: tuple  # of state indices
     pi: Optional[int] = None
 
-    @staticmethod
-    def from_edges(n, alphabet, edges, initials, pi=None):
-        counts = [0] * (n + 1)
-        for s, _, _ in edges:
-            counts[s + 1] += 1
-        offsets = array("q", itertools.accumulate(counts))
-        labels = array("i", bytes(4 * len(edges)))
-        dsts = array("i", bytes(4 * len(edges)))
-        pos = list(offsets[:-1])
-        for s, l, t in edges:
-            i = pos[s]
-            labels[i] = l
-            dsts[i] = t
-            pos[s] = i + 1
-        return Lts(n, tuple(alphabet), offsets, labels, dsts,
-                   tuple(initials), pi)
-
     @property
     def n_edges(self):
         return len(self.dsts)
@@ -83,13 +67,6 @@ class Lts:
         """Outgoing (label index, target) pairs of a state."""
         lo, hi = self.offsets[s], self.offsets[s + 1]
         return zip(self.labels[lo:hi], self.dsts[lo:hi])
-
-    def grouped(self, s):
-        """Outgoing edges of s grouped by label index."""
-        by = {}
-        for l, t in self.out(s):
-            by.setdefault(l, []).append(t)
-        return by
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +185,12 @@ def pi_reachable(l):
 def compose(a, b, bound=None, cancel=None):
     """Parallel composition: synchronize on shared labels, interleave the
     rest; restricted to reachable product states; pi coordinates collapse
-    into a single absorbing pi."""
+    into a single absorbing pi, the last state.
+
+    a's rows (the running composite's, in the engine) are read as stored;
+    b's (the minimized group's) are split once into shared-label targets
+    and interleaved edges.
+    """
     if a.pi is not None and b.pi is not None:
         raise ValueError("at most one composition operand may carry pi")
     if b.pi is not None:
@@ -220,30 +202,28 @@ def compose(a, b, bound=None, cancel=None):
 
     a_union = [uidx[lab] for lab in a.alphabet]
     a_sync = [lab in shared for lab in a.alphabet]
-    # b, a minimized group in the engine, is grouped once up front.  a,
-    # the composite so far, is grouped per reached state: grouping all of
-    # it up front took more memory than the product's own arrays.
-    b_rows = [[(uidx[b.alphabet[lab]], ts, b.alphabet[lab] in shared)
-               for lab, ts in b.grouped(y).items()]
-              for y in range(b.n_states)]
-    b_sync = [{ul: ts for ul, ts, sync in row if sync} for row in b_rows]
+    b_shared = [{} for _ in range(b.n_states)]  # union label -> targets
+    b_free = [[] for _ in range(b.n_states)]  # (union label, target)
+    for y in range(b.n_states):
+        for lab, t in b.out(y):
+            ul = uidx[b.alphabet[lab]]
+            if b.alphabet[lab] in shared:
+                b_shared[y].setdefault(ul, []).append(t)
+            else:
+                b_free[y].append((ul, t))
 
     def successors(key):
         x, y = key
-        for lab, ts in a.grouped(x).items():
+        row_shared = b_shared[y]
+        for lab, t in a.out(x):
             ul = a_union[lab]
             if a_sync[lab]:
-                ts2 = b_sync[y].get(ul, ())
-                for t in ts:
-                    for t2 in ts2:
-                        yield ul, (t, t2)
+                for t2 in row_shared.get(ul, ()):
+                    yield ul, (t, t2)
             else:
-                for t in ts:
-                    yield ul, (t, y)
-        for ul, ts, sync in b_rows[y]:
-            if not sync:
-                for t2 in ts:
-                    yield ul, (x, t2)
+                yield ul, (t, y)
+        for ul, t2 in b_free[y]:
+            yield ul, (x, t2)
 
     a_pi = a.pi
     return explore([(x, y) for x in a.initials for y in b.initials],
@@ -255,7 +235,7 @@ def compose(a, b, bound=None, cancel=None):
 # Minimization
 
 
-def _refine(n, adj, seed):
+def _refine(n, adj, seed, cancel=None):
     """Signature-based partition refinement.
 
     adj[s] is an iterable of (label, block-of-target-relevant key) edge
@@ -268,6 +248,8 @@ def _refine(n, adj, seed):
         sigs = {}
         new = [0] * n
         for s in range(n):
+            if s % _POLL_EVERY == 0:
+                _check_cancel(cancel)
             sig = (block[s], frozenset((l, block[t]) for l, t in adj[s]))
             b = sigs.get(sig)
             if b is None:
@@ -279,17 +261,25 @@ def _refine(n, adj, seed):
         block, n_blocks = new, len(sigs)
 
 
-def _quotient(l, block):
-    n_blocks = max(block) + 1 if l.n_states else 0
-    rep_edges = {(block[s], lab, block[t])
-                 for s in range(l.n_states) for lab, t in l.out(s)}
-    initials = sorted({block[s] for s in l.initials})
+def _quotient(l, block, cancel=None):
+    """The quotient of l by a partition, explored from the sorted initial
+    blocks: a block steps to the sorted set of (label, block of target)
+    over its members' edges.  Only reachable blocks are kept (all of them
+    on an LTS that `explore` built), and pi's block becomes the last."""
+    members = [[] for _ in range(max(block) + 1)]
+    for s, b in enumerate(block):
+        members[b].append(s)
+
+    def successors(b):
+        return sorted({(lab, block[t]) for s in members[b]
+                       for lab, t in l.out(s)})
+
     pi = block[l.pi] if l.pi is not None else None
-    return Lts.from_edges(n_blocks, l.alphabet, sorted(rep_edges),
-                          initials, pi)
+    return explore(sorted({block[s] for s in l.initials}), successors,
+                   l.alphabet, lambda b: b == pi, cancel=cancel)
 
 
-def _saturate(l, tau_idx):
+def _saturate(l, tau_idx, cancel=None):
     """Weak (double-arrow) transition relation after hiding.
 
     Returns per-state edge lists where label -1 stands for the tau-star
@@ -297,6 +287,8 @@ def _saturate(l, tau_idx):
     """
     closure = []
     for s in range(l.n_states):
+        if s % _POLL_EVERY == 0:
+            _check_cancel(cancel)
         seen = {s}
         stack = [s]
         while stack:
@@ -308,6 +300,8 @@ def _saturate(l, tau_idx):
         closure.append(seen)
     adj = []
     for s in range(l.n_states):
+        if s % _POLL_EVERY == 0:
+            _check_cancel(cancel)
         out = set()
         for u in closure[s]:
             out.add((-1, u))
@@ -319,8 +313,9 @@ def _saturate(l, tau_idx):
     return adj
 
 
-def minimize(l, mode="strong", hide=None):
-    """Quotient by bisimulation; pi (if any) stays in its own class.
+def minimize(l, mode="strong", hide=None, cancel=None):
+    """Quotient by bisimulation, built by `explore` and so numbered
+    breadth-first with pi (if any) in its own class as the last state.
 
     mode "strong": strong bisimulation on the given labels.
     mode "observational": labels in `hide` are renamed to a fresh tau
@@ -339,9 +334,9 @@ def minimize(l, mode="strong", hide=None):
         adj = [list(l.out(s)) for s in range(l.n_states)]
     else:
         tau_idx = {i for i, lab in enumerate(l.alphabet) if is_tau(lab)}
-        adj = _saturate(l, tau_idx)
-    block = _refine(l.n_states, adj, seed)
-    return _quotient(l, block)
+        adj = _saturate(l, tau_idx, cancel)
+    block = _refine(l.n_states, adj, seed, cancel)
+    return _quotient(l, block, cancel)
 
 
 def hide_labels(l, hide):

@@ -1,12 +1,46 @@
-"""Trace and bisimilarity comparisons of LTSs, for the tests.
+"""Hand-built LTSs and trace and bisimilarity comparisons, for the tests.
 
-Brute-force and test-scale: `trace_set` materializes every bounded
-action sequence, `traces_equal` runs a synchronized subset construction
-and `bisimilar` refines one partition over both systems with the
-package's own `_refine`.
+`lts_from_edges` lays out an LTS from an edge list in any order, with pi
+anywhere, which the package's one builder `explore` never does.  The
+comparisons are brute-force and test-scale: `trace_set` materializes
+every bounded action sequence, `traces_equal` runs a synchronized subset
+construction and `bisimilar` refines one partition over both systems
+with the package's own `_refine`.
 """
 
-from recomp.lts import _refine
+import itertools
+from array import array
+
+from recomp.lts import Lts, _refine
+
+
+def lts_from_edges(n, alphabet, edges, initials, pi=None):
+    """An LTS with n states whose rows hold the (source, label index,
+    target) edges in the order given."""
+    counts = [0] * (n + 1)
+    for s, _, _ in edges:
+        counts[s + 1] += 1
+    offsets = array("q", itertools.accumulate(counts))
+    labels = array("i", bytes(4 * len(edges)))
+    dsts = array("i", bytes(4 * len(edges)))
+    pos = list(offsets[:-1])
+    for s, l, t in edges:
+        i = pos[s]
+        labels[i] = l
+        dsts[i] = t
+        pos[s] = i + 1
+    return Lts(n, tuple(alphabet), offsets, labels, dsts, tuple(initials), pi)
+
+
+def _grouped(l):
+    """Per state, its targets under each label index."""
+    rows = []
+    for s in range(l.n_states):
+        by = {}
+        for lab, t in l.out(s):
+            by.setdefault(lab, []).append(t)
+        rows.append(by)
+    return rows
 
 
 def trace_set(l, length, alphabet=None):
@@ -15,7 +49,7 @@ def trace_set(l, length, alphabet=None):
     LTS's own alphabet are stutters (always allowed, state unchanged)."""
     alpha = tuple(alphabet) if alphabet is not None else l.alphabet
     own = {lab: i for i, lab in enumerate(l.alphabet)}
-    grouped = [l.grouped(s) for s in range(l.n_states)]
+    grouped = _grouped(l)
     memo = {}
 
     def suffixes(states, k):
@@ -55,8 +89,8 @@ def traces_equal(a, b, length, alphabet=None):
 
     a_own = {lab: i for i, lab in enumerate(a.alphabet)}
     b_own = {lab: i for i, lab in enumerate(b.alphabet)}
-    a_grouped = [a.grouped(s) for s in range(a.n_states)]
-    b_grouped = [b.grouped(s) for s in range(b.n_states)]
+    a_grouped = _grouped(a)
+    b_grouped = _grouped(b)
 
     start = (frozenset(a.initials), frozenset(b.initials))
     seen = {start: 0}

@@ -11,6 +11,7 @@ from recomp.corpus import consensus, lockserv, tpcounter, twophase
 from recomp import engine
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
+from recomp.lts import _POLL_EVERY, Cancelled, explore, minimize
 from recomp.order import Strategy
 from recomp.semantics import err_lts, to_lts
 from recomp.syntax import SpecError
@@ -74,6 +75,23 @@ def test_preset_cancel_event_is_reported():
                                cancel=cancel)
     assert verdict.outcome == INCONCLUSIVE
     assert verdict.reason == "cancelled"
+
+
+@pytest.mark.parametrize("mode", ["strong", "observational"])
+def test_minimize_polls_cancel(tp, mode):
+    cancel = multiprocessing.get_context().Event()
+    cancel.set()
+    # longer than the poll interval, so the quotient's `explore` polls too
+    n = _POLL_EVERY + 2
+    chain = explore([0], lambda k: [(0, k + 1)] if k < n - 1 else [],
+                    [("A", None)], lambda k: False)
+    with pytest.raises(Cancelled):
+        minimize(chain, mode, hide={("A", None)}, cancel=cancel)
+    # twophase(3) builds fewer states than the poll interval, so only
+    # minimization sees the cancel
+    verdict, _ = recomp_verify(tp, tp.property("Consistent"), "S1",
+                               minimize_mode=mode, cancel=cancel)
+    assert (verdict.outcome, verdict.reason) == (INCONCLUSIVE, "cancelled")
 
 
 def test_monolithic_ignores_reduction():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from lts_oracle import bisimilar, trace_set, traces_equal
-from recomp.lts import (Lts, StateBoundExceeded, compose, explore,
-                        hide_labels, minimize, pi_reachable, pi_trace)
+from lts_oracle import bisimilar, lts_from_edges, trace_set, traces_equal
+from recomp.lts import (StateBoundExceeded, compose, explore, hide_labels,
+                        minimize, pi_reachable, pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -27,15 +27,14 @@ def rand_lts(rng, max_states=5, with_pi=False, alphabet=None):
             elif rng.random() < 0.5:
                 edges.append((s, l, rng.randrange(n)))
     initials = [0]
-    return Lts.from_edges(n, alphabet, edges, initials, pi)
+    return lts_from_edges(n, alphabet, edges, initials, pi)
 
 
 def test_from_edges_layout():
-    l = Lts.from_edges(3, LABELS[:2], [(0, 0, 1), (0, 1, 2), (1, 0, 0)], [0])
+    l = lts_from_edges(3, LABELS[:2], [(0, 0, 1), (0, 1, 2), (1, 0, 0)], [0])
     assert sorted(l.out(0)) == [(0, 1), (1, 2)]
     assert list(l.out(2)) == []
     assert l.n_edges == 3
-    assert l.grouped(0) == {0: [1], 1: [2]}
 
 
 def _counter(key):
@@ -72,17 +71,17 @@ def test_explore_respects_bound():
 
 
 def test_pi_trace_is_a_shortest_path():
-    l = Lts.from_edges(4, LABELS[:3],
+    l = lts_from_edges(4, LABELS[:3],
                        [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 2, 3),
                         (0, 2, 2), (3, 0, 3)], [0], pi=3)
     assert pi_trace(l) == (LABELS[0], LABELS[0])
-    assert pi_trace(Lts.from_edges(1, LABELS[:1], [], [0], pi=0)) == ()
-    assert pi_trace(Lts.from_edges(2, LABELS[:1], [(0, 0, 1)], [0])) is None
+    assert pi_trace(lts_from_edges(1, LABELS[:1], [], [0], pi=0)) == ()
+    assert pi_trace(lts_from_edges(2, LABELS[:1], [(0, 0, 1)], [0])) is None
 
 
 def test_unit_is_identity():
     rng = random.Random(7)
-    unit = Lts.from_edges(1, (), [], [0])  # one state, empty alphabet
+    unit = lts_from_edges(1, (), [], [0])  # one state, empty alphabet
     for _ in range(20):
         l = rand_lts(rng)
         assert bisimilar(compose(unit, l), l)
@@ -105,9 +104,9 @@ def test_compose_associative_up_to_bisimulation():
 
 def test_compose_synchronizes_shared_and_interleaves_rest():
     # a: A then B; b: B then C; shared B must wait for both
-    a = Lts.from_edges(3, [("A", None), ("B", None)],
+    a = lts_from_edges(3, [("A", None), ("B", None)],
                        [(0, 0, 1), (1, 1, 2)], [0])
-    b = Lts.from_edges(3, [("B", None), ("C", None)],
+    b = lts_from_edges(3, [("B", None), ("C", None)],
                        [(0, 0, 1), (1, 1, 2)], [0])
     c = compose(a, b)
     traces = trace_set(c, 3)
@@ -117,19 +116,20 @@ def test_compose_synchronizes_shared_and_interleaves_rest():
 
 
 def test_pi_collapses_and_absorbs():
-    err = Lts.from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
-    other = Lts.from_edges(2, [("A", None), ("B", None)],
+    err = lts_from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
+    other = lts_from_edges(2, [("A", None), ("B", None)],
                            [(0, 0, 1), (0, 1, 0)], [0])
     c = compose(err, other)
     assert c.pi is not None
     assert pi_reachable(c)
     # absorbing: every alphabet letter self-loops on pi
-    assert sorted(c.grouped(c.pi)) == list(range(len(c.alphabet)))
+    assert sorted(c.out(c.pi)) == [(lab, c.pi)
+                                   for lab in range(len(c.alphabet))]
 
 
 def test_compose_respects_bound():
-    a = Lts.from_edges(3, [("A", None)], [(0, 0, 1), (1, 0, 2)], [0])
-    b = Lts.from_edges(3, [("B", None)], [(0, 0, 1), (1, 0, 2)], [0])
+    a = lts_from_edges(3, [("A", None)], [(0, 0, 1), (1, 0, 2)], [0])
+    b = lts_from_edges(3, [("B", None)], [(0, 0, 1), (1, 0, 2)], [0])
     with pytest.raises(StateBoundExceeded):
         compose(a, b, bound=2)
 
@@ -156,15 +156,29 @@ def test_minimize_strong_preserves_bisimilarity():
 
 def test_minimize_merges_duplicate_states():
     # two states with identical behavior collapse to one
-    l = Lts.from_edges(3, [("A", None)],
+    l = lts_from_edges(3, [("A", None)],
                        [(0, 0, 1), (0, 0, 2)], [0])
     m = minimize(l, "strong")
     assert m.n_states == 2
 
 
+def test_quotient_keeps_reachable_blocks_with_pi_last():
+    # 0 -A-> 1 -A-> pi (state 2, without its self-loops); 3 and 4 are
+    # unreachable and differ from every reachable state
+    l = lts_from_edges(5, LABELS[:2],
+                       [(0, 0, 1), (1, 0, 2), (3, 1, 4), (4, 1, 3)],
+                       [0], pi=2)
+    for mode in ("strong", "observational"):
+        m = minimize(l, mode)
+        assert (m.n_states, m.pi, m.initials) == (3, 2, (0,))
+        assert list(m.out(0)) == [(0, 1)]
+        assert list(m.out(1)) == [(0, 2)]
+        assert list(m.out(m.pi)) == [(0, 2), (1, 2)]
+
+
 def test_observational_minimize_collapses_internal_steps():
     # s0 -B-> s1 -A-> s2 with B hidden: s0 and s1 are weakly equivalent
-    l = Lts.from_edges(3, [("A", None), ("B", None)],
+    l = lts_from_edges(3, [("A", None), ("B", None)],
                        [(0, 1, 1), (1, 0, 2)], [0])
     m = minimize(l, "observational", hide={("B", None)})
     assert m.n_states == 2
@@ -173,14 +187,14 @@ def test_observational_minimize_collapses_internal_steps():
 
 
 def test_observational_keeps_pi_separate():
-    l = Lts.from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
+    l = lts_from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
     m = minimize(l, "observational", hide={("A", None)})
     assert m.pi is not None
     assert pi_reachable(m)
 
 
 def test_hide_labels_uses_fresh_tau():
-    l = Lts.from_edges(2, LABELS[:2], [(0, 0, 1), (0, 1, 1)], [0])
+    l = lts_from_edges(2, LABELS[:2], [(0, 0, 1), (0, 1, 1)], [0])
     h1 = hide_labels(l, {LABELS[0]})
     h2 = hide_labels(l, {LABELS[0]})
     t1 = [lab for lab in h1.alphabet if lab[0] == "τ"]
@@ -189,7 +203,7 @@ def test_hide_labels_uses_fresh_tau():
 
 
 def test_trace_set_with_stuttering_super_alphabet():
-    l = Lts.from_edges(2, [("A", None)], [(0, 0, 1)], [0])
+    l = lts_from_edges(2, [("A", None)], [(0, 0, 1)], [0])
     traces = trace_set(l, 2, alphabet=[("A", None), ("Z", None)])
     assert (("Z", None), ("A", None)) in traces
     assert (("A", None), ("A", None)) not in traces
@@ -227,7 +241,7 @@ def test_bisimilar_implies_trace_equal():
 
 
 def test_pi_in_a_disconnected_part_is_unreachable():
-    l = Lts.from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3), (3, 0, 3)],
+    l = lts_from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3), (3, 0, 3)],
                        [0], pi=3)
     assert not pi_reachable(l)
 
@@ -235,7 +249,7 @@ def test_pi_in_a_disconnected_part_is_unreachable():
 def test_compose_folds_left_from_the_unit():
     rng = random.Random(17)
     parts = [rand_lts(rng, 3) for _ in range(3)]
-    folded = Lts.from_edges(1, (), [], [0])
+    folded = lts_from_edges(1, (), [], [0])
     for p in parts:
         folded = compose(folded, p)
     manual = compose(compose(parts[0], parts[1]), parts[2])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from recomp import parse, pretty
@@ -13,6 +15,14 @@ def test_pretty_round_trip(name):
     again = parse(text)
     assert again == spec
     assert pretty(again) == text  # fixed point
+
+
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_bundled_corpus_matches_the_generator(name):
+    """The tracked corpus/<name>3.spec files, which README's quick start
+    reads, are what `write_corpus` emits today."""
+    path = Path(__file__).parent.parent / "corpus" / ("%s3.spec" % name)
+    assert path.read_text() == pretty(parse(ALL[name](3)))
 
 
 def _module(body):
