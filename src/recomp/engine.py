@@ -58,7 +58,7 @@ class StatsReport:
 
 
 def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
-                cancel=None, short_circuit=True):
+                cancel=None):
     """Iterative compose-and-check over the property group and the
     ordered groups; Holds as soon as pi is unreachable (k groups used),
     Violated if it stays reachable through all of them."""
@@ -89,7 +89,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         d = err_lts(d_p, prop, bound, cancel)
         gen = d.n_states
         max_states = gen
-        if short_circuit and not pi_reachable(d):
+        if not pi_reachable(d):
             stages.append(Stage(d_p.name, gen))
             return report(Verdict(HOLDS), 0)
         d = _minimized(d, minimize_mode, set().union(*remaining_alpha),
@@ -111,12 +111,9 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             stages.append(Stage(g.name, gen, minimized=gm.n_states,
                                 composed=d.n_states))
             max_states = max(max_states, gen, d.n_states)
-            if short_circuit and not pi_reachable(d):
+            if not pi_reachable(d):
                 return report(Verdict(HOLDS), k_done)
-        trace = pi_trace(d)
-        if trace is None:
-            return report(Verdict(HOLDS), k_done)
-        return report(Verdict(VIOLATED, witness=trace), k_done)
+        return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
     except StateBoundExceeded:
         return report(Verdict(INCONCLUSIVE, reason="bound-exceeded"), k_done)
     except Cancelled:
@@ -131,7 +128,7 @@ def _minimized(l, mode, visible_actions, cancel):
 
 
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
-                  cancel=None, reduce=True, short_circuit=True):
+                  cancel=None, reduce=True):
     """Decompose, order, map, statically reduce, build groups, verify."""
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -149,8 +146,7 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
         f = static_reduce(f, comps)
     d_p, groups = build_groups(f, comps)
     verdict, stats = comp_verify(d_p, groups, prop, bound=bound,
-                                 minimize_mode=minimize_mode, cancel=cancel,
-                                 short_circuit=short_circuit)
+                                 minimize_mode=minimize_mode, cancel=cancel)
     return verdict, replace(stats, strategy=strategy.label(), n=n, m=f.m)
 
 

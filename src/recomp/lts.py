@@ -1,23 +1,23 @@
 """Labeled transition systems and the operations the verifier needs:
-exploration, parallel composition, the search for the error state,
-and bisimulation minimization.
+exploration, parallel composition, the error-state queries, and
+bisimulation minimization.
 
 States are dense integers.  Transitions are kept in compressed sparse
 row form (one offsets array plus parallel label/target arrays), which
 keeps multi-million-edge systems affordable.  `explore` is the one
-breadth-first builder of that form: state-graph enumeration, error
-automata, composition and minimization quotients all feed it a
-successor function, and it alone places the error state pi, which is
-therefore always the last state, with a self-loop on every label.
-`pi_trace` is the one search for pi.  Labels are concrete actions
-`(name, argument)`; hidden actions are relabeled to a tau label that is
-unique per LTS, so tau never synchronizes in a composition.
+breadth-first search: enumeration, error automata, composition and
+quotients all feed it a successor function, and the layout it leaves
+(see `Lts`) answers the error-state queries without a second search.
+Labels are concrete actions `(name, argument)`; hidden actions are
+relabeled to a tau label that is unique per LTS, so tau never
+synchronizes in a composition.
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,8 +51,11 @@ def fresh_tau():
 
 @dataclass(frozen=True)
 class Lts:
+    """CSR form as `explore` lays it out (`hide_labels` only relabels):
+    states and rows in discovery order; pi only if reached, and last."""
+
     n_states: int
-    alphabet: tuple  # of (action name, argument Value or None)
+    alphabet: tuple  # of (action name, argument value or None)
     offsets: array  # CSR row starts, length n_states + 1
     labels: array  # per-edge alphabet index
     dsts: array  # per-edge target state
@@ -148,34 +151,23 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
 
 
 def pi_trace(l):
-    """Shortest label path from an initial state to pi, or None if pi is
-    unreachable."""
+    """Shortest label path from an initial state to pi, or None.  The
+    first stored edge into a state discovered it (see `Lts`), so walk
+    those edges back from pi."""
     if l.pi is None:
         return None
-    via = {s: None for s in l.initials}
-    queue = list(l.initials)
-    head = 0
-    while l.pi not in via:
-        if head == len(queue):
-            return None
-        s = queue[head]
-        head += 1
-        for lab, t in l.out(s):
-            if t not in via:
-                via[t] = (s, lab)
-                queue.append(t)
-                if t == l.pi:
-                    break
     trace = []
     s = l.pi
-    while via[s] is not None:
-        s, lab = via[s]
-        trace.append(l.alphabet[lab])
+    while s not in l.initials:
+        e = l.dsts.index(s)
+        trace.append(l.alphabet[l.labels[e]])
+        s = bisect_right(l.offsets, e) - 1
     return tuple(reversed(trace))
 
 
 def pi_reachable(l):
-    return pi_trace(l) is not None
+    """Whether pi is reachable: `explore` adds pi only once reached."""
+    return l.pi is not None
 
 
 # --------------------------------------------------------------------------

@@ -181,32 +181,13 @@ class SpecAst:
     next_var: Optional[str]  # the bound parameter of the transition relation
     next_domain: Optional[Expr]
     properties: tuple = ()  # of PropertyDef
-    config: tuple = ()  # of (constant name, Value), sorted by name
+    config: tuple = ()  # of (constant name, value), sorted by name
 
     def property(self, name):
         for p in self.properties:
             if p.name == name:
                 return p
         raise SpecError("unknown property %r in %s" % (name, self.name))
-
-    def action(self, name):
-        for a in self.actions:
-            if a.name == name:
-                return a
-        raise SpecError("unknown action %r in %s" % (name, self.name))
-
-    def structure(self):
-        """Comparable content, independent of the module name."""
-        return (
-            self.constants,
-            self.variables,
-            self.init,
-            self.actions,
-            self.next_var,
-            self.next_domain,
-            self.properties,
-            self.config,
-        )
 
 
 # --------------------------------------------------------------------------
@@ -259,18 +240,9 @@ def free_idents(e):
     return out
 
 
-def free_vars(spec, e=None):
-    """State variables occurring in an expression, or in a whole spec."""
-    varset = set(spec.variables)
-    if e is not None:
-        return free_idents(e) & varset
-    out = set()
-    for c in spec.init:
-        out |= free_idents(c) & varset
-    for a in spec.actions:
-        for c in a.conjuncts:
-            out |= (free_idents(c) - {a.param}) & varset
-    return out
+def free_vars(spec, e):
+    """State variables occurring in an expression."""
+    return free_idents(e) & set(spec.variables)
 
 
 def symbolic_actions(spec):

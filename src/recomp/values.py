@@ -20,8 +20,6 @@ Tags:
 from __future__ import annotations
 
 
-Value = tuple
-
 TRUE = ("bool", True)
 FALSE = ("bool", False)
 

@@ -1,11 +1,14 @@
-"""Hand-built LTSs and trace and bisimilarity comparisons, for the tests.
+"""Hand-built LTSs, a search for pi, and trace and bisimilarity
+comparisons, for the tests.
 
 `lts_from_edges` lays out an LTS from an edge list in any order, with pi
-anywhere, which the package's one builder `explore` never does.  The
-comparisons are brute-force and test-scale: `trace_set` materializes
-every bounded action sequence, `traces_equal` runs a synchronized subset
-construction and `bisimilar` refines one partition over both systems
-with the package's own `_refine`.
+anywhere, which the package's one builder `explore` never does.
+`shortest_pi_trace` searches any LTS for pi breadth-first, where
+`lts.pi_trace` relies on `explore`'s layout.  The comparisons are
+brute-force and test-scale: `trace_set` materializes every bounded
+action sequence, `traces_equal` runs a synchronized subset construction
+and `bisimilar` refines one partition over both systems with the
+package's own `_refine`.
 """
 
 import itertools
@@ -30,6 +33,31 @@ def lts_from_edges(n, alphabet, edges, initials, pi=None):
         dsts[i] = t
         pos[s] = i + 1
     return Lts(n, tuple(alphabet), offsets, labels, dsts, tuple(initials), pi)
+
+
+def shortest_pi_trace(l):
+    """Shortest label path from an initial state to pi, or None if pi is
+    absent or unreachable; ties go to the edge stored first."""
+    if l.pi is None:
+        return None
+    via = {s: None for s in l.initials}
+    queue = list(l.initials)
+    head = 0
+    while l.pi not in via:
+        if head == len(queue):
+            return None
+        s = queue[head]
+        head += 1
+        for lab, t in l.out(s):
+            if t not in via:
+                via[t] = (s, lab)
+                queue.append(t)
+    trace = []
+    s = l.pi
+    while via[s] is not None:
+        s, lab = via[s]
+        trace.append(l.alphabet[lab])
+    return tuple(reversed(trace))
 
 
 def _grouped(l):

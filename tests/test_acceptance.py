@@ -19,7 +19,7 @@ from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
                            run_portfolio)
-from recomp.lts import StateBoundExceeded, compose
+from recomp.lts import StateBoundExceeded, compose, is_tau
 from recomp.order import Strategy, dataflow_from_alphabets
 from recomp.recompose import (P, compose_all, compose_specs, make_map,
                               necessary_components)
@@ -56,15 +56,24 @@ def _soundness_cases():
              ("twophase4", twophase(4)), ("twophase5", twophase(5)),
              ("lockserv3", lockserv(3)), ("consensus2", consensus(2))]
     out = []
-    for name, text in texts:
-        spec = parse(text)
-        for prop in spec.properties:
-            out.append(pytest.param(spec, prop, id="%s-%s" % (name, prop.name)))
+    for mode, suffix in (("strong", ""), ("observational", "-observational")):
+        for name, text in texts:
+            spec = parse(text)
+            for prop in spec.properties:
+                out.append(pytest.param(
+                    spec, prop, mode,
+                    id="%s-%s%s" % (name, prop.name, suffix)))
     return out
 
 
-@pytest.mark.parametrize("spec,prop", _soundness_cases())
-def test_verdicts_match_the_oracle(spec, prop):
+def _replays_to_a_violation(spec, prop, witness):
+    trace = [(a, oc._conv(d)) for a, d in witness]
+    end = oc.oracle_replay(spec, trace)  # every step must be enabled
+    return not oc.o_eval(prop.body, {**oc._consts(spec), **dict(end)})
+
+
+@pytest.mark.parametrize("spec,prop,mode", _soundness_cases())
+def test_verdicts_match_the_oracle(spec, prop, mode):
     expected_holds, _ = oc.oracle_check(spec, prop)
     expected = HOLDS if expected_holds else VIOLATED
 
@@ -74,14 +83,26 @@ def test_verdicts_match_the_oracle(spec, prop):
     strategies += [Strategy("custom", custom=_random_map(rng, n))
                    for _ in range(3)]
     for strat in strategies:
-        verdict, _ = recomp_verify(spec, prop, strat)
+        verdict, _ = recomp_verify(spec, prop, strat, minimize_mode=mode)
         assert verdict.outcome == expected, strat.label()
-        if verdict.outcome == VIOLATED:
+        if verdict.outcome == VIOLATED and mode == "strong":
             # and the counterexample must replay on the real system
-            trace = [(a, oc._conv(d)) for a, d in verdict.witness]
-            end = oc.oracle_replay(spec, trace)
-            assert not oc.o_eval(prop.body,
-                                 {**oc._consts(spec), **dict(end)})
+            # (observational ones may not yet: see the next test)
+            assert _replays_to_a_violation(spec, prop, verdict.witness)
+
+
+@pytest.mark.xfail(
+    reason="observational minimization hides actions as tau, and a "
+    "witness through a hidden step names tau instead of the action",
+    strict=True)
+def test_observational_counterexamples_replay():
+    for spec in (parse(twophase(3)), parse(tpcounter(3))):
+        prop = spec.property("NoPrepares")
+        verdict, _ = recomp_verify(spec, prop, "S2",
+                                   minimize_mode="observational")
+        assert verdict.outcome == VIOLATED
+        assert not any(is_tau(label) for label in verdict.witness)
+        assert _replays_to_a_violation(spec, prop, verdict.witness)
 
 
 # ==========================================================================
@@ -267,7 +288,7 @@ def test_order_covers_the_interaction_fixpoint_on_random_instances():
 # 7. short-circuiting never flips a verdict
 
 
-def test_short_circuited_runs_confirmed_by_full_composition():
+def test_early_holds_confirmed_by_the_oracle():
     cases = []
     for name, gen in sorted(ALL.items()):
         spec = parse(gen())
@@ -275,12 +296,10 @@ def test_short_circuited_runs_confirmed_by_full_composition():
             for kind in ("S1", "S2", "S3"):
                 verdict, stats = recomp_verify(spec, prop, kind)
                 if verdict.outcome == HOLDS and stats.k < stats.m:
-                    cases.append((spec, prop, kind))
+                    cases.append((name, spec, prop, kind))
     assert cases  # the corpus must exercise dynamic reduction somewhere
-    for spec, prop, kind in cases:
-        full, stats = recomp_verify(spec, prop, kind, short_circuit=False)
-        assert full.outcome == HOLDS
-        assert stats.k == stats.m
+    for name, spec, prop, kind in cases:
+        assert oc.oracle_check(spec, prop)[0], (name, prop.name, kind)
 
 
 # ==========================================================================

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from lts_oracle import bisimilar, lts_from_edges, trace_set, traces_equal
+from lts_oracle import (bisimilar, lts_from_edges, shortest_pi_trace,
+                        trace_set, traces_equal)
 from recomp.lts import (StateBoundExceeded, compose, explore, hide_labels,
                         minimize, pi_reachable, pi_trace)
 
@@ -70,13 +71,24 @@ def test_explore_respects_bound():
                    bound=8).n_states == 8
 
 
-def test_pi_trace_is_a_shortest_path():
-    l = lts_from_edges(4, LABELS[:3],
-                       [(0, 0, 1), (1, 0, 3), (0, 1, 2), (2, 2, 3),
-                        (0, 2, 2), (3, 0, 3)], [0], pi=3)
-    assert pi_trace(l) == (LABELS[0], LABELS[0])
-    assert pi_trace(lts_from_edges(1, LABELS[:1], [], [0], pi=0)) == ()
-    assert pi_trace(lts_from_edges(2, LABELS[:1], [(0, 0, 1)], [0])) is None
+def test_pi_trace_matches_a_breadth_first_search():
+    # on what explore builds, walking back the discovering edges gives
+    # the search's own witness, and pi is present exactly when reachable
+    rng = random.Random(13)
+    found = {True: 0, False: 0}
+    for _ in range(300):
+        err, other = rand_lts(rng, 4, with_pi=True), rand_lts(rng, 4)
+        c = compose(err, other) if rng.random() < 0.5 else compose(other, err)
+        hide = set(rng.sample(c.alphabet, rng.randrange(len(c.alphabet))))
+        for l in (c, minimize(c, "strong"),
+                  minimize(c, "observational", hide=hide)):
+            expected = shortest_pi_trace(l)
+            assert pi_trace(l) == expected
+            assert pi_reachable(l) == (expected is not None)
+            found[expected is not None] += 1
+    assert min(found.values()) >= 100
+    pi_initial = lts_from_edges(1, LABELS[:1], [], [0], pi=0)
+    assert pi_trace(pi_initial) == shortest_pi_trace(pi_initial) == ()
 
 
 def test_unit_is_identity():
@@ -149,7 +161,7 @@ def test_minimize_strong_preserves_bisimilarity():
         m = minimize(l, "strong")
         assert m.n_states <= l.n_states
         assert bisimilar(l, m)
-        assert pi_reachable(m) == pi_reachable(l)
+        assert pi_reachable(m) == (shortest_pi_trace(l) is not None)
         # idempotent
         assert minimize(m, "strong").n_states == m.n_states
 
@@ -243,7 +255,11 @@ def test_bisimilar_implies_trace_equal():
 def test_pi_in_a_disconnected_part_is_unreachable():
     l = lts_from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3), (3, 0, 3)],
                        [0], pi=3)
-    assert not pi_reachable(l)
+    assert shortest_pi_trace(l) is None
+    # explore adds pi only once reached, so what it builds from l has none
+    for mode in ("strong", "observational"):
+        assert not pi_reachable(minimize(l, mode))
+    assert not pi_reachable(compose(l, lts_from_edges(1, (), [], [0])))
 
 
 def test_compose_folds_left_from_the_unit():
