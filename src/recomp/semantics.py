@@ -2,16 +2,18 @@
 
 States are tuples of values aligned with the spec's variable order.
 Every spec expression is evaluated by Python code that `_Codegen`
-generates: `eval_const` for expressions closed over the constants
-(CONFIG values, Init right-hand sides, the Next domain), `_compile_spec`
-for the action steppers and `compile_predicate` for properties.
-`to_lts`, `err_lts` and `err_reach` build their state graphs with
-`lts.explore`, the breadth-first LTS builder, fed by those steppers.
-The test suite cross-checks the compiled code against an independent
-oracle.
+generates.  `eval_const` evaluates expressions closed over the constants
+(CONFIG values, Init right-hand sides, the Next domain).  Each LTS build
+(`to_lts`, `err_lts`, `err_reach`) compiles one generated module that
+holds the spec's successor generator and, for a property, its predicate,
+and builds its state graph with `lts.explore`, the breadth-first LTS
+builder.  The test suite cross-checks the compiled code against an
+independent oracle.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from . import syntax as sx
 from . import values as va
@@ -25,11 +27,18 @@ DEFAULT_BOUND = 10_000_000
 # --------------------------------------------------------------------------
 # Compiled evaluation
 #
-# Each action becomes `def step(q, d)` returning the successor tuple or
-# None; each property becomes `def prop(q)` returning a Python bool; a
-# closed expression becomes `def val()` returning its value.  The code
-# writes scalar literals and tuples as tagged tuples and does everything
-# else through the helpers in `values`.
+# A spec's actions become one generator `successors(q)` yielding (label
+# index, successor tuple) pairs; a property becomes `prop(q)` and a
+# closed expression `val()`.  In boolean positions (guards, property
+# bodies, the operands of the logical operators and quantifier bodies)
+# the code computes Python bools, and `_is_true` checks any other
+# expression found there.  Everywhere else it computes tagged values:
+# scalar literals and tuples are written as tagged tuples, a boolean
+# operator's result is wrapped as `_B_TRUE`/`_B_FALSE`, and the rest goes
+# through the helpers in `values`.
+
+_BOOLEAN = (sx.Eq, sx.In, sx.Not, sx.And, sx.Or, sx.Implies, sx.Forall,
+            sx.Exists)
 
 
 class _Codegen:
@@ -40,6 +49,7 @@ class _Codegen:
         self.consts = dict(consts)
 
     def expr(self, e, bound):
+        """Python expression for the tagged value of e."""
         go = lambda x: self.expr(x, bound)
         if isinstance(e, sx.Name):
             if e.id in bound:
@@ -51,6 +61,8 @@ class _Codegen:
             raise EvalError("unbound identifier %r" % e.id)
         if isinstance(e, sx.BoolLit):
             return "_B_TRUE" if e.value else "_B_FALSE"
+        if isinstance(e, _BOOLEAN):
+            return "(_B_TRUE if %s else _B_FALSE)" % self.cond(e, bound)
         if isinstance(e, (sx.IntLit, sx.StrLit)):
             tag = "int" if isinstance(e, sx.IntLit) else "str"
             return repr((tag, e.value))
@@ -73,100 +85,113 @@ class _Codegen:
             return "_union(%s, %s)" % (go(e.left), go(e.right))
         if isinstance(e, sx.Add):
             return "_add(%s, %s)" % (go(e.left), go(e.right))
-        if isinstance(e, sx.In):
-            return "_member(%s, %s)" % (go(e.elem), go(e.set))
-        if isinstance(e, sx.Eq):
-            return "_mk_bool(%s == %s)" % (go(e.left), go(e.right))
-        if isinstance(e, sx.Not):
-            return "_mk_bool(not _is_true(%s))" % go(e.operand)
-        if isinstance(e, sx.And):
-            return "_mk_bool(%s)" % " and ".join(
-                "_is_true(%s)" % go(x) for x in e.operands)
-        if isinstance(e, sx.Or):
-            return "_mk_bool(%s)" % " or ".join(
-                "_is_true(%s)" % go(x) for x in e.operands)
-        if isinstance(e, sx.Implies):
-            return ("_mk_bool((not _is_true(%s)) or _is_true(%s))"
-                    % (go(e.left), go(e.right)))
-        if isinstance(e, (sx.Forall, sx.Exists)):
-            quant = "all" if isinstance(e, sx.Forall) else "any"
-            body = self.expr(e.body, bound | {e.var})
-            return ("_mk_bool(%s(_is_true(%s) for b_%s in _elems(%s)))"
-                    % (quant, body, e.var, go(e.domain)))
         raise EvalError("cannot compile %r" % (e,))
 
-    def action_fn(self, action):
-        lines = ["def step(q, b_%s):" % action.param]
-        bound = {action.param}
-        updates = {}
-        framed = set()
-        guards = []
-        for c in action.conjuncts:
-            kind = sx.classify_conjunct(c)
-            if kind == "guard":
-                guards.append(c)
-            elif kind == "update":
-                updates.setdefault(c.left.id, []).append(c.right)
-            else:
-                framed.update(c.names)
-        loose = set(self.variables) - set(updates) - framed
-        if loose:
-            raise SpecError("action %s leaves %s unconstrained"
-                            % (action.name, ", ".join(sorted(loose))))
-        for g in guards:
-            lines.append("    if not _is_true(%s): return None"
-                         % self.expr(g, bound))
-        for v, rhss in updates.items():
-            lines.append("    n_%s = %s" % (v, self.expr(rhss[0], bound)))
-            for extra in rhss[1:]:
-                lines.append("    if n_%s != %s: return None"
-                             % (v, self.expr(extra, bound)))
-            if v in framed:
-                lines.append("    if n_%s != q[%d]: return None"
-                             % (v, self.var_index[v]))
-        parts = []
-        for v in self.variables:
-            parts.append("n_%s" % v if v in updates
-                         else "q[%d]" % self.var_index[v])
-        lines.append("    return (%s)" % "".join(p + ", " for p in parts))
-        return self._build("\n".join(lines), "step")
+    def cond(self, e, bound):
+        """Python expression for e as a Python bool; where e is not a
+        boolean the code raises EvalError."""
+        go = lambda x: self.cond(x, bound)
+        if isinstance(e, sx.BoolLit):
+            return repr(e.value)
+        if isinstance(e, sx.Eq):
+            return "(%s == %s)" % (self.expr(e.left, bound),
+                                   self.expr(e.right, bound))
+        if isinstance(e, sx.In):
+            return "(%s in _elems(%s))" % (self.expr(e.elem, bound),
+                                           self.expr(e.set, bound))
+        if isinstance(e, sx.Not):
+            return "(not %s)" % go(e.operand)
+        if isinstance(e, sx.And):
+            return "(%s)" % " and ".join(go(x) for x in e.operands)
+        if isinstance(e, sx.Or):
+            return "(%s)" % " or ".join(go(x) for x in e.operands)
+        if isinstance(e, sx.Implies):
+            return "(not %s or %s)" % (go(e.left), go(e.right))
+        if isinstance(e, (sx.Forall, sx.Exists)):
+            quant = "all" if isinstance(e, sx.Forall) else "any"
+            body = self.cond(e.body, bound | {e.var})
+            return ("%s(%s for b_%s in _elems(%s))"
+                    % (quant, body, e.var, self.expr(e.domain, bound)))
+        return "_is_true(%s)" % self.expr(e, bound)
+
+    def successors_fn(self, actions):
+        """Source of `def successors(q)`.  For each action in order, and
+        each element `b_<param>` of the Next domain `_dom` in order, it
+        yields (action index * `_n` + element index, successor).  Guards
+        that come before the first guard reading the parameter run once
+        per action, and only when the domain is non-empty: they give the
+        same result for every element."""
+        lines = ["def successors(q):"]
+        for k, action in enumerate(actions):
+            p = action.param
+            bound = {p}
+            updates = {}
+            framed = set()
+            guards = []
+            for c in action.conjuncts:
+                kind = sx.classify_conjunct(c)
+                if kind == "guard":
+                    guards.append(c)
+                elif kind == "update":
+                    updates.setdefault(c.left.id, []).append(c.right)
+                else:
+                    framed.update(c.names)
+            loose = set(self.variables) - set(updates) - framed
+            if loose:
+                raise SpecError("action %s leaves %s unconstrained"
+                                % (action.name, ", ".join(sorted(loose))))
+            lead = 0
+            while lead < len(guards) and p not in sx.free_idents(guards[lead]):
+                lead += 1
+            pad = "    "
+            if lead:
+                lines.append(pad + "if _n and %s:" % " and ".join(
+                    self.cond(g, bound) for g in guards[:lead]))
+                pad += "    "
+            lines.append(pad + "for i, b_%s in enumerate(_dom, %d * _n):"
+                         % (p, k))
+            pad += "    "
+            for g in guards[lead:]:
+                lines.append(pad + "if not %s: continue" % self.cond(g, bound))
+            for v, rhss in updates.items():
+                lines.append(pad + "n_%s = %s" % (v, self.expr(rhss[0], bound)))
+                for extra in rhss[1:]:
+                    lines.append(pad + "if n_%s != %s: continue"
+                                 % (v, self.expr(extra, bound)))
+                if v in framed:
+                    lines.append(pad + "if n_%s != q[%d]: continue"
+                                 % (v, self.var_index[v]))
+            parts = ("n_%s" % v if v in updates else "q[%d]" % i
+                     for i, v in enumerate(self.variables))
+            lines.append(pad + "yield i, (%s)" % "".join(x + ", " for x in parts))
+        if not actions:
+            lines.append("    yield from ()")
+        return "\n".join(lines) + "\n"
 
     def predicate_fn(self, body):
-        src = "def prop(q):\n    return _is_true(%s)" % self.expr(body, set())
-        return self._build(src, "prop")
+        return "def prop(q):\n    return %s\n" % self.cond(body, set())
 
-    def value_fn(self, e):
-        return self._build("def val():\n    return %s" % self.expr(e, set()),
-                           "val")
-
-    def _build(self, src, name):
+    def build(self, src, **names):
+        """Namespace of the generated source run with the value helpers,
+        the constants `c_<name>` and `names`."""
         ns = {
-            "_mk_bool": va.mk_bool, "_mk_set": va.mk_set,
-            "_mk_rec": va.mk_rec, "_mk_fun": va.mk_fun,
+            "_mk_set": va.mk_set, "_mk_rec": va.mk_rec, "_mk_fun": va.mk_fun,
             "_is_true": va.is_true, "_elems": va.set_elems,
             "_apply": va.apply_value, "_except": va.except_value,
             "_union": va.set_union, "_add": va.add_values,
-            "_member": va.set_member,
             "_B_TRUE": va.TRUE, "_B_FALSE": va.FALSE,
         }
         for cname, cval in self.consts.items():
             ns["c_" + cname] = cval
+        ns.update(names)
         exec(compile(src, "<spec:%s>" % self.name, "exec"), ns)
-        return ns[name]
-
-
-def _compile_spec(spec):
-    cg = _Codegen(spec.config, spec.variables, spec.name)
-    return [(a.name, cg.action_fn(a)) for a in spec.actions]
-
-
-def compile_predicate(spec, body):
-    return _Codegen(spec.config, spec.variables, spec.name).predicate_fn(body)
+        return ns
 
 
 def eval_const(e, consts):
     """Value of an expression closed over `consts` (name -> value pairs)."""
-    return _Codegen(consts).value_fn(e)()
+    cg = _Codegen(consts)
+    return cg.build("def val():\n    return %s\n" % cg.expr(e, set()))["val"]()
 
 
 def init_states(spec):
@@ -190,46 +215,67 @@ def _init_and_domain(spec):
     return {tuple(assignment[v] for v in spec.variables)}, domain
 
 
+def _compile(spec, prop=None):
+    """Everything one LTS build evaluates: (initial states, alphabet,
+    successors, compiled property or None).  The successor generator and
+    the property come from one generated module; the alphabet lists the
+    (action name, argument) of each label index."""
+    cg = _Codegen(spec.config, spec.variables, spec.name)
+    src = ""
+    if prop is not None:
+        extra = (sx.free_idents(prop.body) - set(spec.variables)
+                 - set(spec.constants))
+        if extra:
+            raise SpecError("property %s references variables outside %s: %s"
+                            % (prop.name, spec.name, ", ".join(sorted(extra))))
+        src = cg.predicate_fn(prop.body)
+    src += cg.successors_fn(spec.actions)
+    # after the source, so that errors in the spec's text come first
+    initials, domain = _init_and_domain(spec)
+    ns = cg.build(src, _dom=domain, _n=len(domain))
+    alphabet = [(a.name, d) for a in spec.actions for d in domain]
+    return initials, alphabet, ns["successors"], ns.get("prop")
+
+
 # --------------------------------------------------------------------------
 # LTS construction
 
 
-def _enumerate(spec, violates, bound, cancel, stop_at_pi=False):
+def _enumerate(spec, prop, bound, cancel, stop_at_pi=False):
     """The spec's reachable state graph, built by `lts.explore` over the
-    compiled steppers.
+    compiled successor generator.
 
-    violates(q) -> bool sends states into the absorbing error state;
-    pass None for plain state-graph generation.  Label indices refer to
-    the canonical concrete-action alphabet.
+    With a property, states that violate it go into the absorbing error
+    state; pass None for plain state-graph generation.  Label indices
+    refer to the canonical concrete-action alphabet.
     """
-    steppers = _compile_spec(spec)
-    initials, domain = _init_and_domain(spec)
-    alphabet = []
-    moves = []  # (label index, stepper, argument)
-    for name, step in steppers:
-        for d in domain:
-            moves.append((len(alphabet), step, d))
-            alphabet.append((name, d))
-
-    def successors(q):
-        for i, step, d in moves:
-            q2 = step(q, d)
-            if q2 is not None:
-                yield i, q2
-
-    return explore(sorted(initials), successors, alphabet,
-                   violates or (lambda q: False), bound or DEFAULT_BOUND,
-                   cancel, stop_at_pi)
+    initials, alphabet, successors, check = _compile(spec, prop)
+    violates = (_violates(spec, prop, check) if prop is not None
+                else lambda q: False)
+    return explore(sorted(initials), successors, alphabet, violates,
+                   bound or DEFAULT_BOUND, cancel, stop_at_pi)
 
 
-def _violates(spec, prop):
-    extra = (sx.free_idents(prop.body) - set(spec.variables)
-             - set(spec.constants))
-    if extra:
-        raise SpecError("property %s references variables outside %s: %s"
-                        % (prop.name, spec.name, ", ".join(sorted(extra))))
-    check = compile_predicate(spec, prop.body)
-    return lambda q: not check(q)
+def _violates(spec, prop, check):
+    """violates(q) -> bool, from the compiled property `check`.  The
+    answer depends only on the variables the property reads, so unless it
+    reads them all, `check` runs once per distinct projection of q onto
+    them, memoized for the one build that calls this."""
+    read = [i for i, v in enumerate(spec.variables)
+            if v in sx.free_vars(spec, prop.body)]
+    if len(read) == len(spec.variables):
+        return lambda q: not check(q)
+    key = itemgetter(*read) if read else (lambda q: ())
+    memo = {}
+
+    def violates(q):
+        k = key(q)
+        v = memo.get(k)
+        if v is None:
+            v = memo[k] = not check(q)
+        return v
+
+    return violates
 
 
 def to_lts(spec, bound=None, cancel=None):
@@ -239,7 +285,7 @@ def to_lts(spec, bound=None, cancel=None):
 
 def err_lts(spec, prop, bound=None, cancel=None):
     """State graph with property-violating targets collapsed into pi."""
-    return _enumerate(spec, _violates(spec, prop), bound, cancel)
+    return _enumerate(spec, prop, bound, cancel)
 
 
 def err_reach(spec, prop, bound=None, cancel=None):
@@ -249,7 +295,6 @@ def err_reach(spec, prop, bound=None, cancel=None):
     state count, witness action trace ending in the violating step, or
     None).
     """
-    l = _enumerate(spec, _violates(spec, prop), bound, cancel,
-                   stop_at_pi=True)
+    l = _enumerate(spec, prop, bound, cancel, stop_at_pi=True)
     trace = pi_trace(l)
     return trace is not None, l.n_states, trace

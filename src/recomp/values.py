@@ -28,10 +28,6 @@ class EvalError(Exception):
     """Raised when expression evaluation cannot produce a value."""
 
 
-def mk_bool(b):
-    return TRUE if b else FALSE
-
-
 def mk_set(elems):
     return ("set", tuple(sorted(set(elems))))
 
@@ -58,10 +54,6 @@ def set_elems(v):
 
 def set_union(a, b):
     return ("set", tuple(sorted(set(set_elems(a)) | set(set_elems(b)))))
-
-
-def set_member(x, s):
-    return mk_bool(x in set_elems(s))
 
 
 def apply_value(f, k):

@@ -1,13 +1,16 @@
 """State-graph generation: the streaming check against the full error
-LTS, and what `bound` admits in each."""
+LTS, what `bound` admits in each, boolean positions and hoisted guards
+in the successor generator, and the memoized invariant."""
 
 import pytest
 
 import oracle as oc
 from recomp import parse
+from recomp import syntax as sx
 from recomp.corpus import ALL, twophase
 from recomp.lts import StateBoundExceeded, pi_reachable, pi_trace
-from recomp.semantics import err_lts, err_reach
+from recomp.semantics import _compile, _violates, err_lts, err_reach, to_lts
+from recomp.values import EvalError
 
 # tpcounter's counter is unbounded, so its whole-spec searches end here
 BOUND = 20_000
@@ -70,3 +73,101 @@ def test_err_reach_agrees_with_the_error_lts(name, prop_name):
         assert len(witness) == len(pi_trace(full))
     end = oc.oracle_replay(spec, [(a, oc._conv(d)) for a, d in witness])
     assert not oc.o_eval(prop.body, {**oc._consts(spec), **dict(end)})
+
+
+# --------------------------------------------------------------------------
+# boolean positions and hoisted guards
+
+
+def _one_action_spec(guards, domain='{"a", "b"}', prop="TRUE"):
+    text = ("MODULE M\n\nVARIABLES x\n\nINIT\n  /\\ x = 0\n\n"
+            "ACTION Step(d)\n%s  /\\ x' = x\n\n"
+            "NEXT \\E d \\in %s :\n  \\/ Step(d)\n\n"
+            "PROPERTY P\n  %s\n"
+            % ("".join("  /\\ %s\n" % g for g in guards), domain, prop))
+    return parse(text)
+
+
+ILL_TYPED = ["~ 3", "3 /\\ TRUE", "(\\A e \\in {1, 2} : 1)", "x"]
+
+
+@pytest.mark.parametrize("text", ILL_TYPED,
+                         ids=["not", "and", "forall", "variable"])
+def test_ill_typed_guards_and_properties_raise(text):
+    with pytest.raises(EvalError):
+        to_lts(_one_action_spec([text]))
+    spec = _one_action_spec([], prop=text)
+    with pytest.raises(EvalError):
+        err_lts(spec, spec.property("P"))
+
+
+def test_a_false_guard_skips_every_later_guard():
+    # `~ d` is ill-typed on the string d, but runs only if x = 1
+    l = to_lts(_one_action_spec(["x = 1", "~ d"]))
+    assert (l.n_states, l.n_edges) == (1, 0)
+    with pytest.raises(EvalError):
+        to_lts(_one_action_spec(["x = 0", "~ d"]))
+    # an argument-free guard after an argument guard false for every d
+    # never runs
+    l = to_lts(_one_action_spec(['d = "z"', "~ 3"]))
+    assert (l.n_states, l.n_edges) == (1, 0)
+
+
+def test_empty_domain_evaluates_no_guard():
+    l = to_lts(_one_action_spec(["~ 3"], domain="{}"))
+    assert (l.n_states, l.n_edges, l.alphabet) == (1, 0, ())
+
+
+# --------------------------------------------------------------------------
+# the invariant, memoized on the variables it reads
+
+
+def _states(spec, limit=2_000):
+    """Up to `limit` reachable states, from the compiled generator."""
+    initials, _, successors, _ = _compile(spec)
+    seen = dict.fromkeys(initials)
+    frontier = list(seen)
+    while frontier and len(seen) < limit:
+        for _, q2 in successors(frontier.pop()):
+            if q2 not in seen:
+                seen[q2] = None
+                frontier.append(q2)
+    return list(seen)
+
+
+# reads two of twophase's four variables
+MIXED = '\nPROPERTY Mixed\n  tmPrepared = {} \\/ tmState = "committed"\n'
+
+
+def test_memoized_invariant_marks_the_oracle_violations():
+    paths = set()
+    texts = [(name, gen(3)) for name, gen in sorted(ALL.items())]
+    for name, text in texts + [("twophase+Mixed", twophase(3) + MIXED)]:
+        spec = parse(text)
+        states = _states(spec)  # tpcounter's are cut at the limit
+        consts = oc._consts(spec)
+        for prop in spec.properties:
+            check = _compile(spec, prop)[3]
+            calls = []
+            violates = _violates(spec, prop,
+                                 lambda q: calls.append(q) or check(q))
+            marked = {q for q in states if violates(q)}
+            assert {q for q in states if violates(q)} == marked
+            expected = set()
+            for q in states:
+                env = {**consts, **dict(zip(spec.variables,
+                                            map(oc._conv, q)))}
+                if not oc.o_eval(prop.body, env):
+                    expected.add(q)
+            assert marked == expected, (name, prop.name)
+            read = [i for i, v in enumerate(spec.variables)
+                    if v in sx.free_vars(spec, prop.body)]
+            if len(read) == len(spec.variables):
+                # no memo: every call runs the check
+                assert len(calls) == 2 * len(states)
+                paths.add("all")
+            else:
+                projections = {tuple(q[i] for i in read) for q in states}
+                assert len(calls) == len(projections) < len(states)
+                paths.add("memo")
+    assert paths == {"all", "memo"}

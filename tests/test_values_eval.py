@@ -1,6 +1,6 @@
-"""Expression evaluation: the compiled evaluator (`eval_const`, the
-compiled steppers and `compile_predicate`) checked against the
-independent oracle in tests/oracle.py."""
+"""Expression evaluation: the compiled evaluator (`eval_const`, and the
+successor generator and property predicate of `_compile`) checked
+against the independent oracle in tests/oracle.py."""
 
 import random
 from collections import Counter
@@ -12,9 +12,7 @@ from recomp import parse
 from recomp import syntax as sx
 from recomp import values as va
 from recomp.corpus import consensus, lockserv, twophase
-from recomp.semantics import (_compile_spec, _init_and_domain,
-                              compile_predicate, eval_const, init_states,
-                              to_lts)
+from recomp.semantics import _compile, eval_const, init_states, to_lts
 from recomp.values import EvalError
 
 
@@ -155,15 +153,33 @@ def _rand_expr(rng, ty, depth, env):
     return sx.TupleLit(tuple(sub(any_ty()) for _ in range(rng.randrange(4))))
 
 
+# a spec with no variables over CONSTS, to compile random properties in
+CONST_SPEC = sx.SpecAst("M", tuple(CONSTS), (), (), (), None, None,
+                        config=tuple(sorted(CONSTS.items())))
+
+
+def _predicate(spec, body):
+    """The compiled property, a function of the state returning a bool."""
+    return _compile(spec, sx.PropertyDef("P", body))[3]
+
+
 def test_eval_const_matches_oracle_on_random_expressions():
     rng = random.Random(20240817)
     oenv = {k: oc._conv(v) for k, v in CONSTS.items()}
     forms = Counter()
+    predicates = 0
     for _ in range(600):
-        e = _rand_expr(rng, rng.choice(TYPES), 3, CONST_TYPES)
+        ty = rng.choice(TYPES)
+        e = _rand_expr(rng, ty, 3, CONST_TYPES)
         forms.update(type(x).__name__ for x in sx._walk(e))
         got = eval_const(e, CONSTS)
-        assert oc._conv(got) == oc.o_eval(e, dict(oenv)), e
+        expected = oc.o_eval(e, dict(oenv))
+        assert oc._conv(got) == expected, e
+        if ty == "bool":
+            # the same expression in a boolean position
+            assert _predicate(CONST_SPEC, e)(()) == bool(expected), e
+            predicates += 1
+    assert predicates >= 50
     # every expression form the compiled evaluator handles was drawn
     assert set(forms) >= {
         "Name", "BoolLit", "IntLit", "StrLit", "SetLit", "TupleLit",
@@ -189,7 +205,7 @@ def test_eval_const_rejects_ill_typed_expressions(text):
 
 
 # --------------------------------------------------------------------------
-# states and steps: compiled steppers vs oracle
+# states and steps: the successor generator vs oracle
 
 
 def _oracle_state(spec, q):
@@ -197,18 +213,15 @@ def _oracle_state(spec, q):
 
 
 def _compiled_reach(spec):
-    """Reachable states by search over the compiled steppers, each with
-    its set of ((action, argument), successor) pairs."""
-    steppers = _compile_spec(spec)
-    initials, domain = _init_and_domain(spec)
+    """Reachable states by search over the generated successor generator,
+    each with its set of ((action, argument), successor) pairs."""
+    initials, alphabet, successors, _ = _compile(spec)
     succ = {}
     frontier = list(initials)
     while frontier:
         q = frontier.pop()
         if q not in succ:
-            succ[q] = {((name, d), q2) for name, step in steppers
-                       for d in domain for q2 in [step(q, d)]
-                       if q2 is not None}
+            succ[q] = {(alphabet[i], q2) for i, q2 in successors(q)}
             frontier.extend(q2 for _, q2 in succ[q])
     return succ
 
@@ -236,7 +249,7 @@ def test_compiled_successors_match_oracle(text):
                          ids=["twophase3", "lockserv3", "consensus3"])
 def test_compiled_enumeration_matches_oracle(text):
     spec = parse(text)
-    l = to_lts(spec)  # compiled steppers
+    l = to_lts(spec)  # the successor generator
     seen, edges = oc.oracle_reach(spec)
     assert l.n_states == len(seen)
     assert l.n_edges == len(edges)
@@ -249,7 +262,7 @@ def test_compiled_predicate_matches_oracle(text):
     consts = oc._consts(spec)
     states = _compiled_reach(spec)
     for prop in spec.properties:
-        pred = compile_predicate(spec, prop.body)
+        pred = _predicate(spec, prop.body)
         for q in states:
             env = {**consts, **dict(_oracle_state(spec, q))}
             assert pred(q) == bool(oc.o_eval(prop.body, env))
@@ -266,6 +279,6 @@ def test_unconstrained_variable_is_an_error():
             "NEXT \\E d \\in {\"a\"} :\n  \\/ Step(d)\n")
     spec = parse(text)
     with pytest.raises(sx.SpecError):
-        _compile_spec(spec)
+        _compile(spec)
     with pytest.raises(sx.SpecError):
         to_lts(spec)
