@@ -261,8 +261,8 @@ def _violates(spec, prop, check):
     answer depends only on the variables the property reads, so unless it
     reads them all, `check` runs once per distinct projection of q onto
     them, memoized for the one build that calls this."""
-    read = [i for i, v in enumerate(spec.variables)
-            if v in sx.free_vars(spec, prop.body)]
+    used = sx.free_vars(spec, prop.body)
+    read = [i for i, v in enumerate(spec.variables) if v in used]
     if len(read) == len(spec.variables):
         return lambda q: not check(q)
     key = itemgetter(*read) if read else (lambda q: ())
