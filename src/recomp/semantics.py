@@ -7,8 +7,13 @@ generates.  `eval_const` evaluates expressions closed over the constants
 (`to_lts`, `err_lts`, `err_reach`) compiles one generated module that
 holds the spec's successor generator and, for a property, its predicate,
 and builds its state graph with `lts.explore`, the breadth-first LTS
-builder.  The test suite cross-checks the compiled code against an
-independent oracle.
+builder.  Set, record and tuple literals built from literals, constants
+and the action parameter are evaluated once per build, when the module
+runs: a constant one as a module-level value, one that reads the
+parameter as a module-level list indexed by the element's position in
+the Next domain.  Only these constructors are hoisted, since they cannot
+fail; every other operator runs where the spec evaluates it.  The test
+suite cross-checks the compiled code against an independent oracle.
 """
 
 from __future__ import annotations
@@ -36,9 +41,23 @@ DEFAULT_BOUND = 10_000_000
 # scalar literals and tuples are written as tagged tuples, a boolean
 # operator's result is wrapped as `_B_TRUE`/`_B_FALSE`, and the rest goes
 # through the helpers in `values`.
+#
+# Constructors are hoisted.  A set, record or tuple literal whose leaves
+# are literals and CONFIG constants is evaluated once, when the module is
+# run, and bound to a module-level name `_h<k>`.  One whose leaves also
+# include the action parameter becomes a module-level list `_h<k>` over
+# `_dom`, the Next domain, and is read as `_h<k>[j]`, j being the
+# element's position in `_dom`.  Only constructors are hoisted: they
+# cannot fail, whereas union, application, EXCEPT, `+` and function
+# literals can raise EvalError and so must run only where, and when, the
+# spec evaluates them (after the guards before them hold).
 
 _BOOLEAN = (sx.Eq, sx.In, sx.Not, sx.And, sx.Or, sx.Implies, sx.Forall,
             sx.Exists)
+_CONSTRUCTORS = (sx.SetLit, sx.TupleLit, sx.RecordLit)
+_LITERALS = (sx.IntLit, sx.StrLit, sx.BoolLit)
+# the Python name of the action parameter; `j` is its position in `_dom`
+_PARAM = "_d"
 
 
 class _Codegen:
@@ -47,13 +66,15 @@ class _Codegen:
         self.variables = variables
         self.var_index = {v: i for i, v in enumerate(variables)}
         self.consts = dict(consts)
+        self.hoisted = {}  # source of a hoisted value -> its name
 
     def expr(self, e, bound):
-        """Python expression for the tagged value of e."""
+        """Python expression for the tagged value of e.  `bound` maps the
+        names bound around e to their Python names."""
         go = lambda x: self.expr(x, bound)
         if isinstance(e, sx.Name):
             if e.id in bound:
-                return "b_" + e.id
+                return bound[e.id]
             if e.id in self.var_index:
                 return "q[%d]" % self.var_index[e.id]
             if e.id in self.consts:
@@ -66,15 +87,12 @@ class _Codegen:
         if isinstance(e, (sx.IntLit, sx.StrLit)):
             tag = "int" if isinstance(e, sx.IntLit) else "str"
             return repr((tag, e.value))
-        if isinstance(e, sx.SetLit):
-            return "_mk_set((%s))" % "".join(go(x) + ", " for x in e.elems)
-        if isinstance(e, sx.TupleLit):
-            return "('tup', (%s))" % "".join(go(x) + ", " for x in e.elems)
-        if isinstance(e, sx.RecordLit):
-            items = "".join("(%r, %s), " % (f, go(x)) for f, x in e.fields)
-            return "_mk_rec((%s))" % items
+        if isinstance(e, _CONSTRUCTORS):
+            kind = self._leaves(e, bound)
+            return (_construct(e, go) if kind is None
+                    else self._hoist(e, bound, kind))
         if isinstance(e, sx.FuncLit):
-            body = self.expr(e.body, bound | {e.var})
+            body = self.expr(e.body, _bind(bound, e.var))
             return ("_mk_fun([(b_%s, %s) for b_%s in _elems(%s)])"
                     % (e.var, body, e.var, go(e.domain)))
         if isinstance(e, sx.Apply):
@@ -86,6 +104,39 @@ class _Codegen:
         if isinstance(e, sx.Add):
             return "_add(%s, %s)" % (go(e.left), go(e.right))
         raise EvalError("cannot compile %r" % (e,))
+
+    def _leaves(self, e, bound):
+        """For a tree of constructors, "const" when its leaves are literals
+        and constants, "param" when the action parameter is also among
+        them, and None for any other expression."""
+        if isinstance(e, _LITERALS):
+            return "const"
+        if isinstance(e, sx.Name):
+            if e.id in bound:
+                return "param" if bound[e.id] == _PARAM else None
+            if e.id in self.consts and e.id not in self.var_index:
+                return "const"
+            return None
+        if not isinstance(e, _CONSTRUCTORS):
+            return None
+        parts = ([x for _, x in e.fields] if isinstance(e, sx.RecordLit)
+                 else e.elems)
+        kinds = {self._leaves(x, bound) for x in parts}
+        if None in kinds:
+            return None
+        return "param" if "param" in kinds else "const"
+
+    def _hoist(self, e, bound, kind):
+        """Read of the module-level name holding the constructor tree e,
+        or, for kind "param", its list over `_dom`."""
+        def whole(x):
+            return (_construct(x, whole) if isinstance(x, _CONSTRUCTORS)
+                    else self.expr(x, bound))
+        src = whole(e)
+        if kind == "param":
+            src = "[%s for %s in _dom]" % (src, _PARAM)
+        name = self.hoisted.setdefault(src, "_h%d" % len(self.hoisted))
+        return name + "[j]" if kind == "param" else name
 
     def cond(self, e, bound):
         """Python expression for e as a Python bool; where e is not a
@@ -109,22 +160,22 @@ class _Codegen:
             return "(not %s or %s)" % (go(e.left), go(e.right))
         if isinstance(e, (sx.Forall, sx.Exists)):
             quant = "all" if isinstance(e, sx.Forall) else "any"
-            body = self.cond(e.body, bound | {e.var})
+            body = self.cond(e.body, _bind(bound, e.var))
             return ("%s(%s for b_%s in _elems(%s))"
                     % (quant, body, e.var, self.expr(e.domain, bound)))
         return "_is_true(%s)" % self.expr(e, bound)
 
     def successors_fn(self, actions):
         """Source of `def successors(q)`.  For each action in order, and
-        each element `b_<param>` of the Next domain `_dom` in order, it
-        yields (action index * `_n` + element index, successor).  Guards
+        each element `_d` of the Next domain `_dom` in order, at position
+        j, it yields (action index * `_n` + j, successor).  Guards
         that come before the first guard reading the parameter run once
         per action, and only when the domain is non-empty: they give the
         same result for every element."""
         lines = ["def successors(q):"]
         for k, action in enumerate(actions):
             p = action.param
-            bound = {p}
+            bound = {p: _PARAM}
             updates = {}
             framed = set()
             guards = []
@@ -148,8 +199,7 @@ class _Codegen:
                 lines.append(pad + "if _n and %s:" % " and ".join(
                     self.cond(g, bound) for g in guards[:lead]))
                 pad += "    "
-            lines.append(pad + "for i, b_%s in enumerate(_dom, %d * _n):"
-                         % (p, k))
+            lines.append(pad + "for j, %s in enumerate(_dom):" % _PARAM)
             pad += "    "
             for g in guards[lead:]:
                 lines.append(pad + "if not %s: continue" % self.cond(g, bound))
@@ -163,17 +213,19 @@ class _Codegen:
                                  % (v, self.var_index[v]))
             parts = ("n_%s" % v if v in updates else "q[%d]" % i
                      for i, v in enumerate(self.variables))
-            lines.append(pad + "yield i, (%s)" % "".join(x + ", " for x in parts))
+            lines.append(pad + "yield %d * _n + j, (%s)"
+                         % (k, "".join(x + ", " for x in parts)))
         if not actions:
             lines.append("    yield from ()")
         return "\n".join(lines) + "\n"
 
     def predicate_fn(self, body):
-        return "def prop(q):\n    return %s\n" % self.cond(body, set())
+        return "def prop(q):\n    return %s\n" % self.cond(body, {})
 
     def build(self, src, **names):
-        """Namespace of the generated source run with the value helpers,
-        the constants `c_<name>` and `names`."""
+        """Namespace of the generated source, after the hoisted values,
+        run with the value helpers, the constants `c_<name>` and
+        `names`."""
         ns = {
             "_mk_set": va.mk_set, "_mk_rec": va.mk_rec, "_mk_fun": va.mk_fun,
             "_is_true": va.is_true, "_elems": va.set_elems,
@@ -184,14 +236,32 @@ class _Codegen:
         for cname, cval in self.consts.items():
             ns["c_" + cname] = cval
         ns.update(names)
+        src = "".join("%s = %s\n" % (name, value)
+                      for value, name in self.hoisted.items()) + src
         exec(compile(src, "<spec:%s>" % self.name, "exec"), ns)
         return ns
+
+
+def _bind(bound, var):
+    """`bound` inside a binder of var (which may shadow the parameter)."""
+    return {**bound, var: "b_" + var}
+
+
+def _construct(e, go):
+    """Source building the constructor e, with `go` giving the source of
+    each operand."""
+    if isinstance(e, sx.SetLit):
+        return "_mk_set((%s))" % "".join(go(x) + ", " for x in e.elems)
+    if isinstance(e, sx.TupleLit):
+        return "('tup', (%s))" % "".join(go(x) + ", " for x in e.elems)
+    items = "".join("(%r, %s), " % (f, go(x)) for f, x in e.fields)
+    return "_mk_rec((%s))" % items
 
 
 def eval_const(e, consts):
     """Value of an expression closed over `consts` (name -> value pairs)."""
     cg = _Codegen(consts)
-    return cg.build("def val():\n    return %s\n" % cg.expr(e, set()))["val"]()
+    return cg.build("def val():\n    return %s\n" % cg.expr(e, {}))["val"]()
 
 
 def init_states(spec):

@@ -71,12 +71,15 @@ def apply_value(f, k):
 
 
 def except_value(f, k, v):
-    """Functional update of one point of a function's graph."""
+    """Functional update of one point of a function's graph: one scan
+    finds the key, and the new graph is sliced around it."""
     if f[0] != "fun":
         raise EvalError("EXCEPT on a non-function %s" % fmt_value(f))
-    if all(key != k for key, _ in f[1]):
-        raise EvalError("EXCEPT key %s outside function domain" % fmt_value(k))
-    return ("fun", tuple((key, v if key == k else val) for key, val in f[1]))
+    pairs = f[1]
+    for i, (key, _) in enumerate(pairs):
+        if key == k:
+            return ("fun", pairs[:i] + ((key, v),) + pairs[i + 1:])
+    raise EvalError("EXCEPT key %s outside function domain" % fmt_value(k))
 
 
 def add_values(a, b):

@@ -1,12 +1,16 @@
 """State-graph generation: the streaming check against the full error
 LTS, what `bound` admits in each, boolean positions and hoisted guards
-in the successor generator, and the memoized invariant."""
+in the successor generator, the memoized invariant, and the work one
+build does: its compile() calls and the values it builds once."""
+
+from collections import Counter
 
 import pytest
 
 import oracle as oc
-from recomp import parse
+from recomp import parse, semantics
 from recomp import syntax as sx
+from recomp import values as va
 from recomp.corpus import ALL, twophase
 from recomp.lts import StateBoundExceeded, pi_reachable, pi_trace
 from recomp.semantics import _compile, _violates, err_lts, err_reach, to_lts
@@ -111,6 +115,23 @@ def test_a_false_guard_skips_every_later_guard():
     # never runs
     l = to_lts(_one_action_spec(['d = "z"', "~ 3"]))
     assert (l.n_states, l.n_edges) == (1, 0)
+    # operators that can fail stay where the spec puts them, even when
+    # their operands are constants or the parameter
+    for guard in ["({1} \\union 3) = {}", "({d} \\union 3) = {}",
+                  "(1 + TRUE) = 2"]:
+        l = to_lts(_one_action_spec(["x = 1", guard]))
+        assert (l.n_states, l.n_edges) == (1, 0), guard
+        with pytest.raises(EvalError):
+            to_lts(_one_action_spec(["x = 0", guard]))
+
+
+def test_a_quantifier_can_shadow_the_parameter():
+    # inside the quantifier, {d} and [f |-> d] are built from its own d,
+    # not read from the parameter's table over the Next domain
+    for guard in ["(\\A d \\in {1} : {d} = {1})",
+                  "(\\E d \\in {1} : [f |-> d] = [f |-> 1])"]:
+        l = to_lts(_one_action_spec([guard]))
+        assert (l.n_states, l.n_edges) == (1, 2), guard
 
 
 def test_empty_domain_evaluates_no_guard():
@@ -125,6 +146,10 @@ def test_empty_domain_evaluates_no_guard():
 def _states(spec, limit=2_000):
     """Up to `limit` reachable states, from the compiled generator."""
     initials, _, successors, _ = _compile(spec)
+    return _walk(initials, successors, limit)
+
+
+def _walk(initials, successors, limit):
     seen = dict.fromkeys(initials)
     frontier = list(seen)
     while frontier and len(seen) < limit:
@@ -169,3 +194,40 @@ def test_memoized_invariant_marks_the_oracle_violations():
                 (name, prop.name)
             paths.add(len(calls) == len(projections))
     assert paths == {True, False}
+
+
+# --------------------------------------------------------------------------
+# the work of one build
+
+
+def test_each_build_compiles_one_module_and_the_init_function(
+        tp, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return compile(*args, **kwargs)
+
+    monkeypatch.setattr(semantics, "compile", counting, raising=False)
+    prop = tp.property("Consistent")
+    for build in (lambda: to_lts(tp), lambda: err_lts(tp, prop),
+                  lambda: err_reach(tp, prop)):
+        calls.clear()
+        build()
+        assert len(calls) == 2, calls
+
+
+def test_stepping_builds_no_sets_or_records(tp, monkeypatch):
+    made = Counter()
+    for name in ("mk_set", "mk_rec"):
+        def counting(parts, real=getattr(va, name), name=name):
+            made[name] += 1
+            return real(parts)
+        monkeypatch.setattr(va, name, counting)
+    initials, _, successors, _ = _compile(tp)
+    # the constant sets and records, and their tables over the domain,
+    # are built once, when the generated module runs
+    assert made["mk_set"] and made["mk_rec"]
+    made.clear()
+    assert len(_walk(initials, successors, 10_000)) == 288
+    assert made == Counter()

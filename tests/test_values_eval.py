@@ -31,6 +31,17 @@ def test_function_apply_and_except():
     assert va.apply_value(g, ("str", "b")) == ("int", 2)
     with pytest.raises(EvalError):
         va.apply_value(f, ("str", "zz"))
+    pairs = [(("int", k), ("str", "v%d" % k)) for k in (5, 3, 1, 4, 2)]
+    f = va.mk_fun(pairs)
+    for k in (1, 3, 5):  # the first, a middle and the last key
+        updated = [(key, ("int", 0) if key == ("int", k) else val)
+                   for key, val in pairs]
+        assert va.except_value(f, ("int", k), ("int", 0)) == \
+            va.mk_fun(updated)
+    with pytest.raises(EvalError):
+        va.except_value(f, ("int", 6), ("int", 0))
+    with pytest.raises(EvalError):
+        va.except_value(("tup", (("int", 1),)), ("int", 1), ("int", 0))
 
 
 def test_tuple_apply_is_one_based():
