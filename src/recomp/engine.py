@@ -5,12 +5,17 @@ LTS of the property group, then fold in one minimized group LTS at a
 time, stopping as soon as the error state is unreachable.  `recomp_verify`
 is the full pipeline (decompose, order, map, statically reduce, build
 groups, verify).  `run_portfolio` races several strategies in separate
-processes and returns the first conclusive answer.
+processes and returns the first conclusive answer.  Its worker processes
+are forked on first use and persist across `run_portfolio` calls in one
+process; the losers of a race finish cancelling in the background while
+the caller goes on, and the workers stop when the interpreter exits.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -150,103 +155,240 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
     return verdict, replace(stats, strategy=strategy.label(), n=n, m=f.m)
 
 
-def _portfolio_worker(spec, prop, strategy, bound, minimize_mode, reduce,
-                      cancel, conn):
-    try:
-        verdict, stats = recomp_verify(spec, prop, strategy, bound=bound,
-                                       minimize_mode=minimize_mode,
-                                       cancel=cancel, reduce=reduce)
-    except Exception as exc:  # report, don't wedge the coordinator
-        verdict = Verdict(INCONCLUSIVE, reason="error: %s" % exc)
-        stats = replace(_empty_stats(), strategy=strategy.label())
-    conn.send((verdict, stats))
-
-
 def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
                   bound=None, minimize_mode="strong", reduce=True):
-    """Race the strategies; first conclusive verdict wins, losers are
-    cancelled cooperatively.  A worker that exits without a result is
-    an inconclusive outcome.  Returns (verdict, stats, winning strategy)."""
-    # imported here: it costs in-process checks about 0.5 MB of RSS
-    from multiprocessing.connection import wait
+    """Race the strategies on the worker pool; the first conclusive
+    verdict wins, and losers are cancelled cooperatively and finish in
+    the background.  A worker that exits without a result is an
+    inconclusive outcome.  Concurrent calls take turns.  Returns
+    (verdict, stats, winning strategy)."""
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
         raise ValueError("need at least one strategy")
-    ctx = multiprocessing.get_context()
-    cancel = ctx.Event()
     deadline = None if timeout is None else time.monotonic() + timeout
-
-    procs = {}  # strategy index -> (process, result pipe)
-    pending = list(enumerate(strategies))
-
-    def launch():
-        while pending and len(procs) < max(1, workers):
-            idx, strat = pending.pop(0)
-            reader, writer = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=_portfolio_worker,
-                            args=(spec, prop, strat, bound, minimize_mode,
-                                  reduce, cancel, writer))
-            p.daemon = True
-            p.start()
-            writer.close()
-            procs[idx] = (p, reader)
-
-    def outcome(idx):
-        """The worker's posted result or, if it exited without one, an
-        inconclusive outcome naming its exit code."""
-        p, reader = procs.pop(idx)
-        try:
-            if reader.poll():
-                return reader.recv()
-        except EOFError:  # the pipe closed without a result
-            pass
-        finally:
-            reader.close()
-            p.join()
-        reason = "%s exited with code %s" % (strategies[idx].label(),
-                                             p.exitcode)
-        return Verdict(INCONCLUSIVE, reason=reason), _empty_stats()
-
-    def shutdown():
-        cancel.set()
-        for p, _ in procs.values():
-            p.join(timeout=10)
-        for p, reader in procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join()
-            reader.close()
-
-    launch()
-    reasons = set()
-    fallback = None
+    # a call that waits for another thread's race spends its own timeout
+    if not _POOL.lock.acquire(timeout=-1 if timeout is None
+                              else max(0.0, timeout)):
+        return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None
     try:
-        while procs:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+        return _POOL.race((spec, prop, bound, minimize_mode, reduce),
+                          strategies, max(1, workers), deadline)
+    finally:
+        _POOL.lock.release()
+
+
+# Seconds a worker may take to acknowledge the end of a race before it
+# is terminated and replaced.
+_ACK_WAIT = 10
+
+
+class _Worker:
+    """A pool process, the coordinator's end of its pipe, and the id of
+    the race it is running (None while idle)."""
+
+    def __init__(self, process, conn):
+        self.process = process
+        self.conn = conn
+        self.race = None
+
+
+class _Pool:
+    """Worker processes forked on first use and reused across races.
+
+    Races are numbered from 1.  `finished`, a counter in shared memory,
+    holds the id of the last race that returned, so a worker's cancel
+    token for race r is set once `finished` reaches r (see
+    `_RaceCancel`).  The coordinator does not wait for a race's losers:
+    the next race first collects their results, which it drops.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()  # held for a whole race
+        self.workers = []
+        self.finished = None  # created by the first race
+        self.races = 0
+
+    def race(self, job, strategies, workers, deadline):
+        self._settle()
+        if self.finished is None:  # the first race
+            # an anonymous mapping is shared with the workers forked
+            # later; a RawValue would import ctypes, 8 ms on a first race
+            import mmap
+            self.finished = memoryview(mmap.mmap(-1, 8)).cast("q")
+            self.finished[0] = self.races
+            atexit.register(self.close)
+        self.races += 1
+        race = self.races
+        spec, prop, bound, minimize_mode, reduce = job
+        running = {}  # worker -> strategy index
+        pending = list(enumerate(strategies))
+
+        def launch():
+            idle = [w for w in self.workers if w.race is None]
+            while pending and len(running) < workers:
+                w = idle.pop() if idle else self._fork()
+                idx, strat = pending.pop(0)
+                w.race = race
+                running[w] = idx
+                try:
+                    w.conn.send((race, spec, prop, strat, bound,
+                                 minimize_mode, reduce))
+                except OSError:  # it died: wait() sees its sentinel
+                    pass
+
+        reasons = set()
+        fallback = None
+        try:
+            launch()
+            while running:
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        return (Verdict(INCONCLUSIVE, reason="timeout"),
+                                _empty_stats(), None)
+                ready = _ready(running, remaining)
+                if not ready:
                     return (Verdict(INCONCLUSIVE, reason="timeout"),
                             _empty_stats(), None)
-            owner = {}
-            for idx, (p, reader) in procs.items():
-                owner[reader] = owner[p.sentinel] = idx
-            ready = wait(list(owner), remaining)
+                for w in sorted(ready, key=running.get):
+                    strat = strategies[running.pop(w)]
+                    result = self._result(w)
+                    if result is None:
+                        reason = "%s exited with code %s" % (
+                            strat.label(), w.process.exitcode)
+                        verdict = Verdict(INCONCLUSIVE, reason=reason)
+                        stats = _empty_stats()
+                    else:
+                        _, verdict, stats = result
+                    if verdict.conclusive():
+                        return verdict, stats, strat
+                    reasons.add(verdict.reason or "unknown")
+                    if fallback is None:
+                        fallback = stats
+                launch()
+        finally:
+            self.finished[0] = race
+        verdict = Verdict(INCONCLUSIVE, reason=", ".join(sorted(reasons)))
+        return verdict, fallback or _empty_stats(), None
+
+    def _settle(self):
+        """Make every worker idle: drop the results of earlier races'
+        losers once they post them, and replace workers that died or that
+        do not answer within `_ACK_WAIT` seconds."""
+        busy = [w for w in self.workers if w.race is not None]
+        until = time.monotonic() + _ACK_WAIT
+        while busy:
+            ready = _ready(busy, max(0.0, until - time.monotonic()))
             if not ready:
-                return (Verdict(INCONCLUSIVE, reason="timeout"),
-                        _empty_stats(), None)
-            for idx in sorted({owner[r] for r in ready}):
-                verdict, stats = outcome(idx)
-                if verdict.conclusive():
-                    return verdict, stats, strategies[idx]
-                reasons.add(verdict.reason or "unknown")
-                if fallback is None:
-                    fallback = stats
-            launch()
-    finally:
-        shutdown()
-    verdict = Verdict(INCONCLUSIVE, reason=", ".join(sorted(reasons)))
-    return verdict, fallback or _empty_stats(), None
+                break
+            for w in ready:
+                self._result(w)
+            busy = [w for w in busy if w not in ready]
+        for w in busy:
+            self._replace(w)
+        for w in list(self.workers):
+            if not w.process.is_alive():
+                self._replace(w)
+
+    def _result(self, w):
+        """The (race id, verdict, stats) that w posted, after which it is
+        idle; or None if it exited without one, after which it is
+        replaced.  Call once w's pipe or sentinel is ready."""
+        try:
+            if w.conn.poll():
+                result = w.conn.recv()
+                w.race = None
+                return result
+        except (EOFError, OSError):  # the pipe closed without a result
+            pass
+        self._replace(w)
+        return None
+
+    def _fork(self):
+        """A new idle worker.  The context comes from the
+        `multiprocessing` name at each call, so that a stand-in module
+        there sees every process started."""
+        ctx = multiprocessing.get_context()
+        conn, child_conn = ctx.Pipe()
+        # the child closes its copies of the coordinator's ends, so that
+        # each worker sees end of file once the coordinator has gone
+        inherited = [w.conn for w in self.workers] + [conn]
+        p = ctx.Process(target=_pool_worker, daemon=True,
+                        args=(child_conn, self.finished, inherited))
+        p.start()
+        child_conn.close()
+        w = _Worker(p, conn)
+        self.workers.append(w)
+        return w
+
+    def _replace(self, w):
+        """Stop w and fork an idle worker in its place."""
+        self.workers.remove(w)
+        w.process.terminate()
+        w.process.join()
+        w.conn.close()
+        self._fork()
+
+    def close(self):
+        """Stop every worker; the next race forks new ones."""
+        for w in self.workers:
+            w.process.terminate()
+        for w in self.workers:
+            w.process.join()
+            w.conn.close()
+        self.workers = []
+
+
+def _ready(workers, timeout):
+    """The workers whose pipe or sentinel becomes ready within timeout
+    seconds (None: no limit)."""
+    # imported here: it costs in-process checks about 0.5 MB of RSS
+    from multiprocessing.connection import wait
+    owner = {}
+    for w in workers:
+        owner[w.conn] = owner[w.process.sentinel] = w
+    return {owner[r] for r in wait(list(owner), timeout)}
+
+
+class _RaceCancel:
+    """A worker's cancel token for one race: set once the coordinator's
+    count of finished races reaches it, so a poll reads shared memory
+    and makes no system call."""
+
+    __slots__ = ("finished", "race")
+
+    def __init__(self, finished, race):
+        self.finished = finished
+        self.race = race
+
+    def is_set(self):
+        return self.finished[0] >= self.race
+
+
+def _pool_worker(conn, finished, inherited):
+    """A pool process: run each job received on `conn` and post (race
+    id, verdict, stats) back, until the coordinator's end closes."""
+    for c in inherited:
+        c.close()
+    while True:
+        try:
+            race, spec, prop, strategy, bound, minimize_mode, reduce = (
+                conn.recv())
+        except EOFError:
+            return
+        try:
+            verdict, stats = recomp_verify(
+                spec, prop, strategy, bound=bound,
+                minimize_mode=minimize_mode,
+                cancel=_RaceCancel(finished, race), reduce=reduce)
+        except Exception as exc:  # report, don't wedge the coordinator
+            verdict = Verdict(INCONCLUSIVE, reason="error: %s" % exc)
+            stats = replace(_empty_stats(), strategy=strategy.label())
+        conn.send((race, verdict, stats))
+
+
+_POOL = _Pool()
 
 
 def _empty_stats():

@@ -21,6 +21,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
+# Loops poll their `cancel` argument once per this many edges they read
+# or append (`_refine` counts its states too, `_saturate` only states),
+# so that the time between two polls is bounded by work done rather than
+# by states expanded.
 _POLL_EVERY = 1024
 
 _tau_counter = itertools.count()
@@ -86,7 +90,8 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
     one absorbing pi, the last state, with a self-loop on every label;
     `is_pi` runs once per distinct key.  With `stop_at_pi` the search
     ends at the first edge into pi, leaving states discovered but not
-    expanded without edges.
+    expanded without edges.  `cancel` is polled after expanding a state
+    once another `_POLL_EVERY` edges have been appended.
     """
     index = {}
     order = []
@@ -119,6 +124,7 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
     labels_append, dsts_append = labels.append, dsts.append
     done = stop_at_pi and pi_seen
     head = 0
+    next_poll = _POLL_EVERY
     while head < len(order) and not done:
         for lab, key in successors(order[head]):
             i = get(key)
@@ -130,9 +136,11 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
             if done:
                 break
         head += 1
-        offsets.append(len(dsts))
-        if head % _POLL_EVERY == 0:
+        e = len(dsts)
+        offsets.append(e)
+        if e >= next_poll:
             _check_cancel(cancel)
+            next_poll += _POLL_EVERY
     offsets.extend([len(dsts)] * (len(order) - head))
 
     n = len(order)
@@ -196,8 +204,8 @@ def compose(a, b, bound=None, cancel=None):
     a_sync = [lab in shared for lab in a.alphabet]
     b_shared = [{} for _ in range(b.n_states)]  # union label -> targets
     b_free = [[] for _ in range(b.n_states)]  # (union label, target)
-    for y in range(b.n_states):
-        for lab, t in b.out(y):
+    for y, row in _rows(b, cancel):
+        for lab, t in row:
             ul = uidx[b.alphabet[lab]]
             if b.alphabet[lab] in shared:
                 b_shared[y].setdefault(ul, []).append(t)
@@ -239,10 +247,15 @@ def _refine(n, adj, seed, cancel=None):
     while True:
         sigs = {}
         new = [0] * n
+        work = 0
+        next_poll = _POLL_EVERY
         for s in range(n):
-            if s % _POLL_EVERY == 0:
+            edges = adj[s]
+            work += len(edges) + 1
+            if work >= next_poll:
                 _check_cancel(cancel)
-            sig = (block[s], frozenset((l, block[t]) for l, t in adj[s]))
+                next_poll += _POLL_EVERY
+            sig = (block[s], frozenset((l, block[t]) for l, t in edges))
             b = sigs.get(sig)
             if b is None:
                 b = len(sigs)
@@ -257,18 +270,40 @@ def _quotient(l, block, cancel=None):
     """The quotient of l by a partition, explored from the sorted initial
     blocks: a block steps to the sorted set of (label, block of target)
     over its members' edges.  Only reachable blocks are kept (all of them
-    on an LTS that `explore` built), and pi's block becomes the last."""
+    on an LTS that `explore` built), and pi's block becomes the last.
+    `cancel` is also polled once per `_POLL_EVERY` edges of l read."""
     members = [[] for _ in range(max(block) + 1)]
     for s, b in enumerate(block):
         members[b].append(s)
+    offsets = l.offsets
+    read = 0
+    next_poll = _POLL_EVERY
 
     def successors(b):
-        return sorted({(lab, block[t]) for s in members[b]
-                       for lab, t in l.out(s)})
+        nonlocal read, next_poll
+        ms = members[b]
+        read += sum(offsets[s + 1] - offsets[s] for s in ms)
+        if read >= next_poll:
+            _check_cancel(cancel)
+            next_poll += _POLL_EVERY
+        return sorted({(lab, block[t]) for s in ms for lab, t in l.out(s)})
 
     pi = block[l.pi] if l.pi is not None else None
     return explore(sorted({block[s] for s in l.initials}), successors,
                    l.alphabet, lambda b: b == pi, cancel=cancel)
+
+
+def _rows(l, cancel):
+    """(state, its outgoing (label index, target) pairs) for every state
+    in order, polling `cancel` once per `_POLL_EVERY` edges."""
+    offsets, labels, dsts = l.offsets, l.labels, l.dsts
+    next_poll = _POLL_EVERY
+    for s in range(l.n_states):
+        lo, hi = offsets[s], offsets[s + 1]
+        if hi >= next_poll:
+            _check_cancel(cancel)
+            next_poll += _POLL_EVERY
+        yield s, zip(labels[lo:hi], dsts[lo:hi])
 
 
 def _saturate(l, tau_idx, cancel=None):
@@ -323,7 +358,7 @@ def minimize(l, mode="strong", hide=None, cancel=None):
     if l.pi is not None:
         seed[l.pi] = 1
     if mode == "strong":
-        adj = [list(l.out(s)) for s in range(l.n_states)]
+        adj = [list(row) for _, row in _rows(l, cancel)]
     else:
         tau_idx = {i for i, lab in enumerate(l.alphabet) if is_tau(lab)}
         adj = _saturate(l, tau_idx, cancel)

@@ -1,3 +1,9 @@
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from recomp import parse, decompose, pretty, total_order
@@ -84,6 +90,29 @@ def test_portfolio_is_the_default(counter_file, capsys):
     code = main(["check", counter_file, "--property", "Consistent",
                  "--timeout", "60"])
     assert code == 0
+
+
+def test_no_process_outlives_the_cli(counter_file):
+    """A portfolio check in its own session leaves no process behind: the
+    pool's workers stop when the program exits."""
+    src = str(Path(__file__).parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from recomp.cli import entry; entry()",
+         "check", counter_file, "--property", "Consistent",
+         "--strategy", "portfolio", "--timeout", "60"],
+        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 0
+    assert "verdict: holds" in out
+    with pytest.raises(ProcessLookupError):  # its group is empty
+        os.killpg(proc.pid, 0)
 
 
 def test_map_strategy(tp_file, tmp_path, capsys):

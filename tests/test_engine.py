@@ -2,15 +2,15 @@ import importlib.util
 import multiprocessing
 import os
 import pathlib
+import signal
 import threading
 import time
 
 import pytest
 
 import oracle as oc
-from recomp import parse
+from recomp import engine, lts, parse, semantics
 from recomp.corpus import consensus, lockserv, tpcounter, twophase
-from recomp import engine
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
 from recomp.lts import _POLL_EVERY, Cancelled, explore, minimize
@@ -29,6 +29,12 @@ def tp():
 TUNED = Strategy("custom", custom=make_map([(1, P), (2, 1), (3, 2), (4, 1)]))
 
 
+def _assert_replays(spec, prop, witness):
+    trace = [(name, oc._conv(arg)) for name, arg in witness]
+    end = oc.oracle_replay(spec, trace)  # every step must be enabled
+    assert not oc.o_eval(prop.body, {**oc._consts(spec), **dict(end)})
+
+
 @pytest.mark.parametrize("kind", ["S1", "S2", "S3", "S4"])
 def test_twophase_consistent_holds(tp, kind):
     verdict, stats = recomp_verify(tp, tp.property("Consistent"), kind)
@@ -42,9 +48,7 @@ def test_violation_reports_a_replayable_witness(tp):
     for kind in ("S1", "S4"):
         verdict, _ = recomp_verify(tp, prop, kind)
         assert verdict.outcome == VIOLATED
-        trace = [(name, oc._conv(arg)) for name, arg in verdict.witness]
-        end = oc.oracle_replay(tp, trace)  # every step must be enabled
-        assert not oc.o_eval(prop.body, {**oc._consts(tp), **dict(end)})
+        _assert_replays(tp, prop, verdict.witness)
 
 
 def test_witness_is_shortest(tp):
@@ -93,8 +97,8 @@ def test_minimize_polls_cancel(tp, mode):
                     [("A", None)], lambda k: False)
     with pytest.raises(Cancelled):
         minimize(chain, mode, hide={("A", None)}, cancel=cancel)
-    # twophase(3) builds fewer states than the poll interval, so only
-    # minimization sees the cancel
+    # twophase(3)'s LTSs are smaller than the poll interval; a whole
+    # check still sees the cancel, in composition or in minimization
     verdict, _ = recomp_verify(tp, tp.property("Consistent"), "S1",
                                minimize_mode=mode, cancel=cancel)
     assert (verdict.outcome, verdict.reason) == (INCONCLUSIVE, "cancelled")
@@ -126,6 +130,57 @@ def test_cancel_is_acknowledged_promptly(spec_text, strategy, mode):
         timer.cancel()
     assert (verdict.outcome, verdict.reason) == (INCONCLUSIVE, "cancelled")
     assert done - set_at[0] < 2.0
+
+
+class _CountingCancel:
+    """A cancel token that is never set and counts its polls."""
+
+    polls = 0
+
+    def is_set(self):
+        self.polls += 1
+        return False
+
+
+def test_polls_are_bounded_by_edges(monkeypatch):
+    """A lockserv(4) S2 check polls its cancel token at least once per
+    `_POLL_EVERY` edges of every LTS it builds, and of every pass that
+    minimization and composition make over the edges they read."""
+    cancel = _CountingCancel()
+    checked = []
+
+    def count(module, name, needed):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            before = cancel.polls
+            out = fn(*args, **kwargs)
+            checked.append((name, cancel.polls - before, needed(args, out)))
+            return out
+        monkeypatch.setattr(module, name, counted)
+
+    def searched(l):  # edges appended before pi's self-loops
+        return (l.n_edges if l.pi is None else l.offsets[l.pi]) // _POLL_EVERY
+
+    def read(l):
+        return l.n_edges // _POLL_EVERY
+
+    count(lts, "explore", lambda args, out: searched(out))
+    count(semantics, "explore", lambda args, out: searched(out))
+    # the strong signature lists, then the quotient's rows
+    count(engine, "minimize", lambda args, out: 2 * read(args[0]))
+    # the group's rows (the operand without pi), then the product
+    count(engine, "compose", lambda args, out: searched(out) + read(
+        args[1] if args[1].pi is None else args[0]))
+    spec = parse(lockserv(4))
+    verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
+                               cancel=cancel)
+    assert verdict.outcome == HOLDS
+    assert {name for name, _, _ in checked} == {"explore", "minimize",
+                                                 "compose"}
+    assert max(needed for _, _, needed in checked) >= 50  # big enough
+    short = [c for c in checked if c[1] < c[2]]
+    assert not short, short
 
 
 def test_monolithic_ignores_reduction():
@@ -206,9 +261,18 @@ def test_portfolio_timeout():
 
 
 @pytest.fixture
-def s1_dies(monkeypatch):
-    """Workers running S1 exit at once without posting a result; the
-    forked workers inherit the patched engine."""
+def pool():
+    """The engine's worker pool, stopped before and after the test."""
+    engine._POOL.close()
+    yield engine._POOL
+    engine._POOL.close()
+
+
+@pytest.fixture
+def s1_dies(pool, monkeypatch):
+    """Workers running S1 exit at once without posting a result.  The
+    pool is stopped before and after the patch, so that the workers
+    forked in between, and only they, inherit the patched engine."""
     def verify(spec, prop, strategy, **kwargs):
         if strategy.kind == "S1":
             os._exit(137)
@@ -250,6 +314,127 @@ def test_portfolio_launches_the_next_strategy_after_a_dead_worker(
         tp, tp.property("NoPrepares"), ["S1", "S2"], workers=1, timeout=50))
     assert verdict.outcome == VIOLATED
     assert winner == Strategy("S2")
+
+
+def test_the_first_race_of_a_new_pool_is_not_cancelled(monkeypatch):
+    # lockserv(3) under S2 polls its cancel token dozens of times
+    fresh = engine._Pool()
+    monkeypatch.setattr(engine, "_POOL", fresh)
+    spec = parse(lockserv(3))
+    try:
+        (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+            spec, spec.property("Mutex"), ["S2"], workers=1))
+    finally:
+        fresh.close()
+    assert verdict.outcome == HOLDS
+    assert winner == Strategy("S2")
+
+
+def test_pool_replaces_a_worker_killed_while_idle(tp, pool):
+    prop = tp.property("NoPrepares")
+    (verdict, _, _), _ = _bounded(lambda: run_portfolio(
+        tp, prop, ["S1", "S2"], workers=2))
+    assert verdict.outcome == VIOLATED
+    assert len(pool.workers) == 2
+    # the winner's worker has posted its result and waits for a job
+    idle = next(w for w in pool.workers if w.race is None)
+    os.kill(idle.process.pid, signal.SIGKILL)
+    idle.process.join(10)
+    assert idle.process.exitcode == -signal.SIGKILL
+    (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+        tp, prop, ["S1", "S2"], workers=2))
+    assert verdict.outcome == VIOLATED
+    _assert_replays(tp, prop, verdict.witness)
+    assert len(pool.workers) == 2
+    assert idle not in pool.workers
+    assert all(w.process.is_alive() for w in pool.workers)
+
+
+class _LaunchCounter:
+    """Stands in for `multiprocessing` in the engine, and for its default
+    context, and counts the processes started through it."""
+
+    def __init__(self):
+        self.launched = 0
+        self.ctx = multiprocessing.get_context()
+
+    def get_context(self):
+        return self
+
+    def Process(self, *args, **kwargs):
+        self.launched += 1
+        return self.ctx.Process(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+
+def test_pool_reuses_its_workers(tp, pool, monkeypatch):
+    launches = _LaunchCounter()
+    monkeypatch.setattr(engine, "multiprocessing", launches)
+    for name in ("Consistent", "NoPrepares") * 2 + ("Consistent",):
+        (verdict, _, _), _ = _bounded(lambda: run_portfolio(
+            tp, tp.property(name), ["S1", "S2", "S3", "S4"], workers=2))
+        assert verdict.outcome == (HOLDS if name == "Consistent"
+                                   else VIOLATED)
+    assert launches.launched == 2
+    assert len(pool.workers) == 2
+
+
+def test_a_timed_out_race_never_returns_a_stale_result(tp, pool):
+    counter = parse(tpcounter(3))
+    (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+        counter, counter.property("Consistent"), ["S4"], workers=1,
+        timeout=0.2))
+    assert (verdict.outcome, verdict.reason, winner) == (
+        INCONCLUSIVE, "timeout", None)
+    # the one worker is still on the counter until it sees the cancel
+    prop = tp.property("NoPrepares")
+    (verdict, stats, winner), _ = _bounded(lambda: run_portfolio(
+        tp, prop, ["S1"], workers=1))
+    assert verdict.outcome == VIOLATED
+    assert winner == Strategy("S1")
+    assert stats.strategy == "S1"
+    _assert_replays(tp, prop, verdict.witness)
+    assert len(pool.workers) == 1
+
+
+def test_concurrent_races_both_decide(tp, pool):
+    out = {}
+
+    def race(name):
+        out[name] = run_portfolio(tp, tp.property(name),
+                                  ["S1", "S2", "S3", "S4"], workers=2)
+
+    threads = [threading.Thread(target=race, args=(name,), daemon=True)
+               for name in ("Consistent", "NoPrepares")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+        assert not t.is_alive(), "no result after 60 s"
+    assert out["Consistent"][0].outcome == HOLDS
+    verdict = out["NoPrepares"][0]
+    assert verdict.outcome == VIOLATED
+    _assert_replays(tp, tp.property("NoPrepares"), verdict.witness)
+
+
+def test_waiting_for_another_race_counts_against_the_timeout(tp, pool):
+    counter = parse(tpcounter(3))
+    other = threading.Thread(daemon=True, target=lambda: run_portfolio(
+        counter, counter.property("Consistent"), ["S4"], workers=1,
+        timeout=1.5))
+    other.start()
+    while not pool.lock.locked():
+        time.sleep(0.001)
+    t0 = time.monotonic()
+    verdict, _, winner = run_portfolio(tp, tp.property("Consistent"),
+                                       ["S1"], workers=1, timeout=0.2)
+    assert (verdict.outcome, verdict.reason, winner) == (
+        INCONCLUSIVE, "timeout", None)
+    assert time.monotonic() - t0 < 1.0
+    other.join(10)
+    assert not other.is_alive()
 
 
 def test_portfolio_requires_a_strategy(tp):
