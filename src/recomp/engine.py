@@ -6,14 +6,14 @@ time, stopping as soon as the error state is unreachable.  `recomp_verify`
 is the full pipeline (decompose, order, map, statically reduce, build
 groups, verify).  `run_portfolio` races several strategies in separate
 processes and returns the first conclusive answer.  Its worker processes
-are forked on first use and persist across `run_portfolio` calls in one
+are started on first use and persist across `run_portfolio` calls in one
 process; the losers of a race finish cancelling in the background while
-the caller goes on, and the workers stop when the interpreter exits.
+the caller goes on.  The workers are daemonic, so multiprocessing stops
+them when the interpreter exits.
 """
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import threading
 import time
@@ -177,19 +177,20 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
         _POOL.lock.release()
 
 
-# Seconds a worker may take to acknowledge the end of a race before it
-# is terminated and replaced.
+# Seconds a worker may take, after its race has ended, to post its
+# result before it is terminated and replaced.
 _ACK_WAIT = 10
 
 
 class _Worker:
-    """A pool process, the coordinator's end of its pipe, and the id of
-    the race it is running (None while idle)."""
+    """A pool process, the coordinator's end of its pipe, the id of the
+    race it is running (None while idle), and when that race ended."""
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.race = None
+        self.ended = None
 
 
 class _Pool:
@@ -209,14 +210,12 @@ class _Pool:
         self.races = 0
 
     def race(self, job, strategies, workers, deadline):
-        self._settle()
-        if self.finished is None:  # the first race
-            # an anonymous mapping is shared with the workers forked
-            # later; a RawValue would import ctypes, 8 ms on a first race
-            import mmap
-            self.finished = memoryview(mmap.mmap(-1, 8)).cast("q")
-            self.finished[0] = self.races
-            atexit.register(self.close)
+        if not self._settle(deadline):
+            return (Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(),
+                    None)
+        if self.finished is None:  # the first race since the pool started
+            self.finished = _shared_counter(multiprocessing.get_context(),
+                                            self.races)
         self.races += 1
         race = self.races
         spec, prop, bound, minimize_mode, reduce = job
@@ -269,27 +268,37 @@ class _Pool:
                 launch()
         finally:
             self.finished[0] = race
+            ended = time.monotonic()
+            for w in running:
+                w.ended = ended
         verdict = Verdict(INCONCLUSIVE, reason=", ".join(sorted(reasons)))
         return verdict, fallback or _empty_stats(), None
 
-    def _settle(self):
+    def _settle(self, deadline):
         """Make every worker idle: drop the results of earlier races'
         losers once they post them, and replace workers that died or that
-        do not answer within `_ACK_WAIT` seconds."""
+        have not answered `_ACK_WAIT` seconds after their race ended.
+        False if the deadline passes first; the workers still busy are
+        then left for the next race."""
         busy = [w for w in self.workers if w.race is not None]
-        until = time.monotonic() + _ACK_WAIT
         while busy:
+            until = min(w.ended for w in busy) + _ACK_WAIT
+            if deadline is not None:
+                until = min(until, deadline)
             ready = _ready(busy, max(0.0, until - time.monotonic()))
-            if not ready:
-                break
             for w in ready:
                 self._result(w)
-            busy = [w for w in busy if w not in ready]
-        for w in busy:
-            self._replace(w)
+            now = time.monotonic()
+            for w in busy:
+                if w not in ready and w.ended + _ACK_WAIT <= now:
+                    self._replace(w)
+            busy = [w for w in self.workers if w.race is not None]
+            if busy and deadline is not None and now >= deadline:
+                return False
         for w in list(self.workers):
             if not w.process.is_alive():
                 self._replace(w)
+        return True
 
     def _result(self, w):
         """The (race id, verdict, stats) that w posted, after which it is
@@ -311,9 +320,11 @@ class _Pool:
         there sees every process started."""
         ctx = multiprocessing.get_context()
         conn, child_conn = ctx.Pipe()
-        # the child closes its copies of the coordinator's ends, so that
-        # each worker sees end of file once the coordinator has gone
-        inherited = [w.conn for w in self.workers] + [conn]
+        # a forked child closes its copies of the coordinator's ends, so
+        # that each worker sees end of file once the coordinator has gone
+        inherited = []
+        if ctx.get_start_method() == "fork":
+            inherited = [w.conn for w in self.workers] + [conn]
         p = ctx.Process(target=_pool_worker, daemon=True,
                         args=(child_conn, self.finished, inherited))
         p.start()
@@ -331,13 +342,29 @@ class _Pool:
         self._fork()
 
     def close(self):
-        """Stop every worker; the next race forks new ones."""
+        """Stop every worker; the next race starts new ones, with a new
+        counter for the context it finds then."""
         for w in self.workers:
             w.process.terminate()
         for w in self.workers:
             w.process.join()
             w.conn.close()
         self.workers = []
+        self.finished = None
+
+
+def _shared_counter(ctx, value):
+    """A one-slot integer array in memory shared with the workers that
+    ctx starts."""
+    if ctx.get_start_method() == "fork":
+        # an anonymous mapping is inherited by the workers forked later;
+        # a RawArray would import ctypes, 8 ms on a first race
+        import mmap
+        counter = memoryview(mmap.mmap(-1, 8)).cast("q")
+    else:  # spawned workers unpickle their arguments, and a mapping can't
+        counter = ctx.RawArray("q", 1)
+    counter[0] = value
+    return counter
 
 
 def _ready(workers, timeout):

@@ -437,6 +437,63 @@ def test_waiting_for_another_race_counts_against_the_timeout(tp, pool):
     assert not other.is_alive()
 
 
+def test_a_slow_loser_does_not_hold_up_a_later_timeout(tp, pool,
+                                                       monkeypatch):
+    # S4 ignores its cancel token for 3 s, so its worker stays busy
+    # well after its race has timed out
+    def verify(spec, prop, strategy, **kwargs):
+        if strategy.kind == "S4":
+            time.sleep(3)
+        return recomp_verify(spec, prop, strategy, **kwargs)
+
+    monkeypatch.setattr(engine, "recomp_verify", verify)
+    verdict, _, _ = run_portfolio(tp, tp.property("Consistent"), ["S4"],
+                                  workers=1, timeout=0.2)
+    assert verdict.reason == "timeout"
+    [slow] = pool.workers
+    t0 = time.monotonic()
+    verdict, _, winner = run_portfolio(tp, tp.property("NoPrepares"),
+                                       ["S1"], workers=1, timeout=0.2)
+    assert (verdict.outcome, verdict.reason, winner) == (
+        INCONCLUSIVE, "timeout", None)
+    assert time.monotonic() - t0 < 1.0
+    assert pool.workers == [slow] and slow.race is not None
+    # a race without a timeout waits for the loser, and reuses its worker
+    prop = tp.property("NoPrepares")
+    (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+        tp, prop, ["S1"], workers=1))
+    assert verdict.outcome == VIOLATED
+    assert winner == Strategy("S1")
+    _assert_replays(tp, prop, verdict.witness)
+    assert pool.workers == [slow]
+
+
+class _StartMethod:
+    """Stands in for `multiprocessing` in the engine, with another start
+    method as its default."""
+
+    def __init__(self, method):
+        self.ctx = multiprocessing.get_context(method)
+
+    def get_context(self):
+        return self.ctx
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_the_pool_runs_under_other_start_methods(tp, pool, monkeypatch,
+                                                 method):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip("no %s start method here" % method)
+    monkeypatch.setattr(engine, "multiprocessing", _StartMethod(method))
+    for name, outcome in (("NoPrepares", VIOLATED), ("Consistent", HOLDS)):
+        (verdict, _, winner), _ = _bounded(lambda: run_portfolio(
+            tp, tp.property(name), ["S1", "S2"], workers=2))
+        assert verdict.outcome == outcome
+        assert winner is not None
+    assert len(pool.workers) == 2
+    assert all(w.process.is_alive() for w in pool.workers)
+
+
 def test_portfolio_requires_a_strategy(tp):
     with pytest.raises(ValueError):
         run_portfolio(tp, tp.property("Consistent"), [])
