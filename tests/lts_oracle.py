@@ -8,13 +8,15 @@ anywhere, which the package's one builder `explore` never does.
 brute-force and test-scale: `trace_set` materializes every bounded
 action sequence, `traces_equal` runs a synchronized subset construction
 and `bisimilar` refines one partition over both systems with the
-package's own `_refine`.
+package's own `_refine`.  `weak_minimize` is observational minimization
+the direct way: it saturates the weak transition relation and refines
+signatures over it, where `lts.minimize` works along the tau-SCCs.
 """
 
 import itertools
 from array import array
 
-from recomp.lts import Lts, _refine
+from recomp.lts import Lts, _quotient, _refine, hide_labels, is_tau
 
 
 def lts_from_edges(n, alphabet, edges, initials, pi=None):
@@ -158,3 +160,56 @@ def bisimilar(a, b):
     a_init = {block[s] for s in a.initials}
     b_init = {block[s + a.n_states] for s in b.initials}
     return a_init == b_init
+
+
+def tau_closures(l):
+    """Per state, the set of states it reaches by tau*."""
+    tau_idx = {i for i, lab in enumerate(l.alphabet) if is_tau(lab)}
+    closures = []
+    for s in range(l.n_states):
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for lab, t in l.out(u):
+                if lab in tau_idx and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        closures.append(seen)
+    return closures
+
+
+def saturate(l):
+    """Weak (double-arrow) transition relation of l.
+
+    Returns per-state edge sets where label -1 stands for the tau-star
+    closure and visible labels mean tau* . l . tau*.
+    """
+    tau_idx = {i for i, lab in enumerate(l.alphabet) if is_tau(lab)}
+    closure = tau_closures(l)
+    adj = []
+    for s in range(l.n_states):
+        out = set()
+        for u in closure[s]:
+            out.add((-1, u))
+            for lab, t in l.out(u):
+                if lab not in tau_idx:
+                    for t2 in closure[t]:
+                        out.add((lab, t2))
+        adj.append(out)
+    return adj
+
+
+def weak_minimize(l, hide=None):
+    """The quotient `lts.minimize(l, "observational", hide)` must give,
+    from signatures over the saturated relation: labels in `hide` become
+    a fresh tau, pi is seeded in its own block, and `_quotient` lays out
+    the partition `_refine` finds."""
+    if l.n_states == 0:
+        return l
+    if hide:
+        l = hide_labels(l, hide)
+    seed = [0] * l.n_states
+    if l.pi is not None:
+        seed[l.pi] = 1
+    return _quotient(l, _refine(l.n_states, saturate(l), seed))

@@ -3,6 +3,8 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -143,11 +145,20 @@ class _CountingCancel:
 
 
 def test_polls_are_bounded_by_edges(monkeypatch):
-    """A lockserv(4) S2 check polls its cancel token at least once per
-    `_POLL_EVERY` edges of every LTS it builds, and of every pass that
-    minimization and composition make over the edges they read."""
+    """lockserv(4) S2 checks, with strong and with observational
+    minimization, poll their cancel token at least once per
+    `_POLL_EVERY` edges of every LTS they build, and of every pass that
+    minimization and composition make over the edges they read.
+
+    Strong minimization reads every edge twice: for the signature lists,
+    then for the quotient's rows.  Observational minimization reads them
+    three times: in the tau-SCC search, in the pass that lists each
+    SCC's tau successors and visible pairs, and for the quotient's rows;
+    its refinement rounds poll on top of that, once per `_POLL_EVERY`
+    pairs, set elements or states they read."""
     cancel = _CountingCancel()
     checked = []
+    passes = {"strong": 2, "observational": 3}
 
     def count(module, name, needed):
         fn = getattr(module, name)
@@ -167,20 +178,52 @@ def test_polls_are_bounded_by_edges(monkeypatch):
 
     count(lts, "explore", lambda args, out: searched(out))
     count(semantics, "explore", lambda args, out: searched(out))
-    # the strong signature lists, then the quotient's rows
-    count(engine, "minimize", lambda args, out: 2 * read(args[0]))
+    count(engine, "minimize",
+          lambda args, out: passes[args[1]] * read(args[0]))
     # the group's rows (the operand without pi), then the product
     count(engine, "compose", lambda args, out: searched(out) + read(
         args[1] if args[1].pi is None else args[0]))
     spec = parse(lockserv(4))
-    verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
-                               cancel=cancel)
-    assert verdict.outcome == HOLDS
-    assert {name for name, _, _ in checked} == {"explore", "minimize",
-                                                 "compose"}
-    assert max(needed for _, _, needed in checked) >= 50  # big enough
-    short = [c for c in checked if c[1] < c[2]]
-    assert not short, short
+    for mode in passes:
+        checked.clear()
+        verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
+                                   minimize_mode=mode, cancel=cancel)
+        assert verdict.outcome == HOLDS
+        assert {name for name, _, _ in checked} == {"explore", "minimize",
+                                                     "compose"}
+        assert max(needed for _, _, needed in checked) >= 50  # big enough
+        short = [c for c in checked if c[1] < c[2]]
+        assert not short, (mode, short)
+
+
+_CAPPED_OBSERVATIONAL_CHECK = """
+import resource
+import sys
+
+sys.path.insert(0, sys.argv[1])
+cap = 1200 * 2 ** 20
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard == resource.RLIM_INFINITY or hard > cap:
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from recomp import parse, recomp_verify
+from recomp.corpus import lockserv
+spec = parse(lockserv(4))
+verdict, stats = recomp_verify(spec, spec.property("Mutex"), "S2",
+                               bound=30_000, minimize_mode="observational")
+print(verdict.outcome, stats.max_states, stats.stages[-1].minimized)
+"""
+
+
+def test_observational_minimization_fits_in_1_2_gb():
+    """lockserv(4) `Mutex` under S2 hides most labels of its one 8,192-state
+    group.  Its observational check runs in a process that caps its own
+    address space at 1.2 GB, as `tests/fingerprint.py` does; saturating
+    the weak transition relation raised `MemoryError` there."""
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_OBSERVATIONAL_CHECK,
+                           src], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["holds", "8192", "512"]
 
 
 def test_monolithic_ignores_reduction():

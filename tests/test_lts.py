@@ -5,9 +5,9 @@ import random
 import pytest
 
 from lts_oracle import (bisimilar, lts_from_edges, shortest_pi_trace,
-                        trace_set, traces_equal)
+                        tau_closures, trace_set, traces_equal, weak_minimize)
 from recomp.lts import (StateBoundExceeded, compose, explore, hide_labels,
-                        minimize, pi_reachable, pi_trace)
+                        is_tau, minimize, pi_reachable, pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -196,6 +196,66 @@ def test_observational_minimize_collapses_internal_steps():
     assert m.n_states == 2
     # strong minimization cannot merge them
     assert minimize(l, "strong").n_states == 3
+
+
+def _weak_draw(rng):
+    """A small LTS for observational minimization, built by hand: an
+    explicit tau label in some alphabets, several initial states, and pi
+    (in some draws) anywhere, absorbing, without edges, or with edges
+    out of it that can put it on a tau cycle.  Returns it with the set
+    of labels to hide: none, all, or a random subset."""
+    n = rng.randrange(1, 10)
+    alphabet = LABELS[:rng.randrange(1, len(LABELS) + 1)]
+    if rng.random() < 0.25:
+        alphabet = alphabet + [("τ", -1)]
+    pi = rng.choice([None, rng.randrange(n)])
+    pi_kind = rng.choice(["absorbing", "bare", "free", "free"])
+    edges = []
+    for s in range(n):
+        if s == pi and pi_kind == "absorbing":
+            edges.extend((s, lab, s) for lab in range(len(alphabet)))
+            continue
+        if s == pi and pi_kind == "bare":
+            continue
+        for _ in range(rng.randrange(5)):
+            # bias towards backward edges, which close tau cycles
+            t = rng.randrange(s + 1) if rng.random() < 0.6 else rng.randrange(n)
+            edges.append((s, rng.randrange(len(alphabet)), t))
+    rng.shuffle(edges)
+    initials = sorted(rng.sample(range(n), rng.randrange(1, min(n, 3) + 1)))
+    named = [lab for lab in alphabet if not is_tau(lab)]
+    hide = rng.choice([set(), set(named),
+                       set(rng.sample(named, rng.randrange(len(named) + 1)))])
+    return lts_from_edges(n, alphabet, edges, initials, pi), hide
+
+
+def _layout(l):
+    """Every array of an LTS, with each tau label's counter dropped."""
+    alphabet = tuple(("τ",) if is_tau(lab) else lab for lab in l.alphabet)
+    return (l.n_states, alphabet, list(l.offsets), list(l.labels),
+            list(l.dsts), l.initials, l.pi)
+
+
+def test_observational_minimize_matches_the_saturating_oracle():
+    # the tau-SCC refinement gives the quotient that signatures over the
+    # saturated weak relation give, array for array
+    rng = random.Random(18)
+    draws = 2500
+    cycles = pi_on_cycle = hide_all = hide_none = 0
+    for _ in range(draws):
+        l, hide = _weak_draw(rng)
+        assert _layout(minimize(l, "observational", hide=hide)) == \
+            _layout(weak_minimize(l, hide))
+        closures = tau_closures(hide_labels(l, hide))
+        on_cycle = {s for s in range(l.n_states)
+                    if any(s in closures[u] for u in closures[s] if u != s)}
+        cycles += bool(on_cycle)
+        pi_on_cycle += l.pi in on_cycle
+        named = {lab for lab in l.alphabet if not is_tau(lab)}
+        hide_all += bool(named) and hide == named
+        hide_none += not hide
+    assert cycles >= draws // 6  # a fifth of the draws, with this seed
+    assert min(pi_on_cycle, hide_all, hide_none) >= 50
 
 
 def test_observational_keeps_pi_separate():
