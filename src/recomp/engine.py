@@ -152,7 +152,7 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
     d_p, groups = build_groups(f, comps)
     verdict, stats = comp_verify(d_p, groups, prop, bound=bound,
                                  minimize_mode=minimize_mode, cancel=cancel)
-    return verdict, replace(stats, strategy=strategy.label(), n=n, m=f.m)
+    return verdict, replace(stats, strategy=strategy.kind, n=n, m=f.m)
 
 
 def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
@@ -255,7 +255,7 @@ class _Pool:
                     result = self._result(w)
                     if result is None:
                         reason = "%s exited with code %s" % (
-                            strat.label(), w.process.exitcode)
+                            strat.kind, w.process.exitcode)
                         verdict = Verdict(INCONCLUSIVE, reason=reason)
                         stats = _empty_stats()
                     else:
@@ -411,7 +411,7 @@ def _pool_worker(conn, finished, inherited):
                 cancel=_RaceCancel(finished, race), reduce=reduce)
         except Exception as exc:  # report, don't wedge the coordinator
             verdict = Verdict(INCONCLUSIVE, reason="error: %s" % exc)
-            stats = replace(_empty_stats(), strategy=strategy.label())
+            stats = replace(_empty_stats(), strategy=strategy.kind)
         conn.send((race, verdict, stats))
 
 

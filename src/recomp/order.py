@@ -92,9 +92,6 @@ class Strategy:
     kind: str  # S1..S4 or "custom"
     custom: Optional[RecompositionMap] = None
 
-    def label(self):
-        return self.kind if self.kind != "custom" else "custom"
-
 
 def make_strategy(kind, n):
     """Recomposition map over n components already in total order.

@@ -1,5 +1,5 @@
-"""Syntactic parallel composition of specs, recomposition maps, group
-construction, and static reduction.
+"""Recomposition maps, static reduction, and group construction by
+merging slices of one spec (`compose_specs`).
 
 A recomposition map assigns each component (1-based index) to either the
 property group "P" or a numbered group 1..m; it must be surjective and
@@ -18,89 +18,56 @@ from .syntax import SpecError
 P = "P"
 
 
-def unit_spec():
-    """Identity of spec composition: no variables, no actions."""
-    return sx.SpecAst(name="Unit", constants=(), variables=(), init=(),
-                      actions=(), next_var=None, next_domain=None)
+def compose_specs(parts):
+    """Merge slices of one spec, such as components of one decomposition.
 
-
-def is_unit(s):
-    return not s.variables and not s.actions
-
-
-def _merge_configs(s, t):
-    merged = dict(s.config)
-    for name, val in t.config:
-        if name in merged and merged[name] != val:
-            raise SpecError("constant %s bound to different values" % name)
-        merged[name] = val
-    return tuple(sorted(merged.items()))
-
-
-def _rename_body(conjuncts, old, new):
-    if old == new:
-        return tuple(conjuncts)
-    for c in conjuncts:
-        if new in sx.free_idents(c):
-            raise SpecError("parameter rename %s -> %s would capture" % (old, new))
-    return tuple(sx.rename_ident(c, old, new) for c in conjuncts)
-
-
-def compose_specs(s, t):
-    """Syntactic parallel composition of two variable-disjoint specs.
-
-    Shared actions conjoin their bodies (parameters unified); an action
-    present on one side only is framed over the other side's variables.
+    One part is returned as it is.  Otherwise variables and Init are
+    concatenated, and actions come in order of first appearance.  An
+    action's body is the conjuncts of the parts that have it, in part
+    order, plus one UNCHANGED over the variables of the parts that lack
+    it.  Parts that cannot be slices of one spec raise SpecError.
     """
-    if is_unit(t):
-        return s
-    if is_unit(s):
-        return t
-    overlap = set(s.variables) & set(t.variables)
-    if overlap:
-        raise SpecError("cannot compose: shared variables %s"
-                        % ", ".join(sorted(overlap)))
-    if s.actions and t.actions and s.next_domain != t.next_domain:
+    if len(parts) == 1:
+        return parts[0]
+    variables = tuple(v for p in parts for v in p.variables)
+    shared = sorted({v for v in variables if variables.count(v) > 1})
+    if shared:
+        raise SpecError("cannot compose: %s in two parts" % ", ".join(shared))
+    if len({p.config for p in parts}) > 1:
+        raise SpecError("cannot compose: constant bindings differ")
+    if len({p.next_domain for p in parts if p.actions}) > 1:
         raise SpecError("cannot compose: action parameter domains differ")
-    s_actions = {a.name: a for a in s.actions}
-    t_actions = {a.name: a for a in t.actions}
+    params, bodies = {}, {}
+    for a in [a for p in parts for a in p.actions]:
+        if params.setdefault(a.name, a.param) != a.param:
+            raise SpecError("cannot compose: %s has parameters %s and %s"
+                            % (a.name, params[a.name], a.param))
+        bodies[a.name] = bodies.get(a.name, ()) + a.conjuncts
+    alphas = alphabets(parts)
     actions = []
-    for a in s.actions:
-        other = t_actions.get(a.name)
-        if other is not None:
-            body = a.conjuncts + _rename_body(other.conjuncts, other.param,
-                                              a.param)
-        else:
-            body = a.conjuncts + (sx.Unchanged(t.variables),)
-        actions.append(sx.ActionDef(a.name, a.param, body))
-    for a in t.actions:
-        if a.name not in s_actions:
-            actions.append(sx.ActionDef(a.name, a.param,
-                                        a.conjuncts + (sx.Unchanged(s.variables),)))
-    props = {p.name: p for p in s.properties}
-    for p in t.properties:
-        if p.name in props and props[p.name].body != p.body:
-            raise SpecError("property %s defined differently on both sides"
-                            % p.name)
-        props[p.name] = p
+    for name, body in bodies.items():
+        frame = tuple(v for p, alpha in zip(parts, alphas)
+                      if name not in alpha for v in p.variables)
+        if frame:
+            body += (sx.Unchanged(frame),)
+        actions.append(sx.ActionDef(name, params[name], body))
+    props = {}
+    for prop in [q for p in parts for q in p.properties]:
+        if props.setdefault(prop.name, prop).body != prop.body:
+            raise SpecError("cannot compose: property %s has two bodies"
+                            % prop.name)
+    first = next((p for p in parts if p.actions), parts[0])
     return sx.SpecAst(
-        name="%s_%s" % (s.name, t.name),
-        constants=tuple(sorted(set(s.constants) | set(t.constants))),
-        variables=s.variables + t.variables,
-        init=s.init + t.init,
+        name="_".join(p.name for p in parts),
+        constants=tuple(sorted({c for p in parts for c in p.constants})),
+        variables=variables,
+        init=tuple(c for p in parts for c in p.init),
         actions=tuple(actions),
-        next_var=s.next_var if s.next_var is not None else t.next_var,
-        next_domain=s.next_domain if s.next_domain is not None else t.next_domain,
+        next_var=first.next_var,
+        next_domain=first.next_domain,
         properties=tuple(props[k] for k in sorted(props)),
-        config=_merge_configs(s, t),
+        config=parts[0].config,
     )
-
-
-def compose_all(specs):
-    out = unit_spec()
-    for s in specs:
-        out = compose_specs(out, s)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -194,14 +161,13 @@ def static_reduce(f, components):
 
 
 def build_groups(f, components):
-    """Fold the map's preimages into (property group, ordered groups)."""
+    """The map's preimages merged into (property group, ordered groups)."""
     f.validate()
     by_group = {}
     for j, g in f.assignment:
         by_group.setdefault(g, []).append(components[j - 1])
-    d_p = compose_all(by_group[P])
-    groups = [compose_all(by_group[g]) for g in range(1, f.m + 1)]
-    return d_p, groups
+    return (compose_specs(by_group[P]),
+            [compose_specs(by_group[g]) for g in range(1, f.m + 1)])
 
 
 # --------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def render_text(verdict, stats, winner=None):
         for lab in verdict.witness:
             out.append("  %s" % (lab if isinstance(lab, str) else fmt_label(lab)))
     if winner is not None:
-        out.append("winning strategy: %s" % winner.label())
+        out.append("winning strategy: %s" % winner.kind)
     elif stats.strategy:
         out.append("strategy: %s" % stats.strategy)
     out.append("components (n): %d   groups (m): %d   composed (k): %d"

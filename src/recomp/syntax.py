@@ -13,7 +13,7 @@ immutable, hashable and safe to share across worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -287,30 +287,6 @@ def count_occurrences(spec, v):
         for c in a.conjuncts:
             total += count_in(c)
     return total
-
-
-def rename_ident(e, old, new):
-    """Substitute a free identifier; stops at shadowing binders."""
-    if isinstance(e, Name):
-        return Name(new) if e.id == old else e
-    if isinstance(e, Prime):
-        return Prime(new) if e.id == old else e
-    if isinstance(e, Unchanged):
-        return Unchanged(tuple(new if n == old else n for n in e.names))
-    if isinstance(e, (FuncLit, Forall, Exists)):
-        dom = rename_ident(e.domain, old, new)
-        body = e.body if e.var == old else rename_ident(e.body, old, new)
-        return replace(e, domain=dom, body=body)
-    if isinstance(e, RecordLit):
-        return RecordLit(tuple((f, rename_ident(v, old, new)) for f, v in e.fields))
-    kwargs = {}
-    for f in e.__dataclass_fields__:
-        v = getattr(e, f)
-        if isinstance(v, Expr):
-            kwargs[f] = rename_ident(v, old, new)
-        elif isinstance(v, tuple) and any(isinstance(x, Expr) for x in v):
-            kwargs[f] = tuple(rename_ident(x, old, new) for x in v)
-    return replace(e, **kwargs) if kwargs else e
 
 
 # --------------------------------------------------------------------------

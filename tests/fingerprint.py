@@ -9,6 +9,9 @@ and 4) and every property, with bound 30,000:
 - `to_lts` and `err_lts`: state, edge and pi figures and a digest of the
   LTS arrays (alphabet, offsets, labels, targets, initial states);
 - `err_reach`: verdict, state count and witness;
+- the groups `recomp_verify` builds under S1-S3 after static reduction:
+  each group's name, action order and a digest of its LTS (`err_lts`
+  for the property group, `to_lts` for the others);
 - `recomp_verify` under S1-S4, each with strong and observational
   minimization: verdict, reason, witness, n, m, k, stages, `max_states`.
 
@@ -25,14 +28,33 @@ import sys
 BOUND = 30_000
 ADDRESS_SPACE = 1200 * 2 ** 20
 STRATEGIES = ("S1", "S2", "S3", "S4")
+GROUPED = ("S1", "S2", "S3")
 MODES = ("strong", "observational")
 
 
-def _lts_row(l):
+def _digest(l):
     arrays = repr((l.alphabet, l.offsets, l.labels, l.dsts, l.initials))
-    digest = hashlib.sha256(arrays.encode()).hexdigest()[:16]
+    return hashlib.sha256(arrays.encode()).hexdigest()[:16]
+
+
+def _lts_row(l):
     return "states=%d edges=%d pi=%r %s" % (l.n_states, l.n_edges, l.pi,
-                                            digest)
+                                            _digest(l))
+
+
+def _groups_row(spec, prop, kind):
+    from recomp import (decompose, err_lts, make_strategy, static_reduce,
+                        to_lts, total_order)
+    from recomp.recompose import build_groups
+
+    comps = decompose(spec, prop)
+    comps = [comps[i - 1] for i in total_order(comps, spec)]
+    f = static_reduce(make_strategy(kind, len(comps)), comps)
+    d_p, groups = build_groups(f, comps)
+    lts = [err_lts(d_p, prop, BOUND)] + [to_lts(g, BOUND) for g in groups]
+    return " ; ".join("%s[%s] %s" % (g.name, ",".join(a.name for a in
+                                                      g.actions), _digest(l))
+                      for g, l in zip([d_p] + groups, lts))
 
 
 def _verify_row(verdict, stats):
@@ -70,6 +92,9 @@ def main(argv):
                      lambda: _lts_row(err_lts(spec, prop, BOUND)))
                 _row(case_p + " err_reach",
                      lambda: err_reach(spec, prop, BOUND))
+                for s in GROUPED:
+                    _row("%s %s groups" % (case_p, s),
+                         lambda: _groups_row(spec, prop, s))
                 for s in STRATEGIES:
                     for mode in MODES:
                         _row("%s %s %s" % (case_p, s, mode),

@@ -20,9 +20,9 @@ from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
                            run_portfolio)
 from recomp.lts import StateBoundExceeded, compose, is_tau
-from recomp.order import Strategy, dataflow_from_alphabets
-from recomp.recompose import (P, compose_all, compose_specs, make_map,
-                              necessary_components)
+from recomp.order import Strategy, dataflow_from_alphabets, make_strategy
+from recomp.recompose import (P, build_groups, compose_specs, make_map,
+                              necessary_components, static_reduce)
 from recomp.semantics import to_lts
 
 
@@ -84,7 +84,7 @@ def test_verdicts_match_the_oracle(spec, prop, mode):
                    for _ in range(3)]
     for strat in strategies:
         verdict, _ = recomp_verify(spec, prop, strat, minimize_mode=mode)
-        assert verdict.outcome == expected, strat.label()
+        assert verdict.outcome == expected, strat.kind
         if verdict.outcome == VIOLATED and mode == "strong":
             # and the counterexample must replay on the real system
             # (observational ones may not yet: see the next test)
@@ -140,13 +140,15 @@ def test_composition_agrees_on_random_spec_pairs():
     while checked < 50:
         s = _rand_small_spec(rng, "S", "x", domain)
         t = _rand_small_spec(rng, "T", "y", domain)
-        syntactic = to_lts(compose_specs(s, t))
+        syntactic = to_lts(compose_specs([s, t]))
         algebraic = compose(to_lts(s), to_lts(t))
         assert traces_equal(syntactic, algebraic, 8)
         checked += 1
 
 
-def _decomposition_pairs():
+def _decomposition_groups():
+    """(group, its parts): the left-fold pairs of each decomposition,
+    and every group of two or more parts that S1-S3 build."""
     out = []
     for name, gen in sorted(ALL.items()):
         spec = parse(gen())
@@ -154,22 +156,34 @@ def _decomposition_pairs():
             comps = decompose(spec, prop)
             acc = comps[0]
             for nxt in comps[1:]:
-                out.append(pytest.param(acc, nxt,
-                                        id="%s-%s-%s" % (name, prop.name,
-                                                         nxt.name)))
-                acc = compose_specs(acc, nxt)
+                parts = [acc, nxt]
+                acc = compose_specs(parts)
+                out.append(pytest.param(acc, parts, id="%s-%s-%s" % (
+                    name, prop.name, nxt.name)))
+            comps = _ordered_components(spec, prop)
+            for kind in ("S1", "S2", "S3"):
+                f = static_reduce(make_strategy(kind, len(comps)), comps)
+                d_p, groups = build_groups(f, comps)
+                for g, group in zip([P] + list(range(1, f.m + 1)),
+                                    [d_p] + groups):
+                    parts = [comps[j - 1] for j, h in f.assignment if h == g]
+                    if len(parts) > 1:
+                        out.append(pytest.param(group, parts, id="%s-%s-%s-%s"
+                                                % (name, prop.name, kind, g)))
     return out
 
 
-@pytest.mark.parametrize("left,right", _decomposition_pairs())
-def test_composition_agrees_on_corpus_decompositions(left, right):
+@pytest.mark.parametrize("group,parts", _decomposition_groups())
+def test_composition_agrees_on_corpus_decompositions(group, parts):
     try:
-        a = to_lts(left, bound=50_000)
-        b = to_lts(right, bound=50_000)
-        syntactic = to_lts(compose_specs(left, right), bound=200_000)
+        lts = [to_lts(p, bound=50_000) for p in parts]
+        syntactic = to_lts(group, bound=200_000)
     except StateBoundExceeded:
         pytest.skip("component has no finite state graph at this bound")
-    assert traces_equal(syntactic, compose(a, b), 8)
+    algebraic = lts[0]
+    for l in lts[1:]:
+        algebraic = compose(algebraic, l)
+    assert traces_equal(syntactic, algebraic, 8)
 
 
 # ==========================================================================
@@ -181,7 +195,7 @@ def test_decomposition_contract(name):
     spec = parse(ALL[name]())
     for prop in spec.properties:
         comps = decompose(spec, prop)
-        recomposed = replace(normalize(compose_all(comps)), name="")
+        recomposed = replace(normalize(compose_specs(comps)), name="")
         assert recomposed == replace(normalize(spec), name="")
         assert sx.free_vars(spec, prop.body) <= set(comps[0].variables)
 

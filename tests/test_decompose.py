@@ -8,7 +8,7 @@ from recomp import syntax as sx
 from recomp.corpus import (ALL, env_component, rm_component, tm1_component,
                            tm2_component, twophase, twophase_prepare)
 from recomp.decompose import decompose_steps, partition, slice_spec
-from recomp.recompose import compose_all
+from recomp.recompose import compose_specs
 from recomp.syntax import SpecError
 
 
@@ -30,7 +30,7 @@ def _structurally(spec):
 @pytest.mark.parametrize("spec,prop", _cases())
 def test_recomposing_all_components_restores_the_spec(spec, prop):
     comps = decompose(spec, prop)
-    assert _structurally(compose_all(comps)) == _structurally(spec)
+    assert _structurally(compose_specs(comps)) == _structurally(spec)
 
 
 @pytest.mark.parametrize("spec,prop", _cases())
@@ -55,7 +55,7 @@ def test_step_invariant_spec_equals_components_plus_remainder(tp3):
     for comp, rest in decompose_steps(tp3, prop):
         done.append(comp)
         parts = done + ([rest] if rest is not None else [])
-        assert _structurally(compose_all(parts)) == _structurally(tp3)
+        assert _structurally(compose_specs(parts)) == _structurally(tp3)
 
 
 def test_twophase_splits_into_single_variable_components(tp3):

@@ -282,7 +282,7 @@ def test_portfolio_returns_first_conclusive(tp):
         tp, tp.property("Consistent"), ["S1", "S2", "S3", "S4"], workers=4)
     assert verdict.outcome == HOLDS
     assert winner is not None
-    assert stats.strategy == winner.label()
+    assert stats.strategy == winner.kind
 
 
 def test_portfolio_with_single_bounded_strategy_is_inconclusive():

@@ -4,6 +4,7 @@ import pytest
 
 from recomp import parse, decompose, total_order
 from recomp.corpus import twophase
+from recomp.engine import recomp_verify
 from recomp.order import (KINDS, Strategy, data_flow_order,
                           dataflow_from_alphabets, make_strategy)
 from recomp.recompose import P
@@ -97,5 +98,11 @@ def test_unknown_strategy_kind_rejected():
 
 
 def test_strategy_labels():
-    assert Strategy("S2").label() == "S2"
-    assert Strategy("custom", custom=make_strategy("S2", 3)).label() == "custom"
+    # the stats of a check name its strategy by kind, "custom" for a map
+    spec = parse(twophase(2))
+    prop = spec.property("Consistent")
+    n = len(decompose(spec, prop))
+    for strategy in (Strategy("S2"),
+                     Strategy("custom", custom=make_strategy("S2", n))):
+        _, stats = recomp_verify(spec, prop, strategy)
+        assert stats.strategy == strategy.kind

@@ -1,12 +1,13 @@
+from itertools import combinations, permutations
+
 import pytest
 
 from recomp import parse, decompose, total_order
 from recomp import syntax as sx
 from recomp.corpus import tpcounter, twophase
-from recomp.recompose import (P, RecompositionMap, build_groups, compose_all,
+from recomp.recompose import (P, RecompositionMap, build_groups,
                               compose_specs, make_map, necessary_components,
-                              parse_map_file, render_map, static_reduce,
-                              unit_spec)
+                              parse_map_file, render_map, static_reduce)
 from recomp.syntax import SpecError
 
 
@@ -23,15 +24,47 @@ def tp_comps():
     return _ordered(spec, "Consistent")
 
 
-def test_unit_is_identity_of_spec_composition(tp_comps):
+def test_one_part_is_returned_as_it_is(tp_comps):
     c = tp_comps[0]
-    assert compose_specs(unit_spec(), c) == c
-    assert compose_specs(c, unit_spec()) == c
+    assert compose_specs([c]) is c
+
+
+def _blocks(comps):
+    """Every block of every set partition of comps (that is, every
+    nonempty subset), in every order."""
+    for size in range(1, len(comps) + 1):
+        for subset in combinations(comps, size):
+            yield from permutations(subset)
+
+
+def test_group_layout_follows_its_parts(tp_comps):
+    checked = 0
+    for parts in _blocks(tp_comps):
+        group = compose_specs(list(parts))
+        first_seen = []
+        for p in parts:
+            first_seen += [a.name for a in p.actions
+                           if a.name not in first_seen]
+        assert [a.name for a in group.actions] == first_seen
+        for a in group.actions:
+            having = [next((b for b in p.actions if b.name == a.name), None)
+                      for p in parts]
+            own = tuple(c for b in having if b is not None
+                        for c in b.conjuncts)
+            lacking = tuple(v for p, b in zip(parts, having) if b is None
+                            for v in p.variables)
+            # the parts' conjuncts in part order, non-frame and own frames
+            assert a.conjuncts[:len(own)] == own
+            # then one frame over exactly the parts without the action
+            assert a.conjuncts[len(own):] == (
+                (sx.Unchanged(lacking),) if lacking else ())
+        checked += 1
+    assert checked == 64  # 4 + 12 + 24 + 24 ordered blocks of 4 components
 
 
 def test_shared_actions_conjoin_their_bodies(tp_comps):
     rm, env = tp_comps[0], tp_comps[1]
-    both = compose_specs(rm, env)
+    both = compose_specs([rm, env])
     shared = {a.name for a in rm.actions} & {a.name for a in env.actions}
     assert shared  # SndPrepare at least
     for a in both.actions:
@@ -43,7 +76,7 @@ def test_shared_actions_conjoin_their_bodies(tp_comps):
 
 def test_one_sided_actions_frame_the_other_component(tp_comps):
     rm, env = tp_comps[0], tp_comps[1]
-    both = compose_specs(rm, env)
+    both = compose_specs([rm, env])
     only_rm = {a.name for a in rm.actions} - {a.name for a in env.actions}
     for a in both.actions:
         if a.name in only_rm:
@@ -51,23 +84,28 @@ def test_one_sided_actions_frame_the_other_component(tp_comps):
             assert any(set(f.names) >= set(env.variables) for f in frames)
 
 
-def test_composition_parameter_renaming_unifies_arguments():
-    a = parse("MODULE A\n\nVARIABLES x\n\nINIT\n  /\\ x = 0\n\n"
-              "ACTION Go(p)\n  /\\ x' = 1\n\n"
-              "NEXT \\E p \\in {\"v\"} :\n  \\/ Go(p)\n")
-    b = parse("MODULE B\n\nVARIABLES y\n\nINIT\n  /\\ y = 0\n\n"
-              "ACTION Go(q)\n  /\\ y' = q\n\n"
-              "NEXT \\E q \\in {\"v\"} :\n  \\/ Go(q)\n")
-    both = compose_specs(a, b)
-    (go,) = both.actions
-    assert go.param == "p"
-    # b's body now refers to p, not q
-    assert "q" not in sx.free_idents(sx.And(go.conjuncts))
+def _go_spec(module, var, param, domain='{"v"}'):
+    return parse("MODULE %s\n\nVARIABLES %s\n\nINIT\n  /\\ %s = 0\n\n"
+                 "ACTION Go(%s)\n  /\\ %s' = 1\n\n"
+                 "NEXT \\E %s \\in %s :\n  \\/ Go(%s)\n"
+                 % (module, var, var, param, var, param, domain, param))
+
+
+def test_composition_rejects_two_parameter_names():
+    # slices of one spec share each action's parameter; nothing is renamed
+    with pytest.raises(SpecError, match="parameters p and q"):
+        compose_specs([_go_spec("A", "x", "p"), _go_spec("B", "y", "q")])
+
+
+def test_composition_rejects_different_next_domains():
+    with pytest.raises(SpecError, match="domains differ"):
+        compose_specs([_go_spec("A", "x", "p"),
+                       _go_spec("B", "y", "p", '{"w"}')])
 
 
 def test_composition_rejects_shared_variables(tp_comps):
     with pytest.raises(SpecError):
-        compose_specs(tp_comps[0], tp_comps[0])
+        compose_specs([tp_comps[0], tp_comps[0]])
 
 
 def test_composition_rejects_conflicting_properties():
@@ -76,7 +114,7 @@ def test_composition_rejects_conflicting_properties():
     b = parse("MODULE B\n\nVARIABLES y\n\nINIT\n  /\\ y = 0\n\n"
               "PROPERTY Inv\n  y = 1\n")
     with pytest.raises(SpecError):
-        compose_specs(a, b)
+        compose_specs([a, b])
 
 
 def test_composition_rejects_conflicting_constants():
@@ -85,7 +123,7 @@ def test_composition_rejects_conflicting_constants():
     b = parse("MODULE B\n\nCONSTANTS K\n\nVARIABLES y\n\nCONFIG\n  K = {2}\n\n"
               "INIT\n  /\\ y = 0\n")
     with pytest.raises(SpecError):
-        compose_specs(a, b)
+        compose_specs([a, b])
 
 
 # --------------------------------------------------------------------------
