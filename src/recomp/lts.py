@@ -197,8 +197,10 @@ def compose(a, b, bound=None, cancel=None):
     into a single absorbing pi, the last state.
 
     a's rows (the running composite's, in the engine) are read as stored;
-    b's (the minimized group's) are split once into shared-label targets
-    and interleaved edges.
+    a row of b (the minimized group) is split into shared-label targets
+    and interleaved edges when the search first reaches its state, and
+    kept.  `cancel` is polled once per `_POLL_EVERY` edges split, on top
+    of the polls of the search.
     """
     if a.pi is not None and b.pi is not None:
         raise ValueError("at most one composition operand may carry pi")
@@ -213,20 +215,31 @@ def compose(a, b, bound=None, cancel=None):
     a_sync = [lab in shared for lab in a.alphabet]
     b_union = [uidx[lab] for lab in b.alphabet]
     b_sync = [lab in shared for lab in b.alphabet]
-    b_shared = [{} for _ in range(b.n_states)]  # union label -> targets
-    b_free = [[] for _ in range(b.n_states)]  # (union label, target)
-    for y, row in _rows(b, cancel):
-        row_shared, row_free = b_shared[y], b_free[y]
-        for lab, t in row:
+    b_offsets, b_labels, b_dsts = b.offsets, b.labels, b.dsts
+    b_rows = [None] * b.n_states  # (union label -> targets, free edges)
+    split_edges = 0
+    next_poll = _POLL_EVERY
+
+    def split(y):
+        nonlocal split_edges, next_poll
+        lo, hi = b_offsets[y], b_offsets[y + 1]
+        split_edges += hi - lo
+        if split_edges >= next_poll:
+            _check_cancel(cancel)
+            next_poll += _POLL_EVERY
+        row_shared, row_free = {}, []
+        for lab, t in zip(b_labels[lo:hi], b_dsts[lo:hi]):
             ul = b_union[lab]
             if b_sync[lab]:
                 row_shared.setdefault(ul, []).append(t)
             else:
                 row_free.append((ul, t))
+        b_rows[y] = row_shared, row_free
+        return b_rows[y]
 
     def successors(key):
         x, y = key
-        row_shared = b_shared[y]
+        row_shared, row_free = b_rows[y] or split(y)
         for lab, t in a.out(x):
             ul = a_union[lab]
             if a_sync[lab]:
@@ -234,7 +247,7 @@ def compose(a, b, bound=None, cancel=None):
                     yield ul, (t, t2)
             else:
                 yield ul, (t, y)
-        for ul, t2 in b_free[y]:
+        for ul, t2 in row_free:
             yield ul, (x, t2)
 
     a_pi = a.pi

@@ -51,6 +51,14 @@ DEFAULT_BOUND = 10_000_000
 # cannot fail, whereas union, application, EXCEPT, `+` and function
 # literals can raise EvalError and so must run only where, and when, the
 # spec evaluates them (after the guards before them hold).
+#
+# Application and EXCEPT at the action parameter pass its position j in
+# `_dom` along: `_apply_at(f, _d, j)` and `_except_at(f, _d, j, v)`.  A
+# function over the Next domain has `_d`'s pair at position j of its
+# sorted graph, so the helper finds it with one comparison; for any other
+# function, a tuple or a key outside the domain, the comparison fails and
+# the helper scans as `_apply`/`_except` do, with the same results and
+# errors.
 
 _BOOLEAN = (sx.Eq, sx.In, sx.Not, sx.And, sx.Or, sx.Implies, sx.Forall,
             sx.Exists)
@@ -96,14 +104,23 @@ class _Codegen:
             return ("_mk_fun([(b_%s, %s) for b_%s in _elems(%s)])"
                     % (e.var, body, e.var, go(e.domain)))
         if isinstance(e, sx.Apply):
+            if self._is_param(e.arg, bound):
+                return "_apply_at(%s, %s, j)" % (go(e.fn), _PARAM)
             return "_apply(%s, %s)" % (go(e.fn), go(e.arg))
         if isinstance(e, sx.Except):
+            if self._is_param(e.key, bound):
+                return "_except_at(%s, %s, j, %s)" % (go(e.fn), _PARAM,
+                                                     go(e.value))
             return "_except(%s, %s, %s)" % (go(e.fn), go(e.key), go(e.value))
         if isinstance(e, sx.Union):
             return "_union(%s, %s)" % (go(e.left), go(e.right))
         if isinstance(e, sx.Add):
             return "_add(%s, %s)" % (go(e.left), go(e.right))
         raise EvalError("cannot compile %r" % (e,))
+
+    @staticmethod
+    def _is_param(e, bound):
+        return isinstance(e, sx.Name) and bound.get(e.id) == _PARAM
 
     def _leaves(self, e, bound):
         """For a tree of constructors, "const" when its leaves are literals
@@ -230,6 +247,7 @@ class _Codegen:
             "_mk_set": va.mk_set, "_mk_rec": va.mk_rec, "_mk_fun": va.mk_fun,
             "_is_true": va.is_true, "_elems": va.set_elems,
             "_apply": va.apply_value, "_except": va.except_value,
+            "_apply_at": va.apply_at, "_except_at": va.except_at,
             "_union": va.set_union, "_add": va.add_values,
             "_B_TRUE": va.TRUE, "_B_FALSE": va.FALSE,
         }
@@ -262,11 +280,6 @@ def eval_const(e, consts):
     """Value of an expression closed over `consts` (name -> value pairs)."""
     cg = _Codegen(consts)
     return cg.build("def val():\n    return %s\n" % cg.expr(e, {}))["val"]()
-
-
-def init_states(spec):
-    """The (at most one, by the `v = e` Init discipline) initial states."""
-    return _init_and_domain(spec)[0]
 
 
 def _init_and_domain(spec):

@@ -289,53 +289,6 @@ def count_occurrences(spec, v):
     return total
 
 
-# --------------------------------------------------------------------------
-# Normal form
-
-
-def _sort_key(e):
-    return repr(e)
-
-
-def normalize_action(a):
-    guards, updates, frame_vars = [], [], []
-    for c in a.conjuncts:
-        kind = classify_conjunct(c)
-        if kind == "guard":
-            guards.append(c)
-        elif kind == "update":
-            updates.append(c)
-        else:
-            frame_vars.extend(c.names)
-    guards = sorted(set(guards), key=_sort_key)
-    updates = sorted(set(updates), key=lambda c: (c.left.id, _sort_key(c)))
-    body = tuple(guards) + tuple(updates)
-    if frame_vars:
-        body += (Unchanged(tuple(sorted(set(frame_vars)))),)
-    return ActionDef(a.name, a.param, body)
-
-
-def normalize(spec):
-    """Canonical form: sorted declarations, deduplicated and ordered
-    conjuncts (guards, then updates, then one merged frame), actions
-    sorted by name.  Idempotent; composition-and-slicing round trips are
-    checked as structural equality of normal forms."""
-    actions = tuple(sorted((normalize_action(a) for a in spec.actions),
-                           key=lambda a: a.name))
-    init = tuple(sorted(set(spec.init), key=_sort_key))
-    return SpecAst(
-        name=spec.name,
-        constants=tuple(sorted(spec.constants)),
-        variables=tuple(sorted(spec.variables)),
-        init=init,
-        actions=actions,
-        next_var=spec.next_var,
-        next_domain=spec.next_domain,
-        properties=tuple(sorted(spec.properties, key=lambda p: p.name)),
-        config=tuple(sorted(spec.config)),
-    )
-
-
 def validate(spec):
     """Check the structural invariants of a well-formed specification."""
     declared = set(spec.constants) | set(spec.variables)

@@ -7,6 +7,13 @@ comparison (the tag disambiguates across kinds).  Collections are kept in
 canonical sorted form at construction time, which makes equality and
 hashing structural for free.
 
+A function's graph holds one pair per key, sorted by key, so a function
+over a sorted domain keeps the pair of the domain's j-th element at
+position j.  `apply_at` and `except_at` take such a position as a hint:
+they read pair j, use it if its key is the argument, and otherwise fall
+back to the scan of `apply_value` and `except_value`.  A singleton union
+finds its element's place by bisection.
+
 Tags:
   "bool"  payload bool
   "int"   payload int
@@ -19,6 +26,7 @@ Tags:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 
 TRUE = ("bool", True)
 FALSE = ("bool", False)
@@ -53,7 +61,14 @@ def set_elems(v):
 
 
 def set_union(a, b):
-    return ("set", tuple(sorted(set(set_elems(a)) | set(set_elems(b)))))
+    """a \\union b; a itself when b is a singleton already in a."""
+    xs, ys = set_elems(a), set_elems(b)
+    if len(ys) == 1:
+        i = bisect_left(xs, ys[0])
+        if i < len(xs) and xs[i] == ys[0]:
+            return a
+        return ("set", xs[:i] + ys + xs[i:])
+    return ("set", tuple(sorted(set(xs) | set(ys))))
 
 
 def apply_value(f, k):
@@ -80,6 +95,22 @@ def except_value(f, k, v):
         if key == k:
             return ("fun", pairs[:i] + ((key, v),) + pairs[i + 1:])
     raise EvalError("EXCEPT key %s outside function domain" % fmt_value(k))
+
+
+def apply_at(f, k, j):
+    """apply_value(f, k), where pair j of f's graph is likely k's."""
+    pairs = f[1]
+    if f[0] == "fun" and j < len(pairs) and pairs[j][0] == k:
+        return pairs[j][1]
+    return apply_value(f, k)
+
+
+def except_at(f, k, j, v):
+    """except_value(f, k, v), where pair j of f's graph is likely k's."""
+    pairs = f[1]
+    if f[0] == "fun" and j < len(pairs) and pairs[j][0] == k:
+        return ("fun", pairs[:j] + ((pairs[j][0], v),) + pairs[j + 1:])
+    return except_value(f, k, v)
 
 
 def add_values(a, b):

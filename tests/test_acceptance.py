@@ -14,7 +14,7 @@ import pytest
 
 import oracle as oc
 from lts_oracle import traces_equal
-from recomp import parse, decompose, normalize, total_order
+from recomp import parse, decompose, total_order
 from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
@@ -24,6 +24,7 @@ from recomp.order import Strategy, dataflow_from_alphabets, make_strategy
 from recomp.recompose import (P, build_groups, compose_specs, make_map,
                               necessary_components, static_reduce)
 from recomp.semantics import to_lts
+from spec_helpers import normalize
 
 
 def _ordered_components(spec, prop):

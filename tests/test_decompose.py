@@ -3,13 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from recomp import parse, decompose, normalize
+from recomp import parse, decompose
 from recomp import syntax as sx
 from recomp.corpus import (ALL, env_component, rm_component, tm1_component,
                            tm2_component, twophase, twophase_prepare)
 from recomp.decompose import decompose_steps, partition, slice_spec
 from recomp.recompose import compose_specs
 from recomp.syntax import SpecError
+from spec_helpers import normalize
 
 
 def _cases():

@@ -146,6 +146,27 @@ def test_compose_respects_bound():
         compose(a, b, bound=2)
 
 
+def test_compose_splits_only_the_group_rows_it_reaches():
+    """The group's state 1 holds 4,096 edges, but only a shared label the
+    other operand never takes leads there, so the product never reaches
+    it: composing reads no row long enough to poll `cancel`, where
+    splitting every row up front would poll four times."""
+    polls = []
+
+    class Counting:
+        def is_set(self):
+            polls.append(1)
+            return False
+
+    a = lts_from_edges(1, [("S", None)], [], [0])
+    b = lts_from_edges(2, [("S", None), ("B", None)],
+                       [(0, 0, 1)] + [(1, 1, 1)] * 4096, [0])
+    for x, y in ((a, b), (b, a)):
+        out = compose(x, y, cancel=Counting())
+        assert (out.n_states, out.n_edges) == (1, 0)
+    assert polls == []
+
+
 def test_two_pi_operands_rejected():
     rng = random.Random(11)
     a = rand_lts(rng, 3, with_pi=True)

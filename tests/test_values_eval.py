@@ -12,8 +12,9 @@ from recomp import parse
 from recomp import syntax as sx
 from recomp import values as va
 from recomp.corpus import consensus, lockserv, twophase
-from recomp.semantics import _compile, eval_const, init_states, to_lts
+from recomp.semantics import _Codegen, _compile, eval_const, to_lts
 from recomp.values import EvalError
+from spec_helpers import init_states
 
 
 def test_set_values_are_canonical():
@@ -42,6 +43,43 @@ def test_function_apply_and_except():
         va.except_value(f, ("int", 6), ("int", 0))
     with pytest.raises(EvalError):
         va.except_value(("tup", (("int", 1),)), ("int", 1), ("int", 0))
+
+
+def test_positional_helpers_read_the_hinted_pair_or_scan():
+    pairs = [(("int", k), ("str", "v%d" % k)) for k in (1, 2, 3)]
+    f = va.mk_fun(pairs)
+    for j in range(5):  # the right position, wrong ones and past the end
+        for k, v in pairs:
+            assert va.apply_at(f, k, j) == v
+            assert va.except_at(f, k, j, ("int", 0)) == \
+                va.except_value(f, k, ("int", 0))
+    t = ("tup", (("str", "p"), ("str", "q")))
+    assert va.apply_at(t, ("int", 2), 0) == ("str", "q")
+    for j in (0, 1, 3):  # a key outside the domain raises as a scan does
+        with pytest.raises(EvalError, match="^argument 4 outside"):
+            va.apply_at(f, ("int", 4), j)
+        with pytest.raises(EvalError, match="^EXCEPT key 4 outside"):
+            va.except_at(f, ("int", 4), j, ("int", 0))
+
+
+def _ints(*ks):
+    return va.mk_set([("int", k) for k in ks])
+
+
+def test_singleton_union_returns_the_operand_or_splices():
+    a = _ints(2, 4, 6)
+    for k in (2, 4, 6):
+        assert va.set_union(a, _ints(k)) is a
+    for k in (1, 3, 5, 7):  # the front, the middle and the end
+        assert va.set_union(a, _ints(k)) == _ints(2, 4, 6, k)
+    assert va.set_union(_ints(), _ints(3)) == _ints(3)
+    assert va.set_union(_ints(3), _ints()) == _ints(3)
+    assert va.set_union(a, _ints(1, 4, 9)) == _ints(1, 2, 4, 6, 9)
+    pair = ("tup", (("int", 1), ("int", 2)))
+    for left, right in ((("int", 1), _ints(1)), (a, ("int", 1)),
+                        (("int", 1), _ints(1, 2)), (a, pair)):
+        with pytest.raises(EvalError):
+            va.set_union(left, right)
 
 
 def test_tuple_apply_is_one_based():
@@ -243,7 +281,10 @@ SMALL_IDS = ["twophase2", "lockserv2", "consensus2"]
 
 @pytest.mark.parametrize("text", SMALL, ids=SMALL_IDS)
 def test_compiled_successors_match_oracle(text):
-    spec = parse(text)
+    _assert_steps_match_oracle(parse(text))
+
+
+def _assert_steps_match_oracle(spec):
     (q0,) = init_states(spec)
     assert _oracle_state(spec, q0) == oc.oracle_init(spec)
     succ = _compiled_reach(spec)
@@ -277,6 +318,68 @@ def test_compiled_predicate_matches_oracle(text):
         for q in states:
             env = {**consts, **dict(_oracle_state(spec, q))}
             assert pred(q) == bool(oc.o_eval(prop.body, env))
+
+
+def _fun_spec(variables, init, guards, updates, domain):
+    return parse(
+        "MODULE M\n\nVARIABLES %s\n\nINIT\n%s\n"
+        "ACTION Step(d)\n%s\n"
+        "NEXT \\E d \\in %s :\n  \\/ Step(d)\n"
+        % (variables, "".join("  /\\ %s\n" % c for c in init),
+           "".join("  /\\ %s\n" % c for c in guards + updates), domain))
+
+
+# Application and EXCEPT at the action parameter where the function's
+# domain is not the Next domain, so that pair j of its graph may hold
+# another key or none, and where the applied value is a tuple.
+POSITIONAL = {
+    "subset": _fun_spec(
+        "f", ['f = [x \\in {"b", "d"} |-> 0]'],
+        ['d \\in {"b", "d"}', "f[d] = 0"], ["f' = [f EXCEPT ![d] = 1]"],
+        '{"a", "b", "c", "d"}'),
+    "superset": _fun_spec(
+        "f", ['f = [x \\in {"a", "b", "c", "d"} |-> 0]'],
+        ["f[d] = 0"], ["f' = [f EXCEPT ![d] = f[d] + 1]"], '{"b", "c"}'),
+    "tuple": _fun_spec(
+        "t, n", ["t = <<5, 6, 7>>", "n = 0"],
+        ["n = 0"], ["n' = t[d]", "UNCHANGED <<t>>"], "{1, 3}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POSITIONAL))
+def test_positional_application_matches_oracle(case):
+    spec = POSITIONAL[case]
+    l = to_lts(spec)
+    seen, edges = oc.oracle_reach(spec)
+    assert (l.n_states, l.n_edges) == (len(seen), len(edges))
+    assert l.n_edges > 0
+    _assert_steps_match_oracle(spec)
+
+
+@pytest.mark.parametrize("update,message", [
+    ("f' = [f EXCEPT ![\"a\"] = f[d]]",
+     'argument "b" outside function domain'),
+    ("f' = [f EXCEPT ![d] = 1]", 'EXCEPT key "b" outside function domain'),
+    ("f' = n[d]", "cannot apply 0"),
+], ids=["apply", "except", "non-function"])
+def test_positional_application_outside_the_domain_raises(update, message):
+    # pair 1 of f's graph holds "c" when d = "b", at position 1
+    spec = _fun_spec("f, n", ['f = [x \\in {"a", "c"} |-> 0]', "n = 0"],
+                     [], [update, "UNCHANGED <<n>>"], '{"a", "b", "c"}')
+    with pytest.raises(EvalError) as got:
+        to_lts(spec)
+    assert str(got.value) == message
+
+
+def test_twophase_applies_and_updates_at_the_parameter_position():
+    spec = parse(twophase(3))
+    src = _Codegen(spec.config, spec.variables,
+                   spec.name).successors_fn(spec.actions)
+    # rmState is q[1]; SndPrepare and SilentAbort read rmState[rm], and
+    # four actions update it at rm
+    assert src.count("_apply_at(q[1], _d, j)") == 2
+    assert src.count("_except_at(q[1], _d, j, ") == 4
+    assert "_apply(" not in src and "_except(" not in src
 
 
 def test_conflicting_init_has_no_states():
