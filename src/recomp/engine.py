@@ -9,12 +9,13 @@ processes and returns the first conclusive answer.  Its worker processes
 are started on first use and persist across `run_portfolio` calls in one
 process; the losers of a race finish cancelling in the background while
 the caller goes on.  The workers are daemonic, so multiprocessing stops
-them when the interpreter exits.
+them when the interpreter exits.  `multiprocessing` itself is imported on
+the pool's first use, so in-process checks never load it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -214,7 +215,7 @@ class _Pool:
             return (Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(),
                     None)
         if self.finished is None:  # the first race since the pool started
-            self.finished = _shared_counter(multiprocessing.get_context(),
+            self.finished = _shared_counter(_multiprocessing().get_context(),
                                             self.races)
         self.races += 1
         race = self.races
@@ -318,7 +319,7 @@ class _Pool:
         """A new idle worker.  The context comes from the
         `multiprocessing` name at each call, so that a stand-in module
         there sees every process started."""
-        ctx = multiprocessing.get_context()
+        ctx = _multiprocessing().get_context()
         conn, child_conn = ctx.Pipe()
         # a forked child closes its copies of the coordinator's ends, so
         # that each worker sees end of file once the coordinator has gone
@@ -351,6 +352,22 @@ class _Pool:
             w.conn.close()
         self.workers = []
         self.finished = None
+
+
+def __getattr__(name):
+    """The engine's `multiprocessing`, imported on first use; from then
+    on, or once a stand-in is set there, it is a plain global."""
+    if name != "multiprocessing":
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    import multiprocessing
+    globals()["multiprocessing"] = multiprocessing
+    return multiprocessing
+
+
+def _multiprocessing():
+    """The engine's `multiprocessing` attribute, read at each use."""
+    return sys.modules[__name__].multiprocessing
 
 
 def _shared_counter(ctx, value):

@@ -1,24 +1,38 @@
 """Explicit-state semantics: evaluation and state-graph generation.
 
-States are tuples of values aligned with the spec's variable order.
 Every spec expression is evaluated by Python code that `_Codegen`
 generates.  `eval_const` evaluates expressions closed over the constants
 (CONFIG values, Init right-hand sides, the Next domain).  Each LTS build
 (`to_lts`, `err_lts`, `err_reach`) compiles one generated module that
 holds the spec's successor generator and, for a property, its predicate,
 and builds its state graph with `lts.explore`, the breadth-first LTS
-builder.  Set, record and tuple literals built from literals, constants
-and the action parameter are evaluated once per build, when the module
-runs: a constant one as a module-level value, one that reads the
-parameter as a module-level list indexed by the element's position in
-the Next domain.  Only these constructors are hoisted, since they cannot
-fail; every other operator runs where the spec evaluates it.  The test
-suite cross-checks the compiled code against an independent oracle.
+builder.
+
+An action whose read set (the variables its guards, right-hand sides
+and frame checks read) leaves out some variable is evaluated once per
+distinct projection of the reached states onto its read set, and its
+successors are cached under that projection.  In a build with such an
+action a state is coded: a tuple of small ids, one per variable in the
+spec's variable order, each naming a value in that variable's table.  A
+value is hashed when it is interned, so a cache hit and `explore` hash
+only short tuples of ints.  A build whose actions all read every
+variable, such as that of any one-variable group, has nothing to cache,
+and its states stay tuples of values: interning would hash each
+successor's values as often as `explore` does.  The invariant is
+memoized on the part of the state it reads in either kind of build.
+
+Set, record and tuple literals built from literals, constants and the
+action parameter are evaluated once per build, when the module runs: a
+constant one as a module-level value, one that reads the parameter as a
+module-level list indexed by the element's position in the Next domain.
+Only these constructors are hoisted, since they cannot fail; every other
+operator runs where the spec evaluates it.  The test suite cross-checks
+the compiled code against an independent oracle.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import getitem
 
 from . import syntax as sx
 from . import values as va
@@ -32,15 +46,33 @@ DEFAULT_BOUND = 10_000_000
 # --------------------------------------------------------------------------
 # Compiled evaluation
 #
-# A spec's actions become one generator `successors(q)` yielding (label
-# index, successor tuple) pairs; a property becomes `prop(q)` and a
-# closed expression `val()`.  In boolean positions (guards, property
+# A spec's actions become one generator `successors(c)` yielding (label
+# index, successor) pairs; a property becomes `prop(q)` over value states
+# and `violates(c)`, and a closed expression `val()`.  In boolean positions (guards, property
 # bodies, the operands of the logical operators and quantifier bodies)
 # the code computes Python bools, and `_is_true` checks any other
 # expression found there.  Everywhere else it computes tagged values:
 # scalar literals and tuples are written as tagged tuples, a boolean
 # operator's result is wrapped as `_B_TRUE`/`_B_FALSE`, and the rest goes
 # through the helpers in `values`.
+#
+# Read sets and coded states.  The read set of an action is every
+# variable its code reads as q[i] (the free variables of its guards and
+# right-hand sides), any variable it updates twice and any it both
+# updates and frames.  An action whose read set is not all the variables
+# is cached, and then the build's states are coded: variable i has a
+# table `_t<i>` (value -> id; a value not yet in it gets the next id) and
+# its list `_v<i>` (id -> value).  The code decodes the state c into the
+# value state q, `(_v0[c[0]], ...)`, evaluates on q, and writes each
+# updated value's id as w<i>; a variable the action leaves unchanged
+# keeps its id c[i].  `_c<k>` maps the ids cached action k reads to the
+# list of (label, written ids) over the Next domain, and c is decoded
+# only on a miss.  A miss runs the action's code in the usual order,
+# yielding as it goes, and stores the list only once the loop completes,
+# so EvalErrors are raised where and in the order they always were, and
+# a search that stops early leaves no partial entry.  In a build without
+# cached actions, c is the value state itself and n_v the new value of
+# v.  The tables and caches live in the build's module and go with it.
 #
 # Constructors are hoisted.  A set, record or tuple literal whose leaves
 # are literals and CONFIG constants is evaluated once, when the module is
@@ -52,10 +84,12 @@ DEFAULT_BOUND = 10_000_000
 # literals can raise EvalError and so must run only where, and when, the
 # spec evaluates them (after the guards before them hold).
 #
-# Application and EXCEPT at the action parameter pass its position j in
-# `_dom` along: `_apply_at(f, _d, j)` and `_except_at(f, _d, j, v)`.  A
-# function over the Next domain has `_d`'s pair at position j of its
-# sorted graph, so the helper finds it with one comparison; for any other
+# Application and EXCEPT at a bound name pass its position along: j for
+# the action parameter `_d`, j_x for a binder's b_x (`\A`, `\E` and
+# function literals enumerate their domain when their body uses j_x):
+# `_apply_at(f, _d, j)` and `_except_at(f, _d, j, v)`.  A function over
+# the bound name's domain has its pair at that position of its sorted
+# graph, so the helper finds it with one comparison; for any other
 # function, a tuple or a key outside the domain, the comparison fails and
 # the helper scans as `_apply`/`_except` do, with the same results and
 # errors.
@@ -68,6 +102,22 @@ _LITERALS = (sx.IntLit, sx.StrLit, sx.BoolLit)
 _PARAM = "_d"
 
 
+class _Table(dict):
+    """The ids of one variable's values within one build: a value not yet
+    in the table gets the next id, and `vals[id]` is the value."""
+
+    __slots__ = ("vals",)
+
+    def __init__(self):
+        super().__init__()
+        self.vals = []
+
+    def __missing__(self, value):
+        i = self[value] = len(self.vals)
+        self.vals.append(value)
+        return i
+
+
 class _Codegen:
     def __init__(self, consts, variables=(), name="const"):
         self.name = name
@@ -75,15 +125,19 @@ class _Codegen:
         self.var_index = {v: i for i, v in enumerate(variables)}
         self.consts = dict(consts)
         self.hoisted = {}  # source of a hoisted value -> its name
+        self.reads = set()  # indices of the variables read as q[i]
+        self.coded = False  # whether states are coded, set by successors_fn
+        self.positions = set()  # position names used, such as j_x
 
     def expr(self, e, bound):
         """Python expression for the tagged value of e.  `bound` maps the
-        names bound around e to their Python names."""
+        names bound around e to their Python (value, position) names."""
         go = lambda x: self.expr(x, bound)
         if isinstance(e, sx.Name):
             if e.id in bound:
-                return bound[e.id]
+                return bound[e.id][0]
             if e.id in self.var_index:
+                self.reads.add(self.var_index[e.id])
                 return "q[%d]" % self.var_index[e.id]
             if e.id in self.consts:
                 return "c_" + e.id
@@ -100,17 +154,17 @@ class _Codegen:
             return (_construct(e, go) if kind is None
                     else self._hoist(e, bound, kind))
         if isinstance(e, sx.FuncLit):
-            body = self.expr(e.body, _bind(bound, e.var))
-            return ("_mk_fun([(b_%s, %s) for b_%s in _elems(%s)])"
-                    % (e.var, body, e.var, go(e.domain)))
+            body, loop = self._binder(e, bound, self.expr)
+            return "_mk_fun([(b_%s, %s) %s])" % (e.var, body, loop)
         if isinstance(e, sx.Apply):
-            if self._is_param(e.arg, bound):
-                return "_apply_at(%s, %s, j)" % (go(e.fn), _PARAM)
+            at = self._at(e.arg, bound)
+            if at:
+                return "_apply_at(%s, %s)" % (go(e.fn), at)
             return "_apply(%s, %s)" % (go(e.fn), go(e.arg))
         if isinstance(e, sx.Except):
-            if self._is_param(e.key, bound):
-                return "_except_at(%s, %s, j, %s)" % (go(e.fn), _PARAM,
-                                                     go(e.value))
+            at = self._at(e.key, bound)
+            if at:
+                return "_except_at(%s, %s, %s)" % (go(e.fn), at, go(e.value))
             return "_except(%s, %s, %s)" % (go(e.fn), go(e.key), go(e.value))
         if isinstance(e, sx.Union):
             return "_union(%s, %s)" % (go(e.left), go(e.right))
@@ -118,9 +172,31 @@ class _Codegen:
             return "_add(%s, %s)" % (go(e.left), go(e.right))
         raise EvalError("cannot compile %r" % (e,))
 
-    @staticmethod
-    def _is_param(e, bound):
-        return isinstance(e, sx.Name) and bound.get(e.id) == _PARAM
+    def _at(self, e, bound):
+        """"value, position" of the bound name e, or None for any other
+        expression."""
+        if not (isinstance(e, sx.Name) and e.id in bound):
+            return None
+        value, position = bound[e.id]
+        self.positions.add(position)
+        return "%s, %s" % (value, position)
+
+    def _binder(self, e, bound, gen):
+        """For the binder e (a quantifier or function literal): the source
+        `gen` makes of its body, and the `for` clause binding b_<var> to
+        the elements of its domain, with their positions as j_<var> when
+        the body applies or updates a function at the bound name."""
+        outer = self.positions
+        self.positions = set()
+        body = gen(e.body, _bind(bound, e.var))
+        position = "j_" + e.var
+        positional = position in self.positions
+        self.positions = outer | (self.positions - {position})
+        elems = "_elems(%s)" % self.expr(e.domain, bound)
+        if positional:
+            return body, "for %s, b_%s in enumerate(%s)" % (position, e.var,
+                                                           elems)
+        return body, "for b_%s in %s" % (e.var, elems)
 
     def _leaves(self, e, bound):
         """For a tree of constructors, "const" when its leaves are literals
@@ -130,7 +206,7 @@ class _Codegen:
             return "const"
         if isinstance(e, sx.Name):
             if e.id in bound:
-                return "param" if bound[e.id] == _PARAM else None
+                return "param" if bound[e.id][0] == _PARAM else None
             if e.id in self.consts and e.id not in self.var_index:
                 return "const"
             return None
@@ -177,67 +253,137 @@ class _Codegen:
             return "(not %s or %s)" % (go(e.left), go(e.right))
         if isinstance(e, (sx.Forall, sx.Exists)):
             quant = "all" if isinstance(e, sx.Forall) else "any"
-            body = self.cond(e.body, _bind(bound, e.var))
-            return ("%s(%s for b_%s in _elems(%s))"
-                    % (quant, body, e.var, self.expr(e.domain, bound)))
+            body, loop = self._binder(e, bound, self.cond)
+            return "%s(%s %s)" % (quant, body, loop)
         return "_is_true(%s)" % self.expr(e, bound)
 
+    def _decoded(self):
+        """Source of the value state of the state c."""
+        if not self.coded:
+            return "c"
+        return "(%s)" % "".join("_v%d[c[%d]], " % (i, i)
+                                for i in range(len(self.variables)))
+
+    def _action(self, action):
+        """The guarded code of one action over the value state q, as
+        (depth, line) pairs ending, inside the loop over `_dom`, with the
+        value of each updated variable v in n_v; with the depth of that
+        end, the action's read set and the (index, name) of each variable
+        it updates."""
+        p = action.param
+        bound = {p: (_PARAM, "j")}
+        updates = {}
+        framed = set()
+        guards = []
+        for c in action.conjuncts:
+            kind = sx.classify_conjunct(c)
+            if kind == "guard":
+                guards.append(c)
+            elif kind == "update":
+                updates.setdefault(c.left.id, []).append(c.right)
+            else:
+                framed.update(c.names)
+        loose = set(self.variables) - set(updates) - framed
+        if loose:
+            raise SpecError("action %s leaves %s unconstrained"
+                            % (action.name, ", ".join(sorted(loose))))
+        self.reads = set()
+        lead = 0
+        while lead < len(guards) and p not in sx.free_idents(guards[lead]):
+            lead += 1
+        out = []
+        depth = 0
+        if lead:
+            out.append((0, "if _n and %s:" % " and ".join(
+                self.cond(g, bound) for g in guards[:lead])))
+            depth = 1
+        out.append((depth, "for j, %s in enumerate(_dom):" % _PARAM))
+        depth += 1
+        for g in guards[lead:]:
+            out.append((depth, "if not %s: continue" % self.cond(g, bound)))
+        index = self.var_index
+        for v, rhss in updates.items():
+            out.append((depth, "n_%s = %s" % (v, self.expr(rhss[0], bound))))
+            for extra in rhss[1:]:
+                out.append((depth, "if n_%s != %s: continue"
+                            % (v, self.expr(extra, bound))))
+            if v in framed:
+                out.append((depth, "if n_%s != q[%d]: continue"
+                            % (v, index[v])))
+        read = self.reads | {index[v] for v, rhss in updates.items()
+                             if len(rhss) > 1 or v in framed}
+        return out, depth, read, [(index[v], v) for v in updates]
+
     def successors_fn(self, actions):
-        """Source of `def successors(q)`.  For each action in order, and
-        each element `_d` of the Next domain `_dom` in order, at position
-        j, it yields (action index * `_n` + j, successor).  Guards
-        that come before the first guard reading the parameter run once
-        per action, and only when the domain is non-empty: they give the
-        same result for every element."""
-        lines = ["def successors(q):"]
-        for k, action in enumerate(actions):
-            p = action.param
-            bound = {p: _PARAM}
-            updates = {}
-            framed = set()
-            guards = []
-            for c in action.conjuncts:
-                kind = sx.classify_conjunct(c)
-                if kind == "guard":
-                    guards.append(c)
-                elif kind == "update":
-                    updates.setdefault(c.left.id, []).append(c.right)
-                else:
-                    framed.update(c.names)
-            loose = set(self.variables) - set(updates) - framed
-            if loose:
-                raise SpecError("action %s leaves %s unconstrained"
-                                % (action.name, ", ".join(sorted(loose))))
-            lead = 0
-            while lead < len(guards) and p not in sx.free_idents(guards[lead]):
-                lead += 1
-            pad = "    "
-            if lead:
-                lines.append(pad + "if _n and %s:" % " and ".join(
-                    self.cond(g, bound) for g in guards[:lead]))
-                pad += "    "
-            lines.append(pad + "for j, %s in enumerate(_dom):" % _PARAM)
-            pad += "    "
-            for g in guards[lead:]:
-                lines.append(pad + "if not %s: continue" % self.cond(g, bound))
-            for v, rhss in updates.items():
-                lines.append(pad + "n_%s = %s" % (v, self.expr(rhss[0], bound)))
-                for extra in rhss[1:]:
-                    lines.append(pad + "if n_%s != %s: continue"
-                                 % (v, self.expr(extra, bound)))
-                if v in framed:
-                    lines.append(pad + "if n_%s != q[%d]: continue"
-                                 % (v, self.var_index[v]))
-            parts = ("n_%s" % v if v in updates else "q[%d]" % i
-                     for i, v in enumerate(self.variables))
-            lines.append(pad + "yield %d * _n + j, (%s)"
-                         % (k, "".join(x + ", " for x in parts)))
+        """Source of `def successors(c)` and of the caches it fills.  For
+        each action in order, and each element `_d` of the Next domain
+        `_dom` in order, at position j, it yields (action index * `_n` +
+        j, successor).  Guards that come before the first guard reading
+        the parameter run once per action, and only when the domain is
+        non-empty: they give the same result for every element.  States
+        are coded when some action is cached."""
+        n = len(self.variables)
+        codes = [self._action(a) for a in actions]
+        self.coded = any(len(read) < n for _, _, read, _ in codes)
+        eager = any(len(read) == n for _, _, read, _ in codes)
+        caches = []
+        # without coding, the state is the value state q itself
+        state = "c" if self.coded else "q"
+        lines = ["def successors(%s):" % state]
+        if self.coded:
+            lines.append("    q = " + (self._decoded() if eager else "None"))
+        for k, (steps, depth, read, written) in enumerate(codes):
+            new = {i: "n_" + v for i, v in written}
+            if self.coded:
+                new = {i: "w%d" % i for i, _ in written}
+                steps = steps + [(depth, "w%d = _t%d[n_%s]" % (i, i, v))
+                                 for i, v in written]
+            succ = "(%s)" % "".join(new.get(i, "%s[%d]" % (state, i)) + ", "
+                                    for i in range(n))
+            if len(read) == n:
+                lines += _indented(steps, 1)
+                lines.append(_PAD * (depth + 1)
+                             + "yield %d * _n + j, %s" % (k, succ))
+                continue
+            caches.append("_c%d = {}\n" % k)
+            ids = "".join(w + ", " for w in new.values())
+            lines += ["    k = %s" % _key(read),
+                      "    h = _c%d.get(k)" % k,
+                      "    if h is None:"]
+            if not eager:
+                lines.append("        if q is None: q = decode(c)")
+            lines.append("        h = []")
+            lines += _indented(steps, 2)
+            pad = _PAD * (depth + 2)
+            lines += [pad + "lab = %d * _n + j" % k,
+                      pad + "h.append((lab, %s))" % ids,
+                      pad + "yield lab, " + succ,
+                      "        _c%d[k] = h" % k,
+                      "    else:",
+                      "        for lab, %sin h:" % ids,
+                      "            yield lab, " + succ]
         if not actions:
             lines.append("    yield from ()")
-        return "\n".join(lines) + "\n"
+        return "".join(caches) + "\n".join(lines) + "\n"
 
     def predicate_fn(self, body):
+        """Source of `prop(q)`; leaves the indices it reads in `reads`."""
+        self.reads = set()
         return "def prop(q):\n    return %s\n" % self.cond(body, {})
+
+    def violates_fn(self, read):
+        """Source of `violates(c)` for a property reading the indices
+        `read`, memoized on them unless they are all the variables."""
+        if len(read) == len(self.variables):
+            return ("def violates(c):\n    return not prop(%s)\n"
+                    % self._decoded())
+        return ("_m = {}\n"
+                "def violates(c):\n"
+                "    k = %s\n"
+                "    v = _m.get(k)\n"
+                "    if v is None:\n"
+                "        v = _m[k] = not prop(%s)\n"
+                "    return v\n" % (_key(read), self._decoded()))
 
     def build(self, src, **names):
         """Namespace of the generated source, after the hoisted values,
@@ -260,9 +406,25 @@ class _Codegen:
         return ns
 
 
+_PAD = "    "
+
+
+def _indented(steps, base):
+    return [_PAD * (base + depth) + line for depth, line in steps]
+
+
+def _key(read):
+    """Source of the cache key of the coded state c on the indices read:
+    the one id itself, or the tuple of the ids."""
+    read = sorted(read)
+    if len(read) == 1:
+        return "c[%d]" % read[0]
+    return "(%s)" % "".join("c[%d], " % i for i in read)
+
+
 def _bind(bound, var):
     """`bound` inside a binder of var (which may shadow the parameter)."""
-    return {**bound, var: "b_" + var}
+    return {**bound, var: ("b_" + var, "j_" + var)}
 
 
 def _construct(e, go):
@@ -274,6 +436,26 @@ def _construct(e, go):
         return "('tup', (%s))" % "".join(go(x) + ", " for x in e.elems)
     items = "".join("(%r, %s), " % (f, go(x)) for f, x in e.fields)
     return "_mk_rec((%s))" % items
+
+
+def _same(x):
+    return x
+
+
+def _coding(n, coded):
+    """The names a build's module codes states with: `encode(q)` and
+    `decode(c)` between value states and states, and, if states are
+    coded, each variable's table `_t<i>` and its list `_v<i>`."""
+    if not coded:
+        return {"encode": _same, "decode": _same}
+    tables = [_Table() for _ in range(n)]
+    lists = [t.vals for t in tables]
+    names = {"encode": lambda q: tuple(map(getitem, tables, q)),
+             "decode": lambda c: tuple(map(getitem, lists, c))}
+    for i, t in enumerate(tables):
+        names["_t%d" % i] = t
+        names["_v%d" % i] = lists[i]
+    return names
 
 
 def eval_const(e, consts):
@@ -299,9 +481,11 @@ def _init_and_domain(spec):
 
 
 def _compile(spec, prop=None):
-    """Everything one LTS build evaluates: (initial states, alphabet,
-    successors, compiled property or None).  The successor generator and
-    the property come from one generated module; the alphabet lists the
+    """Everything one LTS build evaluates: (initial states, in the order
+    of their values and coded as the build codes states, alphabet,
+    namespace of the generated module).  The namespace holds
+    `successors(c)`, `encode(q)` and `decode(c)`, the caches `_c<k>` and,
+    with a property, `prop(q)` and `violates(c)`.  The alphabet lists the
     (action name, argument) of each label index."""
     cg = _Codegen(spec.config, spec.variables, spec.name)
     src = ""
@@ -312,12 +496,16 @@ def _compile(spec, prop=None):
             raise SpecError("property %s references variables outside %s: %s"
                             % (prop.name, spec.name, ", ".join(sorted(extra))))
         src = cg.predicate_fn(prop.body)
+        read = cg.reads
     src += cg.successors_fn(spec.actions)
+    if prop is not None:
+        src += cg.violates_fn(read)
     # after the source, so that errors in the spec's text come first
     initials, domain = _init_and_domain(spec)
-    ns = cg.build(src, _dom=domain, _n=len(domain))
+    ns = cg.build(src, _dom=domain, _n=len(domain),
+                  **_coding(len(spec.variables), cg.coded))
     alphabet = [(a.name, d) for a in spec.actions for d in domain]
-    return initials, alphabet, ns["successors"], ns.get("prop")
+    return [ns["encode"](q) for q in sorted(initials)], alphabet, ns
 
 
 # --------------------------------------------------------------------------
@@ -332,33 +520,15 @@ def _enumerate(spec, prop, bound, cancel, stop_at_pi=False):
     state; pass None for plain state-graph generation.  Label indices
     refer to the canonical concrete-action alphabet.
     """
-    initials, alphabet, successors, check = _compile(spec, prop)
-    violates = (_violates(spec, prop, check) if prop is not None
-                else lambda q: False)
-    return explore(sorted(initials), successors, alphabet, violates,
-                   bound or DEFAULT_BOUND, cancel, stop_at_pi)
-
-
-def _violates(spec, prop, check):
-    """violates(q) -> bool, from the compiled property `check`.  The
-    answer depends only on the variables the property reads, so unless it
-    reads them all, `check` runs once per distinct projection of q onto
-    them, memoized for the one build that calls this."""
-    used = sx.free_vars(spec, prop.body)
-    read = [i for i, v in enumerate(spec.variables) if v in used]
-    if len(read) == len(spec.variables):
-        return lambda q: not check(q)
-    key = itemgetter(*read) if read else (lambda q: ())
-    memo = {}
-
-    def violates(q):
-        k = key(q)
-        v = memo.get(k)
-        if v is None:
-            v = memo[k] = not check(q)
-        return v
-
-    return violates
+    initials, alphabet, ns = _compile(spec, prop)
+    violates = ns["violates"] if prop is not None else lambda c: False
+    try:
+        return explore(initials, ns["successors"], alphabet, violates,
+                       bound or DEFAULT_BOUND, cancel, stop_at_pi)
+    finally:
+        # the module's functions hold it as their globals, so without
+        # this its tables and caches would wait for a full collection
+        ns.clear()
 
 
 def to_lts(spec, bound=None, cancel=None):

@@ -4,16 +4,54 @@
 contract (slicing, then composing the slices, gives back the spec) can be
 checked as structural equality.  `init_states` evaluates a spec's
 initial states on their own, which the package only does as part of an
-LTS build.
+LTS build.  `walk` and `compiled_steps` search one build's generated
+successor generator without `lts.explore`; its states may be coded, and
+`compiled_steps` decodes them.
 """
 
-from recomp.semantics import _init_and_domain
+from collections import deque
+
+from recomp.semantics import _compile, _init_and_domain
 from recomp.syntax import ActionDef, SpecAst, Unchanged, classify_conjunct
 
 
 def init_states(spec):
     """The (at most one, by the `v = e` Init discipline) initial states."""
     return _init_and_domain(spec)[0]
+
+
+def walk(spec, prop=None, limit=None):
+    """Search one build's compiled successor generator: (its alphabet, the
+    namespace of its generated module, see `semantics._compile`, and
+    `search`'s dict of steps).  The namespace's `decode` gives a coded
+    state's values."""
+    initials, alphabet, ns = _compile(spec, prop)
+    return alphabet, ns, search(initials, ns["successors"], limit)
+
+
+def search(initials, successors, limit=None):
+    """Breadth-first search: a dict from each state found to its list of
+    (label index, successor).  Once `limit` states are found, the states
+    not yet expanded map to None."""
+    steps = dict.fromkeys(initials)
+    frontier = deque(steps)
+    while frontier and (limit is None or len(steps) < limit):
+        q = frontier.popleft()
+        steps[q] = list(successors(q))
+        for _, q2 in steps[q]:
+            if q2 not in steps:
+                steps[q2] = None
+                frontier.append(q2)
+    return steps
+
+
+def compiled_steps(spec):
+    """Each reachable state's value tuple, from the compiled successor
+    generator, with its set of ((action, argument), successor values)."""
+    alphabet, ns, steps = walk(spec)
+    decode = ns["decode"]
+    return {decode(c): {(alphabet[lab], decode(c2)) for lab, c2 in out}
+            for c, out in steps.items()}
 
 
 def _sort_key(e):

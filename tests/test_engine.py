@@ -444,6 +444,19 @@ class _LaunchCounter:
         return getattr(self.ctx, name)
 
 
+def test_in_process_checks_never_import_multiprocessing():
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    check = ("import sys; sys.path.insert(0, sys.argv[1]); import recomp; "
+             "from recomp import engine; "
+             "print('multiprocessing' in sys.modules); "
+             "print(engine.multiprocessing.__name__)")
+    proc = subprocess.run([sys.executable, "-c", check, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    # imported on first use, through the engine's module attribute
+    assert proc.stdout.split() == ["False", "multiprocessing"]
+
+
 def test_pool_reuses_its_workers(tp, pool, monkeypatch):
     launches = _LaunchCounter()
     monkeypatch.setattr(engine, "multiprocessing", launches)

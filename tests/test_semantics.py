@@ -1,7 +1,8 @@
 """State-graph generation: the streaming check against the full error
 LTS, what `bound` admits in each, boolean positions and hoisted guards
 in the successor generator, the memoized invariant, and the work one
-build does: its compile() calls and the values it builds once."""
+build does: its compile() calls, the values it builds once and the
+action code it runs once per read projection."""
 
 from collections import Counter
 
@@ -11,10 +12,11 @@ import oracle as oc
 from recomp import parse, semantics
 from recomp import syntax as sx
 from recomp import values as va
-from recomp.corpus import ALL, twophase
+from recomp.corpus import ALL, lockserv, twophase
 from recomp.lts import StateBoundExceeded, pi_reachable, pi_trace
-from recomp.semantics import _compile, _violates, err_lts, err_reach, to_lts
+from recomp.semantics import _compile, err_lts, err_reach, to_lts
 from recomp.values import EvalError
+from spec_helpers import search, walk
 
 # tpcounter's counter is unbounded, so its whole-spec searches end here
 BOUND = 20_000
@@ -143,23 +145,6 @@ def test_empty_domain_evaluates_no_guard():
 # the invariant, memoized on the variables it reads
 
 
-def _states(spec, limit=2_000):
-    """Up to `limit` reachable states, from the compiled generator."""
-    initials, _, successors, _ = _compile(spec)
-    return _walk(initials, successors, limit)
-
-
-def _walk(initials, successors, limit):
-    seen = dict.fromkeys(initials)
-    frontier = list(seen)
-    while frontier and len(seen) < limit:
-        for _, q2 in successors(frontier.pop()):
-            if q2 not in seen:
-                seen[q2] = None
-                frontier.append(q2)
-    return list(seen)
-
-
 # reads two of twophase's four variables
 MIXED = '\nPROPERTY Mixed\n  tmPrepared = {} \\/ tmState = "committed"\n'
 
@@ -169,27 +154,30 @@ def test_memoized_invariant_marks_the_oracle_violations():
     texts = [(name, gen(3)) for name, gen in sorted(ALL.items())]
     for name, text in texts + [("twophase+Mixed", twophase(3) + MIXED)]:
         spec = parse(text)
-        states = _states(spec)  # tpcounter's are cut at the limit
         consts = oc._consts(spec)
         for prop in spec.properties:
-            check = _compile(spec, prop)[3]
+            # tpcounter's states are cut at the limit
+            _, ns, steps = walk(spec, prop, limit=2_000)
+            states = list(steps)
+            check = ns["prop"]
             calls = []
-            violates = _violates(spec, prop,
-                                 lambda q: calls.append(q) or check(q))
-            marked = {q for q in states if violates(q)}
-            assert {q for q in states if violates(q)} == marked
+            # `violates` calls the module's `prop` by name
+            ns["prop"] = lambda q: calls.append(q) or check(q)
+            violates = ns["violates"]
+            marked = {c for c in states if violates(c)}
+            assert {c for c in states if violates(c)} == marked
             expected = set()
-            for q in states:
-                env = {**consts, **dict(zip(spec.variables,
-                                            map(oc._conv, q)))}
+            for c in states:
+                values = map(oc._conv, ns["decode"](c))
+                env = {**consts, **dict(zip(spec.variables, values))}
                 if not oc.o_eval(prop.body, env):
-                    expected.add(q)
+                    expected.add(c)
             assert marked == expected, (name, prop.name)
             # memoized: one call per distinct projection onto the read
-            # variables; without the memo, one call per violates(q)
+            # variables; without the memo, one call per violates(c)
             used = sx.free_vars(spec, prop.body)
-            projections = {tuple(x for x, v in zip(q, spec.variables)
-                                 if v in used) for q in states}
+            projections = {tuple(x for x, v in zip(c, spec.variables)
+                                 if v in used) for c in states}
             assert len(calls) in (len(projections), 2 * len(states)), \
                 (name, prop.name)
             paths.add(len(calls) == len(projections))
@@ -224,10 +212,66 @@ def test_stepping_builds_no_sets_or_records(tp, monkeypatch):
             made[name] += 1
             return real(parts)
         monkeypatch.setattr(va, name, counting)
-    initials, _, successors, _ = _compile(tp)
+    initials, _, ns = _compile(tp)
     # the constant sets and records, and their tables over the domain,
     # are built once, when the generated module runs
     assert made["mk_set"] and made["mk_rec"]
     made.clear()
-    assert len(_walk(initials, successors, 10_000)) == 288
+    assert len(search(initials, ns["successors"])) == 288
     assert made == Counter()
+
+
+class _Probe(dict):
+    """An action's cache that counts its misses, each of which runs the
+    action's code."""
+
+    misses = 0
+
+    def get(self, key):
+        value = super().get(key)
+        self.misses += value is None
+        return value
+
+
+def _read_set(spec, action):
+    """The indices of the variables an action's successors depend on: the
+    free variables of its guards and right-hand sides, and those it
+    updates twice or both updates and frames."""
+    used, updated, framed = set(), [], set()
+    for c in action.conjuncts:
+        kind = sx.classify_conjunct(c)
+        if kind == "guard":
+            used |= sx.free_idents(c) - {action.param}
+        elif kind == "update":
+            used |= sx.free_idents(c.right) - {action.param}
+            updated.append(c.left.id)
+        else:
+            framed.update(c.names)
+    used |= {v for v in updated if updated.count(v) > 1 or v in framed}
+    return [i for i, v in enumerate(spec.variables) if v in used]
+
+
+@pytest.mark.parametrize("gen", [twophase, lockserv],
+                         ids=["twophase3", "lockserv3"])
+def test_each_action_runs_once_per_read_projection(gen):
+    spec = parse(gen(3))
+    initials, _, ns = _compile(spec)
+    probes = {}
+    for k in range(len(spec.actions)):
+        if "_c%d" % k in ns:
+            ns["_c%d" % k] = probes[k] = _Probe()
+    states = search(initials, ns["successors"])
+    runs = 0
+    for k, action in enumerate(spec.actions):
+        read = _read_set(spec, action)
+        if len(read) == len(spec.variables):
+            assert k not in probes, action.name
+            runs += len(states)
+            continue
+        projections = {tuple(c[i] for i in read) for c in states}
+        assert probes[k].misses == len(projections), action.name
+        assert set(probes[k]) == {p[0] if len(p) == 1 else p
+                                  for p in projections}
+        runs += len(projections)
+    assert probes
+    assert runs < len(spec.actions) * len(states) / 2

@@ -12,9 +12,9 @@ from recomp import parse
 from recomp import syntax as sx
 from recomp import values as va
 from recomp.corpus import consensus, lockserv, twophase
-from recomp.semantics import _Codegen, _compile, eval_const, to_lts
+from recomp.semantics import _Codegen, _compile, err_reach, eval_const, to_lts
 from recomp.values import EvalError
-from spec_helpers import init_states
+from spec_helpers import compiled_steps, init_states, walk
 
 
 def test_set_values_are_canonical():
@@ -209,7 +209,7 @@ CONST_SPEC = sx.SpecAst("M", tuple(CONSTS), (), (), (), None, None,
 
 def _predicate(spec, body):
     """The compiled property, a function of the state returning a bool."""
-    return _compile(spec, sx.PropertyDef("P", body))[3]
+    return _compile(spec, sx.PropertyDef("P", body))[2]["prop"]
 
 
 def test_eval_const_matches_oracle_on_random_expressions():
@@ -261,20 +261,6 @@ def _oracle_state(spec, q):
     return tuple(sorted(zip(spec.variables, (oc._conv(v) for v in q))))
 
 
-def _compiled_reach(spec):
-    """Reachable states by search over the generated successor generator,
-    each with its set of ((action, argument), successor) pairs."""
-    initials, alphabet, successors, _ = _compile(spec)
-    succ = {}
-    frontier = list(initials)
-    while frontier:
-        q = frontier.pop()
-        if q not in succ:
-            succ[q] = {(alphabet[i], q2) for i, q2 in successors(q)}
-            frontier.extend(q2 for _, q2 in succ[q])
-    return succ
-
-
 SMALL = [twophase(2), lockserv(2), consensus(2)]
 SMALL_IDS = ["twophase2", "lockserv2", "consensus2"]
 
@@ -287,7 +273,7 @@ def test_compiled_successors_match_oracle(text):
 def _assert_steps_match_oracle(spec):
     (q0,) = init_states(spec)
     assert _oracle_state(spec, q0) == oc.oracle_init(spec)
-    succ = _compiled_reach(spec)
+    succ = compiled_steps(spec)
     for q, out in succ.items():
         got = sorted(((a, oc._conv(d)), _oracle_state(spec, q2))
                      for (a, d), q2 in out)
@@ -312,7 +298,7 @@ def test_compiled_enumeration_matches_oracle(text):
 def test_compiled_predicate_matches_oracle(text):
     spec = parse(text)
     consts = oc._consts(spec)
-    states = _compiled_reach(spec)
+    states = compiled_steps(spec)
     for prop in spec.properties:
         pred = _predicate(spec, prop.body)
         for q in states:
@@ -371,6 +357,112 @@ def test_positional_application_outside_the_domain_raises(update, message):
     assert str(got.value) == message
 
 
+def _assert_properties_match_oracle(spec):
+    """`violates` on every reachable coded state, and `err_reach`'s
+    verdict, against the oracle."""
+    consts = oc._consts(spec)
+    for prop in spec.properties:
+        _, ns, steps = walk(spec, prop)
+        for c in steps:
+            env = {**consts, **dict(_oracle_state(spec, ns["decode"](c)))}
+            assert ns["violates"](c) == (not oc.o_eval(prop.body, env))
+        holds, _ = oc.oracle_check(spec, prop)
+        assert err_reach(spec, prop)[0] == (not holds), prop.name
+
+
+def _spec(init, actions, properties=(), domain="{0, 1, 2}"):
+    """A spec with the variables and initial values of `init`; `actions`
+    maps each action name, with parameter d, to its conjuncts, and
+    `properties` lists (name, body) pairs."""
+    return parse(
+        "MODULE M\n\nVARIABLES %s\n\nINIT\n%s\n%s"
+        "NEXT \\E d \\in %s :\n%s\n%s"
+        % (", ".join(init), "".join("  /\\ %s = %s\n" % vx
+                                     for vx in init.items()),
+           "".join("ACTION %s(d)\n%s\n" % (name, "".join(
+               "  /\\ %s\n" % c for c in body))
+               for name, body in actions.items()),
+           domain, "".join("  \\/ %s(d)\n" % name for name in actions),
+           "".join("PROPERTY %s\n  %s\n\n" % p for p in properties)))
+
+
+def _zeros(variables):
+    return dict.fromkeys(variables, "0")
+
+
+# Small specs whose cached actions' read sets each need one of the rules:
+# (spec, the actions that must be cached).
+READ_SETS = {
+    # Set reads x only through its frame: its one successor keeps x
+    "updated-and-unchanged": (_spec(_zeros("xyz"), {
+        "Set": ["x' = d", "y' = d", "UNCHANGED <<x, z>>"],
+        "Bump": ["x' = d", "UNCHANGED <<y, z>>"],
+    }), ["Set", "Bump"]),
+    "updated-twice": (_spec(_zeros("xyz"), {
+        "Two": ["x' = d", "x' = y", "UNCHANGED <<y, z>>"],
+        "SetY": ["y' = d", "UNCHANGED <<x, z>>"],
+    }), ["Two", "SetY"]),
+    # Bump reads no variable: its successors are cached under ()
+    "empty-key": (_spec(_zeros("xy"), {
+        "Bump": ["x' = d", "UNCHANGED <<y>>"],
+        "Copy": ["y' = x", "UNCHANGED <<x>>"],
+    }), ["Bump", "Copy"]),
+    # the state variable y is read in the binder's domain, the bound y in
+    # its body
+    "shadowing-binder": (_spec(_zeros("xyz"), {
+        "Shadow": ["(\\E y \\in {y, 2} : y = d)", "z' = d",
+                   "UNCHANGED <<x, y>>"],
+        "SetY": ["y' = d", "UNCHANGED <<x, z>>"],
+    }, [("Shadowed", "\\A x \\in {0, 1} : x = x /\\ y \\in {0, 1, 2}"),
+        ("Bounded", "z = 0 \\/ z = 1")]), ["Shadow", "SetY"]),
+    # properties that read no variable, memoized under ()
+    "constant-properties": (_spec(_zeros("xy"), {
+        "Bump": ["x' = d", "UNCHANGED <<y>>"],
+    }, [("Holds", "\\A v \\in {0, 1} : v \\in {0, 1}"),
+        ("Fails", "\\E v \\in {0, 1} : v = 2")]), ["Bump"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_SETS))
+def test_read_sets_match_oracle(case):
+    spec, cached = READ_SETS[case]
+    ns = _compile(spec)[2]
+    assert {a.name for k, a in enumerate(spec.actions)
+            if "_c%d" % k in ns} == set(cached)
+    l = to_lts(spec)
+    seen, edges = oc.oracle_reach(spec)
+    assert (l.n_states, l.n_edges) == (len(seen), len(edges))
+    _assert_steps_match_oracle(spec)
+    _assert_properties_match_oracle(spec)
+
+
+def test_positional_binders_match_oracle():
+    # the binders range over strict subsets (NotBoth, Except) and
+    # supersets (Mark, Known) of f's domain, so that position j_x of f's
+    # graph may hold another key than x
+    spec = _spec({"f": '[x \\in {"a", "b", "c", "d"} |-> 0]', "n": "0"}, {
+        "Inc": ["f[d] = 0", "f' = [f EXCEPT ![d] = 1]", "UNCHANGED <<n>>"],
+        "Mark": ['n\' = [x \\in {"A", "a", "b", "c", "d"} |-> '
+                 'x = "A" \\/ f[x] = 1]', "UNCHANGED <<f>>"],
+    }, [("NotBoth", '~(\\A x \\in {"b", "d"} : f[x] = 1)'),
+        ("Except", '\\A x \\in {"a", "c"} : [f EXCEPT ![x] = 1][x] = 1'),
+        ("Known", '\\A x \\in {"A", "a", "b", "c", "d"} : '
+                  'x = "A" \\/ f[x] \\in {0, 1}')], '{"a", "b", "c", "d"}')
+    cg = _Codegen(spec.config, spec.variables, spec.name)
+    assert "_apply_at(q[0], b_x, j_x)" in cg.successors_fn(spec.actions)
+    for prop in spec.properties:
+        src = cg.predicate_fn(prop.body)
+        assert ", b_x, j_x" in src, prop.name
+        assert "_apply(" not in src and "_except(" not in src
+    assert "_except_at(q[0], b_x, j_x, " in cg.predicate_fn(
+        spec.property("Except").body)
+    l = to_lts(spec)
+    seen, edges = oc.oracle_reach(spec)
+    assert (l.n_states, l.n_edges) == (len(seen), len(edges))
+    _assert_steps_match_oracle(spec)
+    _assert_properties_match_oracle(spec)
+
+
 def test_twophase_applies_and_updates_at_the_parameter_position():
     spec = parse(twophase(3))
     src = _Codegen(spec.config, spec.variables,
@@ -380,6 +472,12 @@ def test_twophase_applies_and_updates_at_the_parameter_position():
     assert src.count("_apply_at(q[1], _d, j)") == 2
     assert src.count("_except_at(q[1], _d, j, ") == 4
     assert "_apply(" not in src and "_except(" not in src
+    # Consistent applies rmState at the positions of its two binders
+    src = _Codegen(spec.config, spec.variables, spec.name).predicate_fn(
+        spec.property("Consistent").body)
+    for x in ("rm1", "rm2"):
+        assert "_apply_at(q[1], b_%s, j_%s)" % (x, x) in src
+    assert "_apply(" not in src
 
 
 def test_conflicting_init_has_no_states():
