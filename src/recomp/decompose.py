@@ -31,8 +31,8 @@ def occurs(spec, v):
     """
     out = set()
     for a in spec.actions:
-        for c in a.conjuncts:
-            if sx.classify_conjunct(c) == "frame":
+        for c, kind in zip(a.conjuncts, a.kinds):
+            if kind == "frame":
                 continue
             bc = sx.free_vars(spec, c) - {a.param}
             if bc & v:
@@ -69,12 +69,14 @@ def slice_spec(spec, v):
     actions = []
     for a in spec.actions:
         kept = []
-        for c in a.conjuncts:
-            kind = sx.classify_conjunct(c)
+        updated = set()
+        for c, kind in zip(a.conjuncts, a.kinds):
             if kind == "frame":
                 continue
             if sx.free_vars(spec, c) - {a.param} <= v:
                 kept.append(c)
+                if kind == "update":
+                    updated.add(c.left.id)
             elif kind == "update" and c.left.id in v:
                 raise SpecError(
                     "cannot slice %s to %s: update of %s in action %s also "
@@ -82,8 +84,6 @@ def slice_spec(spec, v):
                     % (spec.name, sorted(v), c.left.id, a.name))
         if not kept:
             continue
-        updated = {c.left.id for c in kept
-                   if sx.classify_conjunct(c) == "update"}
         frame = tuple(x for x in variables if x not in updated)
         if frame:
             kept.append(sx.Unchanged(frame))

@@ -168,18 +168,27 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
 
 
 def pi_trace(l):
-    """Shortest label path from an initial state to pi, or None.  The
-    first stored edge into a state discovered it (see `Lts`), so walk
-    those edges back from pi."""
+    """Shortest label path from an initial state to pi, or None."""
+    path = pi_path(l)
+    if path is None:
+        return None
+    return tuple(l.alphabet[lab] for _, lab in path)
+
+
+def pi_path(l):
+    """The steps of a shortest path from an initial state to pi, as
+    (source state, label index) pairs, or None.  The first stored edge
+    into a state discovered it (see `Lts`), so walk those edges back from
+    pi."""
     if l.pi is None:
         return None
-    trace = []
+    path = []
     s = l.pi
     while s not in l.initials:
         e = l.dsts.index(s)
-        trace.append(l.alphabet[l.labels[e]])
         s = bisect_right(l.offsets, e) - 1
-    return tuple(reversed(trace))
+        path.append((s, l.labels[e]))
+    return path[::-1]
 
 
 def pi_reachable(l):

@@ -21,6 +21,12 @@ and its states stay tuples of values: interning would hash each
 successor's values as often as `explore` does.  The invariant is
 memoized on the part of the state it reads in either kind of build.
 
+`err_reach` reduces by symmetry: under the permutations of each CONFIG
+set of strings that nothing but the set names (`symmetric_sets`), it
+explores one representative state per orbit, so its state count and its
+bound are of representatives, and renames its witness back to concrete
+steps.  `to_lts` and `err_lts` never reduce.
+
 Set, record and tuple literals built from literals, constants and the
 action parameter are evaluated once per build, when the module runs: a
 constant one as a module-level value, one that reads the parameter as a
@@ -36,7 +42,7 @@ from operator import getitem
 
 from . import syntax as sx
 from . import values as va
-from .lts import explore, pi_trace
+from .lts import explore, pi_path, pi_trace
 from .syntax import SpecError
 from .values import EvalError
 
@@ -275,8 +281,7 @@ class _Codegen:
         updates = {}
         framed = set()
         guards = []
-        for c in action.conjuncts:
-            kind = sx.classify_conjunct(c)
+        for c, kind in zip(action.conjuncts, action.kinds):
             if kind == "guard":
                 guards.append(c)
             elif kind == "update":
@@ -314,17 +319,17 @@ class _Codegen:
                              if len(rhss) > 1 or v in framed}
         return out, depth, read, [(index[v], v) for v in updates]
 
-    def successors_fn(self, actions):
+    def successors_fn(self, actions, coded=False):
         """Source of `def successors(c)` and of the caches it fills.  For
         each action in order, and each element `_d` of the Next domain
         `_dom` in order, at position j, it yields (action index * `_n` +
         j, successor).  Guards that come before the first guard reading
         the parameter run once per action, and only when the domain is
         non-empty: they give the same result for every element.  States
-        are coded when some action is cached."""
+        are coded when some action is cached, or when `coded` asks."""
         n = len(self.variables)
         codes = [self._action(a) for a in actions]
-        self.coded = any(len(read) < n for _, _, read, _ in codes)
+        self.coded = coded or any(len(read) < n for _, _, read, _ in codes)
         eager = any(len(read) == n for _, _, read, _ in codes)
         caches = []
         # without coding, the state is the value state q itself
@@ -480,12 +485,13 @@ def _init_and_domain(spec):
     return {tuple(assignment[v] for v in spec.variables)}, domain
 
 
-def _compile(spec, prop=None):
+def _compile(spec, prop=None, coded=False):
     """Everything one LTS build evaluates: (initial states, in the order
     of their values and coded as the build codes states, alphabet,
     namespace of the generated module).  The namespace holds
-    `successors(c)`, `encode(q)` and `decode(c)`, the caches `_c<k>` and,
-    with a property, `prop(q)` and `violates(c)`.  The alphabet lists the
+    `successors(c)`, `encode(q)` and `decode(c)`, the caches `_c<k>`, the
+    tables `_t<i>` if states are coded (always, with `coded`) and, with a
+    property, `prop(q)` and `violates(c)`.  The alphabet lists the
     (action name, argument) of each label index."""
     cg = _Codegen(spec.config, spec.variables, spec.name)
     src = ""
@@ -497,7 +503,7 @@ def _compile(spec, prop=None):
                             % (prop.name, spec.name, ", ".join(sorted(extra))))
         src = cg.predicate_fn(prop.body)
         read = cg.reads
-    src += cg.successors_fn(spec.actions)
+    src += cg.successors_fn(spec.actions, coded)
     if prop is not None:
         src += cg.violates_fn(read)
     # after the source, so that errors in the spec's text come first
@@ -546,8 +552,177 @@ def err_reach(spec, prop, bound=None, cancel=None):
 
     Explores only until the first violating state; returns (violated,
     state count, witness action trace ending in the violating step, or
-    None).
+    None).  Under the permutations of `symmetric_sets`, it explores one
+    state per orbit, and the count and `bound` are of those.
     """
+    sets = symmetric_sets(spec, prop)
+    if sets:
+        return _reduced_reach(spec, prop, sets, bound, cancel)
     l = _enumerate(spec, prop, bound, cancel, stop_at_pi=True)
     trace = pi_trace(l)
     return trace is not None, l.n_states, trace
+
+
+# --------------------------------------------------------------------------
+# Symmetry
+#
+# A CONFIG set of strings is a scalarset (Ip & Dill, FMSD 1996) when no
+# string of it occurs anywhere else: not as a literal of Init, an
+# action, the Next domain or the checked property, and not in another
+# constant's value.  The spec then reaches its elements only through the
+# set, and the language has no CHOOSE, no order on strings and no
+# arithmetic on them, so renaming the elements by any permutation maps
+# states, edges (with their labels renamed) and violating states onto
+# states, edges and violating states.  `err_reach` searches one state
+# per orbit under these permutations; `to_lts` and `err_lts` never
+# reduce, since composition synchronizes on the labels.
+#
+# The representative sorts the elements by their marked views, each
+# variable's value with the element marked and every other element
+# blanked, and renames the k-th element in that order to the set's k-th
+# element.  A permutation of a state permutes its elements' views along
+# with them, so the states of an orbit get one representative, except
+# where two elements have the same views and swapping them changes the
+# state; then an orbit may get several, which only reduces less.  The
+# views are cached per (variable, id) and the renamed ids per (variable,
+# id, order) in the build's tables.
+#
+# Evaluation errors are the one thing a permutation need not preserve: a
+# quantifier stops at the first element that decides it, in the order of
+# the strings, so a spec that raises EvalError in one state of an orbit
+# may evaluate in another.
+
+_MARK = ("sym", 1)
+_BLANK = ("sym", 0)
+
+
+def symmetric_sets(spec, prop):
+    """The elements of each CONFIG set of two or more strings none of
+    which occurs in a literal of Init, an action, the Next domain or
+    `prop`, or in another constant's value."""
+    exprs = list(spec.init) + [c for a in spec.actions for c in a.conjuncts]
+    exprs += [e for e in (spec.next_domain, prop.body) if e is not None]
+    text = {("str", x) for e in exprs for x in sx.string_literals(e)}
+    out = []
+    for name, value in spec.config:
+        elems = value[1] if value[0] == "set" else ()
+        if len(elems) < 2 or any(e[0] != "str" for e in elems):
+            continue
+        # a value holds one of the strings iff marking them changes it
+        marked = dict.fromkeys(elems, _MARK)
+        if text.isdisjoint(elems) and all(
+                _rename(v, marked) == v for other, v in spec.config
+                if other != name):
+            out.append(elems)
+    return out
+
+
+def _rename(v, m):
+    """v with each string that is a key of the dict m replaced by its
+    image, in the canonical form of values; where m is not one-to-one, a
+    function's graph may hold several pairs with one key."""
+    tag, payload = v
+    if tag == "str":
+        return m.get(v, v)
+    if tag == "set":
+        return ("set", tuple(sorted({_rename(x, m) for x in payload})))
+    if tag == "fun":
+        return ("fun", tuple(sorted([(_rename(k, m), _rename(x, m))
+                                     for k, x in payload])))
+    if tag == "rec":
+        return ("rec", tuple([(f, _rename(x, m)) for f, x in payload]))
+    if tag == "tup":
+        return ("tup", tuple([_rename(x, m) for x in payload]))
+    return v
+
+
+class _Cache(dict):
+    """A dict that computes a missing entry as `make(key)` and keeps it."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _symmetry(sets, tables):
+    """(order, canon) for the coded states of one build, whose variables
+    have the tables `tables`, under the permutations of each of `sets`.
+    `order(c)` is the tuple of the elements' indices (into the sets'
+    elements, set after set) sorted by their marked views in c, within
+    each set; `canon(c)` renames the element at position k of `order(c)`
+    to the k-th element."""
+    elems = [e for s in sets for e in s]
+    n = len(elems)
+    blocks = [b for b, s in enumerate(sets) for _ in s]
+    marks = [{x: _MARK if x == e else _BLANK for x in elems} for e in elems]
+    seen = _Table()  # view -> id: any fixed one-to-one key sorts alike
+
+    def views(t):
+        return _Cache(lambda i: tuple([seen[_rename(t.vals[i], m)]
+                                       for m in marks]))
+
+    def renamed(p):
+        m = {elems[i]: elems[k] for k, i in enumerate(p)}
+        return [_Cache(lambda i, t=t: t[_rename(t.vals[i], m)])
+                for t in tables]
+
+    marked = [views(t) for t in tables]
+    renamings = _Cache(renamed)
+    renamings[tuple(range(n))] = None
+
+    def order(c):
+        keys = list(zip(blocks, *map(getitem, marked, c)))
+        return tuple(sorted(range(n), key=keys.__getitem__))
+
+    def canon(c):
+        r = renamings[order(c)]
+        return c if r is None else tuple(map(getitem, r, c))
+
+    return order, canon
+
+
+def _reduced_reach(spec, prop, sets, bound, cancel):
+    """`err_reach` over one representative per orbit.  The witness is
+    the representatives' path with its elements renamed back: the
+    renaming from representative to concrete state starts as the inverse
+    of the initial state's, and each step composes it with the inverse
+    of the renaming of the representative's successor."""
+    initials, alphabet, ns = _compile(spec, prop, coded=True)
+    try:
+        order, canon = _symmetry(sets, [ns["_t%d" % i]
+                                        for i in range(len(spec.variables))])
+        successors = ns["successors"]
+        expanded = []  # `explore` expands its states in index order
+
+        def reduced(c):
+            expanded.append(c)
+            for lab, t in successors(c):
+                yield lab, canon(t)
+
+        l = explore([canon(c) for c in initials], reduced, alphabet,
+                    ns["violates"], bound or DEFAULT_BOUND, cancel,
+                    stop_at_pi=True)
+        path = pi_path(l)
+        if path is None:
+            return False, l.n_states, None
+        elems = [e for s in sets for e in s]
+        trace = []
+        if path:
+            start = expanded[path[0][0]]
+            sigma = order(next(c for c in initials if canon(c) == start))
+        for step, (s, lab) in enumerate(path):
+            name, d = alphabet[lab]
+            back = {elems[k]: elems[i] for k, i in enumerate(sigma)}
+            trace.append((name, _rename(d, back)))
+            if step + 1 < len(path):
+                t = next(t for x, t in successors(expanded[s]) if x == lab)
+                sigma = tuple(sigma[i] for i in order(t))
+        return True, l.n_states, tuple(trace)
+    finally:
+        ns.clear()

@@ -14,6 +14,7 @@ immutable, hashable and safe to share across worker processes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 
@@ -164,6 +165,11 @@ class ActionDef:
     param: str
     conjuncts: tuple  # of Expr
 
+    @cached_property
+    def kinds(self):
+        """`classify_conjunct` of each conjunct, computed once per action."""
+        return tuple(classify_conjunct(c) for c in self.conjuncts)
+
 
 @dataclass(frozen=True)
 class PropertyDef:
@@ -249,6 +255,11 @@ def symbolic_actions(spec):
     return {a.name for a in spec.actions}
 
 
+def string_literals(e):
+    """The string literals of an expression."""
+    return {x.value for x in _walk(e) if isinstance(x, StrLit)}
+
+
 def has_primes(e):
     return any(isinstance(x, (Prime, Unchanged)) for x in _walk(e))
 
@@ -313,8 +324,7 @@ def validate(spec):
         if not a.conjuncts:
             raise SpecError("action %s has an empty body" % a.name)
         scope = declared | {a.param}
-        for c in a.conjuncts:
-            kind = classify_conjunct(c)
+        for c, kind in zip(a.conjuncts, a.kinds):
             unknown = free_idents(c) - scope
             if unknown:
                 raise SpecError("action %s references undeclared %s"

@@ -28,20 +28,25 @@ def tp():
 
 
 def test_bound_caps_non_violating_states_in_both_searches(tp):
-    prop = tp.property("Consistent")  # holds: all 288 states are explored
-    assert err_reach(tp, prop, bound=288) == (False, 288, None)
+    prop = tp.property("Consistent")  # holds: all states are explored
+    # err_reach explores one state for each of the 80 orbits of the 288
+    # under the permutations of RMs; err_lts explores all 288
+    assert err_reach(tp, prop, bound=80) == (False, 80, None)
     assert err_lts(tp, prop, bound=288).n_states == 288
     with pytest.raises(StateBoundExceeded):
-        err_reach(tp, prop, bound=287)
+        err_reach(tp, prop, bound=79)
     with pytest.raises(StateBoundExceeded):
         err_lts(tp, prop, bound=287)
 
 
 def test_violating_states_do_not_count_against_the_bound(tp):
     prop = tp.property("NoPrepares")
-    # the search stops at the 11th state, the first violating one
-    violated, count, _ = err_reach(tp, prop, bound=10)
-    assert (violated, count) == (True, 11)
+    # the search stops at the 6th state, the first violating one, after
+    # five representatives
+    violated, count, _ = err_reach(tp, prop, bound=5)
+    assert (violated, count) == (True, 6)
+    with pytest.raises(StateBoundExceeded):
+        err_reach(tp, prop, bound=4)
     # the full error LTS has 91 ordinary states plus pi
     assert err_lts(tp, prop, bound=91).n_states == 92
     with pytest.raises(StateBoundExceeded):
