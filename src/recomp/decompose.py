@@ -1,11 +1,12 @@
 """Variable-partition decomposition of a specification.
 
-A spec is split into components with pairwise-disjoint variable sets:
-the first component receives the variables the checked property depends
-on (closed under conjunct-level coupling), and the remainder is sliced
-off and split again until nothing is left.  Recomposing all components
-and normalizing gives back the normalized input, and the property's
-variables always land in the first component.
+A spec's variables are split into pairwise-disjoint blocks, each closed
+under conjunct-level coupling: the first block holds the variables the
+checked property depends on, and each later one grows from a seed
+picked among the variables left over.  Each component is the spec
+sliced onto one block (`slice_spec`), so slicing onto the union of any
+components' blocks is their composition, and slicing onto all of them
+gives back the spec with its frames regenerated.
 """
 
 from __future__ import annotations
@@ -103,43 +104,34 @@ def slice_spec(spec, v):
     )
 
 
-def _pick_variable(original, v_t):
+def _pick_variable(spec, v_t):
     """Deterministic replacement for the free choice of the next seed
-    variable: fewest syntactic occurrences in the original spec, ties
-    broken alphabetically."""
-    return min(sorted(v_t), key=lambda v: (sx.count_occurrences(original, v), v))
-
-
-def decompose_steps(spec, prop):
-    """Iterator over (component, remainder-after-slicing) pairs; the last
-    remainder is None.  Exposed so the loop invariant (input equals the
-    components so far composed with the remainder) can be tested."""
-    seed = sx.free_vars(spec, prop.body)
-    if not seed:
-        # a constant property constrains no variables; anchor arbitrarily
-        seed = {spec.variables[0]} if spec.variables else set()
-    if not seed:
-        yield spec, None
-        return
-    rest = spec
-    while True:
-        p = partition(rest, seed)
-        if not p.v_t:
-            yield rest, None
-            return
-        comp = slice_spec(rest, p.v_c)
-        rest = slice_spec(rest, p.v_t)
-        yield comp, rest
-        seed = {_pick_variable(spec, p.v_t)}
+    variable: fewest syntactic occurrences in the spec, ties broken
+    alphabetically."""
+    return min(v_t, key=lambda v: (spec.occurrences[v], v))
 
 
 def decompose(spec, prop):
-    """Components C1..Cn; C1 carries all of the property's variables."""
+    """Components C1..Cn; C1 carries all of the property's variables.
+
+    Each component is the spec sliced onto one block of variables.  The
+    first block closes the property's variables under coupling; each
+    later one closes a seed picked from the variables left over."""
     extra = (sx.free_idents(prop.body) - set(spec.variables)
              - set(spec.constants))
     if extra:
         raise SpecError("property %s references unknown variables: %s"
                         % (prop.name, ", ".join(sorted(extra))))
-    comps = [c for c, _ in decompose_steps(spec, prop)]
-    return [replace(c, name="%s_C%d" % (spec.name, i + 1))
-            for i, c in enumerate(comps)]
+    rest = set(spec.variables)
+    # a constant property constrains no variables; anchor arbitrarily
+    seed = sx.free_vars(spec, prop.body) or set(spec.variables[:1])
+    blocks = []
+    while rest:
+        block = partition(spec, seed).v_c
+        blocks.append(block)
+        rest -= block
+        if rest:
+            seed = {_pick_variable(spec, rest)}
+    # a spec without variables is one component with an empty block
+    return [replace(slice_spec(spec, b), name="%s_C%d" % (spec.name, i + 1))
+            for i, b in enumerate(blocks or [rest])]

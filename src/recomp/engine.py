@@ -142,15 +142,13 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
     perm = total_order(comps, spec)
     comps = [comps[i - 1] for i in perm]
     n = len(comps)
-    if strategy.custom is not None:
-        f = strategy.custom
-    else:
-        f = make_strategy(strategy.kind, n)
-    # S4 is the whole-system backstop: it checks the spec exactly as
-    # written, so component dropping does not apply to it.
+    f = strategy.custom or make_strategy(strategy.kind, n)
+    # S4 is the whole-system backstop: its one group is the spec sliced
+    # onto all its variables, i.e. the spec's own actions in written
+    # order, so component dropping does not apply to it.
     if reduce and strategy.kind != "S4":
         f = static_reduce(f, comps)
-    d_p, groups = build_groups(f, comps)
+    d_p, groups = build_groups(f, comps, spec)
     verdict, stats = comp_verify(d_p, groups, prop, bound=bound,
                                  minimize_mode=minimize_mode, cancel=cancel)
     return verdict, replace(stats, strategy=strategy.kind, n=n, m=f.m)

@@ -14,7 +14,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from . import syntax as sx
 from .recompose import (P, RecompositionMap, alphabets, interaction_sets,
                         make_map)
 
@@ -64,8 +63,7 @@ def total_order(components, spec):
     n = len(components)
 
     def weight(i):
-        return sum(sx.count_occurrences(spec, v)
-                   for v in components[i - 1].variables)
+        return sum(spec.occurrences[v] for v in components[i - 1].variables)
 
     succs = {i: set() for i in covered}
     preds = {i: 0 for i in covered}
@@ -89,8 +87,16 @@ def total_order(components, spec):
 
 @dataclass(frozen=True)
 class Strategy:
-    kind: str  # S1..S4 or "custom"
+    kind: str  # S1..S4, or "custom" with its map
     custom: Optional[RecompositionMap] = None
+
+    def __post_init__(self):
+        if self.kind not in KINDS + ("custom",):
+            raise ValueError("unknown strategy kind %r" % self.kind)
+        if (self.kind == "custom") != (self.custom is not None):
+            raise ValueError("strategy %r %s" % (
+                self.kind,
+                "needs a map" if self.kind == "custom" else "takes no map"))
 
 
 def make_strategy(kind, n):

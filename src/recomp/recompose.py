@@ -1,73 +1,23 @@
-"""Recomposition maps, static reduction, and group construction by
-merging slices of one spec (`compose_specs`).
+"""Recomposition maps, static reduction, and group construction.
 
 A recomposition map assigns each component (1-based index) to either the
 property group "P" or a numbered group 1..m; it must be surjective and
 must send component 1 to "P".  Static reduction drops components whose
 action alphabets can never influence component 1, directly or
-transitively, then renumbers the remaining groups densely.
+transitively, then renumbers the remaining groups densely.  A group of
+several components is the spec sliced onto the union of their variables,
+which is their composition; a group of one is that component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import syntax as sx
+from .decompose import slice_spec
 from .syntax import SpecError
 
 P = "P"
-
-
-def compose_specs(parts):
-    """Merge slices of one spec, such as components of one decomposition.
-
-    One part is returned as it is.  Otherwise variables and Init are
-    concatenated, and actions come in order of first appearance.  An
-    action's body is the conjuncts of the parts that have it, in part
-    order, plus one UNCHANGED over the variables of the parts that lack
-    it.  Parts that cannot be slices of one spec raise SpecError.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    variables = tuple(v for p in parts for v in p.variables)
-    shared = sorted({v for v in variables if variables.count(v) > 1})
-    if shared:
-        raise SpecError("cannot compose: %s in two parts" % ", ".join(shared))
-    if len({p.config for p in parts}) > 1:
-        raise SpecError("cannot compose: constant bindings differ")
-    if len({p.next_domain for p in parts if p.actions}) > 1:
-        raise SpecError("cannot compose: action parameter domains differ")
-    params, bodies = {}, {}
-    for a in [a for p in parts for a in p.actions]:
-        if params.setdefault(a.name, a.param) != a.param:
-            raise SpecError("cannot compose: %s has parameters %s and %s"
-                            % (a.name, params[a.name], a.param))
-        bodies[a.name] = bodies.get(a.name, ()) + a.conjuncts
-    alphas = alphabets(parts)
-    actions = []
-    for name, body in bodies.items():
-        frame = tuple(v for p, alpha in zip(parts, alphas)
-                      if name not in alpha for v in p.variables)
-        if frame:
-            body += (sx.Unchanged(frame),)
-        actions.append(sx.ActionDef(name, params[name], body))
-    props = {}
-    for prop in [q for p in parts for q in p.properties]:
-        if props.setdefault(prop.name, prop).body != prop.body:
-            raise SpecError("cannot compose: property %s has two bodies"
-                            % prop.name)
-    first = next((p for p in parts if p.actions), parts[0])
-    return sx.SpecAst(
-        name="_".join(p.name for p in parts),
-        constants=tuple(sorted({c for p in parts for c in p.constants})),
-        variables=variables,
-        init=tuple(c for p in parts for c in p.init),
-        actions=tuple(actions),
-        next_var=first.next_var,
-        next_domain=first.next_domain,
-        properties=tuple(props[k] for k in sorted(props)),
-        config=parts[0].config,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -160,14 +110,21 @@ def static_reduce(f, components):
     return RecompositionMap(tuple(pairs), len(surviving)).validate()
 
 
-def build_groups(f, components):
-    """The map's preimages merged into (property group, ordered groups)."""
+def build_groups(f, components, spec):
+    """The map's preimages as (property group, ordered groups); the
+    components are slices of `spec`."""
     f.validate()
     by_group = {}
     for j, g in f.assignment:
         by_group.setdefault(g, []).append(components[j - 1])
-    return (compose_specs(by_group[P]),
-            [compose_specs(by_group[g]) for g in range(1, f.m + 1)])
+
+    def group(parts):
+        if len(parts) == 1:
+            return parts[0]
+        v = {x for p in parts for x in p.variables}
+        return replace(slice_spec(spec, v),
+                       name="_".join(p.name for p in parts))
+    return group(by_group[P]), [group(by_group[g]) for g in range(1, f.m + 1)]
 
 
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ immutable, hashable and safe to share across worker processes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -195,6 +196,20 @@ class SpecAst:
                 return p
         raise SpecError("unknown property %r in %s" % (name, self.name))
 
+    @cached_property
+    def occurrences(self):
+        """Syntactic occurrences of each name in Init and the actions, plus
+        one per state variable for the vars tuple; counted once per spec."""
+        out = Counter(self.variables)
+        for e in self.init + tuple(c for a in self.actions
+                                   for c in a.conjuncts):
+            for x in _walk(e):
+                if isinstance(x, (Name, Prime)):
+                    out[x.id] += 1
+                elif isinstance(x, Unchanged):
+                    out.update(x.names)
+        return out
+
 
 # --------------------------------------------------------------------------
 # Syntactic queries
@@ -275,29 +290,6 @@ def classify_conjunct(c):
     if has_primes(c):
         raise SpecError("conjunct is neither a guard, an update, nor a frame")
     return "guard"
-
-
-def count_occurrences(spec, v):
-    """Syntactic occurrences of a state variable, vars tuple included."""
-    if v not in spec.variables:
-        raise SpecError("unknown variable %r" % v)
-
-    def count_in(e):
-        n = 0
-        for x in _walk(e):
-            if isinstance(x, (Name, Prime)) and x.id == v:
-                n += 1
-            elif isinstance(x, Unchanged):
-                n += sum(1 for name in x.names if name == v)
-        return n
-
-    total = 1  # the vars tuple
-    for c in spec.init:
-        total += count_in(c)
-    for a in spec.actions:
-        for c in a.conjuncts:
-            total += count_in(c)
-    return total
 
 
 def validate(spec):

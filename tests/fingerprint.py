@@ -50,7 +50,7 @@ def _groups_row(spec, prop, kind):
     comps = decompose(spec, prop)
     comps = [comps[i - 1] for i in total_order(comps, spec)]
     f = static_reduce(make_strategy(kind, len(comps)), comps)
-    d_p, groups = build_groups(f, comps)
+    d_p, groups = build_groups(f, comps, spec)
     lts = [err_lts(d_p, prop, BOUND)] + [to_lts(g, BOUND) for g in groups]
     return " ; ".join("%s[%s] %s" % (g.name, ",".join(a.name for a in
                                                       g.actions), _digest(l))

@@ -8,7 +8,6 @@ the desk-scale magnitude check, and portfolio behavior.
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -17,11 +16,12 @@ from lts_oracle import traces_equal
 from recomp import parse, decompose, total_order
 from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
+from recomp.decompose import slice_spec
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
                            run_portfolio)
 from recomp.lts import StateBoundExceeded, compose, is_tau
 from recomp.order import Strategy, dataflow_from_alphabets, make_strategy
-from recomp.recompose import (P, build_groups, compose_specs, make_map,
+from recomp.recompose import (P, build_groups, make_map,
                               necessary_components, static_reduce)
 from recomp.semantics import err_lts, to_lts
 from spec_helpers import normalize
@@ -31,6 +31,10 @@ def _ordered_components(spec, prop):
     comps = decompose(spec, prop)
     perm = total_order(comps, spec)
     return [comps[i - 1] for i in perm]
+
+
+# the hand-tuned two-phase commit map: components 2..4 to groups 1, 2, 1
+TUNED = [(1, P), (2, 1), (3, 2), (4, 1)]
 
 
 def _random_map(rng, n):
@@ -110,46 +114,53 @@ def test_observational_counterexamples_replay():
 # 2. composition semantics: syntactic and LTS-level composition agree
 
 
-def _rand_small_spec(rng, name, prefix, domain):
+def _rand_two_part_spec(rng, domain):
+    """A random spec whose x variables and y variables no conjunct
+    couples, with its x and y slices."""
     values = ["v0", "v1", "v2"]
-    variables = tuple("%s%d" % (prefix, i) for i in range(rng.randint(1, 2)))
+    parts = [tuple("%s%d" % (prefix, i) for i in range(rng.randint(1, 2)))
+             for prefix in "xy"]
+    variables = parts[0] + parts[1]
     init = tuple(sx.Eq(sx.Name(v), sx.StrLit("v0")) for v in variables)
     actions = []
-    for aname in rng.sample(["A", "B", "C", "D"], rng.randint(2, 3)):
-        conjuncts = []
-        if rng.random() < 0.5:
-            conjuncts.append(sx.Eq(sx.Name(rng.choice(variables)),
-                                   sx.StrLit(rng.choice(values))))
+    for aname in ["A", "B", "C", "D"]:
+        conjuncts, updated = [], []
+        for part in parts:
+            if rng.random() < 0.3:
+                continue  # the action leaves this part alone
+            if rng.random() < 0.5:
+                conjuncts.append(sx.Eq(sx.Name(rng.choice(part)),
+                                       sx.StrLit(rng.choice(values))))
+            updated += [v for v in part if rng.random() < 0.7]
         if rng.random() < 0.3:
             conjuncts.append(sx.Eq(sx.Name("d"), sx.StrLit("a")))
-        updated = [v for v in variables if rng.random() < 0.7]
         for v in updated:
             conjuncts.append(sx.Eq(sx.Prime(v), sx.StrLit(rng.choice(values))))
+        if not conjuncts:
+            continue  # a pure stutter is in no slice
         framed = tuple(v for v in variables if v not in updated)
         if framed:
             conjuncts.append(sx.Unchanged(framed))
         actions.append(sx.ActionDef(aname, "d", tuple(conjuncts)))
-    return sx.SpecAst(name=name, constants=(), variables=variables,
+    spec = sx.SpecAst(name="R", constants=(), variables=variables,
                       init=init, actions=tuple(actions), next_var="d",
                       next_domain=domain)
+    return spec, [slice_spec(spec, part) for part in parts]
 
 
 def test_composition_agrees_on_random_spec_pairs():
     rng = random.Random(1106)
     domain = sx.SetLit((sx.StrLit("a"), sx.StrLit("b")))
-    checked = 0
-    while checked < 50:
-        s = _rand_small_spec(rng, "S", "x", domain)
-        t = _rand_small_spec(rng, "T", "y", domain)
-        syntactic = to_lts(compose_specs([s, t]))
+    for _ in range(50):
+        spec, (s, t) = _rand_two_part_spec(rng, domain)
         algebraic = compose(to_lts(s), to_lts(t))
-        assert traces_equal(syntactic, algebraic, 8)
-        checked += 1
+        assert traces_equal(to_lts(spec), algebraic, 8)
 
 
 def _decomposition_groups():
     """(group, its parts): the left-fold pairs of each decomposition,
-    and every group of two or more parts that S1-S3 build."""
+    and every group of two or more parts that S1-S3 and, on four
+    components, the tuned map build."""
     out = []
     for name, gen in sorted(ALL.items()):
         spec = parse(gen())
@@ -158,13 +169,17 @@ def _decomposition_groups():
             acc = comps[0]
             for nxt in comps[1:]:
                 parts = [acc, nxt]
-                acc = compose_specs(parts)
+                acc, _ = build_groups(make_map([(1, P), (2, P)]), parts, spec)
                 out.append(pytest.param(acc, parts, id="%s-%s-%s" % (
                     name, prop.name, nxt.name)))
             comps = _ordered_components(spec, prop)
-            for kind in ("S1", "S2", "S3"):
-                f = static_reduce(make_strategy(kind, len(comps)), comps)
-                d_p, groups = build_groups(f, comps)
+            maps = [(kind, make_strategy(kind, len(comps)))
+                    for kind in ("S1", "S2", "S3")]
+            if len(comps) == 4:
+                maps.append(("tuned", make_map(TUNED)))
+            for kind, f in maps:
+                f = static_reduce(f, comps)
+                d_p, groups = build_groups(f, comps, spec)
                 for g, group in zip([P] + list(range(1, f.m + 1)),
                                     [d_p] + groups):
                     parts = [comps[j - 1] for j, h in f.assignment if h == g]
@@ -196,8 +211,8 @@ def test_decomposition_contract(name):
     spec = parse(ALL[name]())
     for prop in spec.properties:
         comps = decompose(spec, prop)
-        recomposed = replace(normalize(compose_specs(comps)), name="")
-        assert recomposed == replace(normalize(spec), name="")
+        every = [v for c in comps for v in c.variables]
+        assert normalize(slice_spec(spec, every)) == normalize(spec)
         assert sx.free_vars(spec, prop.body) <= set(comps[0].variables)
 
 
@@ -350,7 +365,7 @@ def test_recomposition_shrinks_the_state_space():
 def ten_rm_run():
     spec = parse(twophase(10))
     prop = spec.property("Consistent")
-    f = make_map([(1, P), (2, 1), (3, 2), (4, 1)])
+    f = make_map(TUNED)
     verdict, stats = recomp_verify(spec, prop, Strategy("custom", custom=f),
                                    minimize_mode="observational")
     return verdict, stats

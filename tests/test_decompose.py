@@ -7,8 +7,7 @@ from recomp import parse, decompose
 from recomp import syntax as sx
 from recomp.corpus import (ALL, env_component, rm_component, tm1_component,
                            tm2_component, twophase, twophase_prepare)
-from recomp.decompose import decompose_steps, partition, slice_spec
-from recomp.recompose import compose_specs
+from recomp.decompose import partition, slice_spec
 from recomp.syntax import SpecError
 from spec_helpers import normalize
 
@@ -23,15 +22,19 @@ def _cases():
 
 
 def _structurally(spec):
-    # the composed name is derived from the component names; P1 is about
-    # the structure, so compare with the name stripped
+    # component names are derived from the spec's name; the contract is
+    # about the structure, so compare with the name stripped
     return replace(normalize(spec), name="")
 
 
 @pytest.mark.parametrize("spec,prop", _cases())
-def test_recomposing_all_components_restores_the_spec(spec, prop):
+def test_components_are_slices_that_restore_the_spec(spec, prop):
     comps = decompose(spec, prop)
-    assert _structurally(compose_specs(comps)) == _structurally(spec)
+    for c in comps:
+        assert replace(c, name=spec.name) == slice_spec(spec, c.variables)
+    # that the components partition the variables is the next test's
+    every = [v for c in comps for v in c.variables]
+    assert _structurally(slice_spec(spec, every)) == _structurally(spec)
 
 
 @pytest.mark.parametrize("spec,prop", _cases())
@@ -48,15 +51,6 @@ def test_components_partition_the_variables(spec, prop):
         seen.extend(c.variables)
     assert sorted(seen) == sorted(spec.variables)
     assert len(seen) == len(set(seen))
-
-
-def test_step_invariant_spec_equals_components_plus_remainder(tp3):
-    prop = tp3.property("Consistent")
-    done = []
-    for comp, rest in decompose_steps(tp3, prop):
-        done.append(comp)
-        parts = done + ([rest] if rest is not None else [])
-        assert _structurally(compose_specs(parts)) == _structurally(tp3)
 
 
 def test_twophase_splits_into_single_variable_components(tp3):
@@ -85,13 +79,10 @@ def test_prepare_phase_slices_match_hand_written_components():
 
 def test_decompose_is_conjunct_order_independent(tp3):
     rng = random.Random(3)
-    shuffled = sx.SpecAst(**{
-        **tp3.__dict__,
-        "actions": tuple(
-            sx.ActionDef(a.name, a.param,
-                         tuple(rng.sample(a.conjuncts, len(a.conjuncts))))
-            for a in tp3.actions),
-    })
+    shuffled = replace(tp3, actions=tuple(
+        sx.ActionDef(a.name, a.param,
+                     tuple(rng.sample(a.conjuncts, len(a.conjuncts))))
+        for a in tp3.actions))
     a = decompose(tp3, tp3.property("Consistent"))
     b = decompose(shuffled, shuffled.property("Consistent"))
     assert [set(c.variables) for c in a] == [set(c.variables) for c in b]

@@ -106,3 +106,15 @@ def test_strategy_labels():
                      Strategy("custom", custom=make_strategy("S2", n))):
         _, stats = recomp_verify(spec, prop, strategy)
         assert stats.strategy == strategy.kind
+
+
+def test_strategy_kind_must_agree_with_its_map():
+    f = make_strategy("S2", 4)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="takes no map"):
+            Strategy(kind, custom=f)
+    with pytest.raises(ValueError, match="needs a map"):
+        Strategy("custom")
+    with pytest.raises(ValueError, match="unknown strategy kind"):
+        Strategy("S9")
+    assert Strategy("custom", custom=f).custom is f

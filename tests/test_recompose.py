@@ -1,13 +1,15 @@
-from itertools import combinations, permutations
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
 from recomp import parse, decompose, total_order
 from recomp import syntax as sx
-from recomp.corpus import tpcounter, twophase
-from recomp.recompose import (P, RecompositionMap, build_groups,
-                              compose_specs, make_map, necessary_components,
-                              parse_map_file, render_map, static_reduce)
+from recomp.corpus import ALL, tpcounter, twophase
+from recomp.decompose import slice_spec
+from recomp.recompose import (P, RecompositionMap, build_groups, make_map,
+                              necessary_components, parse_map_file,
+                              render_map, static_reduce)
 from recomp.syntax import SpecError
 
 
@@ -19,111 +21,72 @@ def _ordered(spec, propname):
 
 
 @pytest.fixture(scope="module")
-def tp_comps():
-    spec = parse(twophase(3))
-    return _ordered(spec, "Consistent")
+def tp():
+    return parse(twophase(3))
 
 
-def test_one_part_is_returned_as_it_is(tp_comps):
-    c = tp_comps[0]
-    assert compose_specs([c]) is c
+@pytest.fixture(scope="module")
+def tp_comps(tp):
+    return _ordered(tp, "Consistent")
 
 
-def _blocks(comps):
-    """Every block of every set partition of comps (that is, every
-    nonempty subset), in every order."""
-    for size in range(1, len(comps) + 1):
-        for subset in combinations(comps, size):
-            yield from permutations(subset)
+def _group(spec, parts):
+    """The group that `build_groups` makes of the parts."""
+    parts = list(parts)
+    f = make_map([(i + 1, P) for i in range(len(parts))])
+    return build_groups(f, parts, spec)[0]
 
 
-def test_group_layout_follows_its_parts(tp_comps):
-    checked = 0
-    for parts in _blocks(tp_comps):
-        group = compose_specs(list(parts))
-        first_seen = []
-        for p in parts:
-            first_seen += [a.name for a in p.actions
-                           if a.name not in first_seen]
-        assert [a.name for a in group.actions] == first_seen
-        for a in group.actions:
-            having = [next((b for b in p.actions if b.name == a.name), None)
-                      for p in parts]
-            own = tuple(c for b in having if b is not None
-                        for c in b.conjuncts)
-            lacking = tuple(v for p, b in zip(parts, having) if b is None
-                            for v in p.variables)
-            # the parts' conjuncts in part order, non-frame and own frames
-            assert a.conjuncts[:len(own)] == own
-            # then one frame over exactly the parts without the action
-            assert a.conjuncts[len(own):] == (
-                (sx.Unchanged(lacking),) if lacking else ())
-        checked += 1
-    assert checked == 64  # 4 + 12 + 24 + 24 ordered blocks of 4 components
+def test_one_component_group_is_the_component_itself(tp, tp_comps):
+    f = make_map([(1, P), (2, 1), (3, 2), (4, 3)])
+    d_p, groups = build_groups(f, tp_comps, tp)
+    assert d_p is tp_comps[0]
+    assert all(g is c for g, c in zip(groups, tp_comps[1:]))
 
 
-def test_shared_actions_conjoin_their_bodies(tp_comps):
+def _corpus_cases():
+    out = []
+    for name, gen in sorted(ALL.items()):
+        spec = parse(gen())
+        for p in spec.properties:
+            out.append(pytest.param(spec, p.name, id="%s-%s" % (name, p.name)))
+    return out
+
+
+@pytest.mark.parametrize("spec,propname", _corpus_cases())
+def test_group_is_the_spec_sliced_onto_its_parts(spec, propname):
+    comps = _ordered(spec, propname)
+    for size in range(2, len(comps) + 1):
+        for parts in combinations(comps, size):
+            group = _group(spec, parts)
+            assert group.name == "_".join(p.name for p in parts)
+            v = {x for p in parts for x in p.variables}
+            # in the spec's written order, whatever the order of the parts
+            assert replace(group, name=spec.name) == slice_spec(spec, v)
+
+
+def test_shared_actions_conjoin_their_bodies(tp, tp_comps):
     rm, env = tp_comps[0], tp_comps[1]
-    both = compose_specs([rm, env])
+    both = _group(tp, [rm, env])
     shared = {a.name for a in rm.actions} & {a.name for a in env.actions}
     assert shared  # SndPrepare at least
-    for a in both.actions:
-        if a.name in shared:
-            left = next(x for x in rm.actions if x.name == a.name)
-            right = next(x for x in env.actions if x.name == a.name)
-            assert len(a.conjuncts) == len(left.conjuncts) + len(right.conjuncts)
+
+    def own(spec, name):
+        a = next(x for x in spec.actions if x.name == name)
+        return {c for c, kind in zip(a.conjuncts, a.kinds) if kind != "frame"}
+    for name in shared:
+        assert own(both, name) == own(rm, name) | own(env, name)
 
 
-def test_one_sided_actions_frame_the_other_component(tp_comps):
+def test_one_sided_actions_frame_the_other_component(tp, tp_comps):
     rm, env = tp_comps[0], tp_comps[1]
-    both = compose_specs([rm, env])
+    both = _group(tp, [rm, env])
     only_rm = {a.name for a in rm.actions} - {a.name for a in env.actions}
+    assert only_rm
     for a in both.actions:
         if a.name in only_rm:
             frames = [c for c in a.conjuncts if isinstance(c, sx.Unchanged)]
             assert any(set(f.names) >= set(env.variables) for f in frames)
-
-
-def _go_spec(module, var, param, domain='{"v"}'):
-    return parse("MODULE %s\n\nVARIABLES %s\n\nINIT\n  /\\ %s = 0\n\n"
-                 "ACTION Go(%s)\n  /\\ %s' = 1\n\n"
-                 "NEXT \\E %s \\in %s :\n  \\/ Go(%s)\n"
-                 % (module, var, var, param, var, param, domain, param))
-
-
-def test_composition_rejects_two_parameter_names():
-    # slices of one spec share each action's parameter; nothing is renamed
-    with pytest.raises(SpecError, match="parameters p and q"):
-        compose_specs([_go_spec("A", "x", "p"), _go_spec("B", "y", "q")])
-
-
-def test_composition_rejects_different_next_domains():
-    with pytest.raises(SpecError, match="domains differ"):
-        compose_specs([_go_spec("A", "x", "p"),
-                       _go_spec("B", "y", "p", '{"w"}')])
-
-
-def test_composition_rejects_shared_variables(tp_comps):
-    with pytest.raises(SpecError):
-        compose_specs([tp_comps[0], tp_comps[0]])
-
-
-def test_composition_rejects_conflicting_properties():
-    a = parse("MODULE A\n\nVARIABLES x\n\nINIT\n  /\\ x = 0\n\n"
-              "PROPERTY Inv\n  x = 0\n")
-    b = parse("MODULE B\n\nVARIABLES y\n\nINIT\n  /\\ y = 0\n\n"
-              "PROPERTY Inv\n  y = 1\n")
-    with pytest.raises(SpecError):
-        compose_specs([a, b])
-
-
-def test_composition_rejects_conflicting_constants():
-    a = parse("MODULE A\n\nCONSTANTS K\n\nVARIABLES x\n\nCONFIG\n  K = {1}\n\n"
-              "INIT\n  /\\ x = 0\n")
-    b = parse("MODULE B\n\nCONSTANTS K\n\nVARIABLES y\n\nCONFIG\n  K = {2}\n\n"
-              "INIT\n  /\\ y = 0\n")
-    with pytest.raises(SpecError):
-        compose_specs([a, b])
 
 
 # --------------------------------------------------------------------------
@@ -142,9 +105,9 @@ def test_make_map_validates_shape():
         RecompositionMap(((1, P), (1, 1)), m=1).validate()  # duplicate
 
 
-def test_build_groups_folds_preimages(tp_comps):
+def test_build_groups_folds_preimages(tp, tp_comps):
     f = make_map([(1, P), (2, 1), (3, 2), (4, 1)])
-    d_p, groups = build_groups(f, tp_comps)
+    d_p, groups = build_groups(f, tp_comps, tp)
     assert d_p.variables == tp_comps[0].variables
     assert len(groups) == 2
     assert set(groups[0].variables) == (set(tp_comps[1].variables)
@@ -152,9 +115,9 @@ def test_build_groups_folds_preimages(tp_comps):
     assert set(groups[1].variables) == set(tp_comps[2].variables)
 
 
-def test_build_groups_composes_everything_once(tp_comps):
+def test_build_groups_composes_everything_once(tp, tp_comps):
     f = make_map([(1, P), (2, 1), (3, 1), (4, 1)])
-    d_p, groups = build_groups(f, tp_comps)
+    d_p, groups = build_groups(f, tp_comps, tp)
     all_vars = set(d_p.variables)
     for g in groups:
         all_vars |= set(g.variables)
