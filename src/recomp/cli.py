@@ -2,14 +2,12 @@
 
 Exit codes: 0 the property holds, 1 it is violated (a counterexample is
 printed), 2 the run was inconclusive (state bound or timeout), 3 usage
-or specification errors.  RECOMP_BOUND and RECOMP_TIMEOUT override the
-state bound and the timeout without touching the command line.
+or specification errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .decompose import decompose
@@ -49,8 +47,6 @@ def _build_parser():
                        default="strong")
     check.add_argument("--format", choices=("text", "structured"),
                        default="text")
-    check.add_argument("--no-reduce", action="store_true",
-                       help="skip static reduction of the component set")
 
     dec = sub.add_parser("decompose", help="print the decomposition")
     common(dec)
@@ -91,17 +87,11 @@ def _strategies(selector, spec, prop):
 def _cmd_check(args):
     spec, prop = _load(args)
     strategies = _strategies(args.strategy, spec, prop)
-    bound = args.bound
-    if bound is None and os.environ.get("RECOMP_BOUND"):
-        bound = int(os.environ["RECOMP_BOUND"])
-    timeout = args.timeout
-    if timeout is None and os.environ.get("RECOMP_TIMEOUT"):
-        timeout = float(os.environ["RECOMP_TIMEOUT"])
-    if (bound is not None and bound < 1) or args.workers < 1:
+    if (args.bound is not None and args.bound < 1) or args.workers < 1:
         raise SpecError("bound and workers must be at least 1")
     verdict, stats, winner = run_portfolio(
-        spec, prop, strategies, workers=args.workers, timeout=timeout,
-        bound=bound, minimize_mode=args.minimize, reduce=not args.no_reduce)
+        spec, prop, strategies, workers=args.workers, timeout=args.timeout,
+        bound=args.bound, minimize_mode=args.minimize)
     if args.format == "structured":
         sys.stdout.write(render_report(verdict, stats))
     else:

@@ -1,60 +1,24 @@
-"""Variable-partition decomposition of a specification.
+"""Decomposition of a specification into components.
 
-A spec's variables are split into pairwise-disjoint blocks, each closed
-under conjunct-level coupling: the first block holds the variables the
-checked property depends on, and each later one grows from a seed
-picked among the variables left over.  Each component is the spec
-sliced onto one block (`slice_spec`), so slicing onto the union of any
-components' blocks is their composition, and slicing onto all of them
-gives back the spec with its frames regenerated.
+A spec's variables are split into blocks: the connected components of
+the coupling graph, in which two variables are joined when they occur
+together in a non-frame action conjunct.  Frames couple nothing: an
+`UNCHANGED` conjunct names every variable its action leaves alone, and
+slicing regenerates it.  The first block is the union of the blocks
+that hold the checked property's variables; each later one is the
+block of the leftover variable with the fewest occurrences in the spec,
+ties broken by name.  Each component is the spec sliced onto one block
+(`slice_spec`), so slicing onto the union of any components' blocks is
+their composition, and slicing onto all of them gives back the spec
+with its frames regenerated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import syntax as sx
 from .syntax import SpecError
-
-
-@dataclass(frozen=True)
-class Partition:
-    v_c: frozenset
-    v_t: frozenset
-
-
-def occurs(spec, v):
-    """Variables coupled to `v` through some non-frame action conjunct.
-
-    Frame conjuncts mention every untouched variable, so including them
-    would glue all variables together; they carry no real coupling and
-    are regenerated by slicing, hence excluded here.
-    """
-    out = set()
-    for a in spec.actions:
-        for c, kind in zip(a.conjuncts, a.kinds):
-            if kind == "frame":
-                continue
-            bc = sx.free_vars(spec, c) - {a.param}
-            if bc & v:
-                out |= bc
-    return out
-
-
-def fixpoint(op, x):
-    x = set(x)
-    while True:
-        y = x | op(x)
-        if y == x:
-            return x
-        x = y
-
-
-def partition(spec, v):
-    if not v or not v <= set(spec.variables):
-        raise SpecError("partition seed must be a nonempty variable subset")
-    v_c = frozenset(fixpoint(lambda s: occurs(spec, s), v))
-    return Partition(v_c, frozenset(spec.variables) - v_c)
 
 
 def slice_spec(spec, v):
@@ -104,34 +68,43 @@ def slice_spec(spec, v):
     )
 
 
-def _pick_variable(spec, v_t):
-    """Deterministic replacement for the free choice of the next seed
-    variable: fewest syntactic occurrences in the spec, ties broken
-    alphabetically."""
-    return min(v_t, key=lambda v: (spec.occurrences[v], v))
+def _blocks(spec):
+    """Each variable's block: the variables it is coupled to, directly or
+    through others, by the non-frame conjuncts; a variable in none of
+    them is a block of its own."""
+    block = {v: {v} for v in spec.variables}
+    for a in spec.actions:
+        for c, kind in zip(a.conjuncts, a.kinds):
+            if kind == "frame":
+                continue
+            joined = set()
+            for v in sx.free_vars(spec, c) - {a.param}:
+                joined |= block[v]
+            for v in joined:
+                block[v] = joined
+    return block
 
 
 def decompose(spec, prop):
     """Components C1..Cn; C1 carries all of the property's variables.
 
-    Each component is the spec sliced onto one block of variables.  The
-    first block closes the property's variables under coupling; each
-    later one closes a seed picked from the variables left over."""
+    Each component is the spec sliced onto one block of variables."""
     extra = (sx.free_idents(prop.body) - set(spec.variables)
              - set(spec.constants))
     if extra:
         raise SpecError("property %s references unknown variables: %s"
                         % (prop.name, ", ".join(sorted(extra))))
+    block = _blocks(spec)
     rest = set(spec.variables)
     # a constant property constrains no variables; anchor arbitrarily
     seed = sx.free_vars(spec, prop.body) or set(spec.variables[:1])
     blocks = []
     while rest:
-        block = partition(spec, seed).v_c
-        blocks.append(block)
-        rest -= block
+        b = set().union(*(block[v] for v in seed))
+        blocks.append(b)
+        rest -= b
         if rest:
-            seed = {_pick_variable(spec, rest)}
+            seed = {min(rest, key=lambda v: (spec.occurrences[v], v))}
     # a spec without variables is one component with an empty block
     return [replace(slice_spec(spec, b), name="%s_C%d" % (spec.name, i + 1))
             for i, b in enumerate(blocks or [rest])]

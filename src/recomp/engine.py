@@ -134,7 +134,7 @@ def _minimized(l, mode, visible_actions, cancel):
 
 
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
-                  cancel=None, reduce=True):
+                  cancel=None):
     """Decompose, order, map, statically reduce, build groups, verify."""
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
@@ -146,7 +146,7 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
     # S4 is the whole-system backstop: its one group is the spec sliced
     # onto all its variables, i.e. the spec's own actions in written
     # order, so component dropping does not apply to it.
-    if reduce and strategy.kind != "S4":
+    if strategy.kind != "S4":
         f = static_reduce(f, comps)
     d_p, groups = build_groups(f, comps, spec)
     verdict, stats = comp_verify(d_p, groups, prop, bound=bound,
@@ -155,7 +155,7 @@ def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
 
 
 def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
-                  bound=None, minimize_mode="strong", reduce=True):
+                  bound=None, minimize_mode="strong"):
     """Race the strategies on the worker pool; the first conclusive
     verdict wins, and losers are cancelled cooperatively and finish in
     the background.  A worker that exits without a result is an
@@ -170,7 +170,7 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
                               else max(0.0, timeout)):
         return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None
     try:
-        return _POOL.race((spec, prop, bound, minimize_mode, reduce),
+        return _POOL.race((spec, prop, bound, minimize_mode),
                           strategies, max(1, workers), deadline)
     finally:
         _POOL.lock.release()
@@ -217,7 +217,7 @@ class _Pool:
                                             self.races)
         self.races += 1
         race = self.races
-        spec, prop, bound, minimize_mode, reduce = job
+        spec, prop, bound, minimize_mode = job
         running = {}  # worker -> strategy index
         pending = list(enumerate(strategies))
 
@@ -230,7 +230,7 @@ class _Pool:
                 running[w] = idx
                 try:
                     w.conn.send((race, spec, prop, strat, bound,
-                                 minimize_mode, reduce))
+                                 minimize_mode))
                 except OSError:  # it died: wait() sees its sentinel
                     pass
 
@@ -415,15 +415,14 @@ def _pool_worker(conn, finished, inherited):
         c.close()
     while True:
         try:
-            race, spec, prop, strategy, bound, minimize_mode, reduce = (
-                conn.recv())
+            race, spec, prop, strategy, bound, minimize_mode = conn.recv()
         except EOFError:
             return
         try:
             verdict, stats = recomp_verify(
                 spec, prop, strategy, bound=bound,
                 minimize_mode=minimize_mode,
-                cancel=_RaceCancel(finished, race), reduce=reduce)
+                cancel=_RaceCancel(finished, race))
         except Exception as exc:  # report, don't wedge the coordinator
             verdict = Verdict(INCONCLUSIVE, reason="error: %s" % exc)
             stats = replace(_empty_stats(), strategy=strategy.kind)

@@ -65,12 +65,6 @@ def alphabets(components):
     return [sx.symbolic_actions(c) for c in components]
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    x_sets: tuple  # of frozensets of component indices (1-based)
-    kept: frozenset
-
-
 def interaction_sets(alpha):
     """Alphabet-interaction fixpoint over symbolic alphabets, one per
     1-based component index.
@@ -91,18 +85,11 @@ def interaction_sets(alpha):
         x = nxt
 
 
-def necessary_components(components):
-    """The interaction fixpoint from the property component; its final
-    set is what static reduction keeps."""
-    sets = interaction_sets(alphabets(components))
-    return ReductionTrace(sets, sets[-1])
-
-
 def static_reduce(f, components):
     """Restrict a map to the necessary components, renumbering groups
     densely so it stays surjective."""
     f.validate()
-    kept = necessary_components(components).kept
+    kept = interaction_sets(alphabets(components))[-1]
     pairs = [(j, g) for j, g in f.assignment if j in kept]
     surviving = sorted({g for _, g in pairs if g != P})
     renumber = {g: i + 1 for i, g in enumerate(surviving)}

@@ -17,12 +17,12 @@ from recomp import parse, decompose, total_order
 from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.decompose import slice_spec
-from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, recomp_verify,
-                           run_portfolio)
+from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, comp_verify,
+                           recomp_verify, run_portfolio)
 from recomp.lts import StateBoundExceeded, compose, is_tau
 from recomp.order import Strategy, dataflow_from_alphabets, make_strategy
-from recomp.recompose import (P, build_groups, make_map,
-                              necessary_components, static_reduce)
+from recomp.recompose import (P, alphabets, build_groups, interaction_sets,
+                              make_map, static_reduce)
 from recomp.semantics import err_lts, to_lts
 from spec_helpers import normalize
 
@@ -259,20 +259,22 @@ def test_unbounded_counter_is_reduced_away():
 def test_reduction_fixpoint_converges_and_drops_the_counter():
     spec = parse(tpcounter(3))
     comps = _ordered_components(spec, spec.property("Consistent"))
-    trace = necessary_components(comps)
-    assert trace.x_sets[2] == trace.x_sets[3]
+    x_sets = interaction_sets(alphabets(comps))
+    assert x_sets[2] == x_sets[3]
     counter = next(i + 1 for i, c in enumerate(comps)
                    if "counter" in c.variables)
-    assert counter not in trace.kept
+    assert counter not in x_sets[-1]
 
 
 @pytest.mark.parametrize("name", sorted(set(ALL) - {"tpcounter"}))
 def test_reduction_never_changes_a_verdict(name):
     spec = parse(ALL[name]())
     for prop in spec.properties:
+        comps = _ordered_components(spec, prop)
         for kind in ("S1", "S2", "S3"):
-            with_r, _ = recomp_verify(spec, prop, kind, reduce=True)
-            without, _ = recomp_verify(spec, prop, kind, reduce=False)
+            with_r, _ = recomp_verify(spec, prop, kind)
+            f = make_strategy(kind, len(comps))
+            without, _ = comp_verify(*build_groups(f, comps, spec), prop)
             assert with_r.outcome == without.outcome
 
 

@@ -70,21 +70,6 @@ def test_structured_report_round_trips(tp_file, capsys):
     assert stats.n == 4
 
 
-def test_env_bound_override(counter_file, capsys, monkeypatch):
-    monkeypatch.setenv("RECOMP_BOUND", "20000")
-    code = main(["check", counter_file, "--property", "Consistent",
-                 "--strategy", "s4"])
-    assert code == 2
-
-
-def test_env_timeout_override(counter_file, capsys, monkeypatch):
-    monkeypatch.setenv("RECOMP_TIMEOUT", "0.2")
-    code = main(["check", counter_file, "--property", "Consistent",
-                 "--strategy", "s4"])
-    assert code == 2
-    assert "timeout" in capsys.readouterr().out
-
-
 def test_portfolio_is_the_default(counter_file, capsys):
     # the reduced strategies finish; the monolithic one alone would not
     code = main(["check", counter_file, "--property", "Consistent",

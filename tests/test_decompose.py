@@ -7,7 +7,7 @@ from recomp import parse, decompose
 from recomp import syntax as sx
 from recomp.corpus import (ALL, env_component, rm_component, tm1_component,
                            tm2_component, twophase, twophase_prepare)
-from recomp.decompose import partition, slice_spec
+from recomp.decompose import slice_spec
 from recomp.syntax import SpecError
 from spec_helpers import normalize
 
@@ -88,20 +88,50 @@ def test_decompose_is_conjunct_order_independent(tp3):
     assert [set(c.variables) for c in a] == [set(c.variables) for c in b]
 
 
-def test_partition_closes_over_conjunct_coupling(tp3):
-    # msgs appears together with tmState in TM actions, but rmState's
-    # own updates never mention other variables
-    p = partition(tp3, {"rmState"})
-    assert p.v_c == {"rmState"}
-    p = partition(tp3, {"tmState"})
-    assert "tmPrepared" not in p.v_c or "tmState" in p.v_c
+def _spec(variables, actions, prop):
+    """A spec over integer variables, all 0 initially, with one property
+    `Inv`; `actions` maps each action's name to its conjuncts."""
+    lines = ["MODULE M", "", "VARIABLES " + ", ".join(variables), "", "INIT"]
+    lines += ["  /\\ %s = 0" % v for v in variables]
+    for name, conjuncts in actions.items():
+        lines += ["", "ACTION %s(d)" % name]
+        lines += ["  /\\ " + c for c in conjuncts]
+    lines += ["", 'NEXT \\E d \\in {"a"} :']
+    lines += ["  \\/ %s(d)" % name for name in actions]
+    lines += ["", "PROPERTY Inv", "  " + prop]
+    return parse("\n".join(lines) + "\n")
 
 
-def test_partition_rejects_bad_seed(tp3):
-    with pytest.raises(SpecError):
-        partition(tp3, set())
-    with pytest.raises(SpecError):
-        partition(tp3, {"nope"})
+def _blocks(spec):
+    return [set(c.variables) for c in decompose(spec, spec.property("Inv"))]
+
+
+def test_decompose_closes_over_conjunct_coupling():
+    # x meets y in A and y meets z in B: one block, though x and z never meet
+    spec = _spec(["x", "y", "z", "w"], {
+        "A": ["x = y", "x' = 1", "UNCHANGED <<y, z, w>>"],
+        "B": ["z' = y", "UNCHANGED <<x, y, w>>"],
+        "C": ["w' = w + 1", "UNCHANGED <<x, y, z>>"]}, "x = 0")
+    assert _blocks(spec) == [{"x", "y", "z"}, {"w"}]
+    # a frame names the variables its action leaves alone, but couples none
+    spec = _spec(["x", "y"], {
+        "A": ["x' = 1", "UNCHANGED <<y>>"],
+        "B": ["y' = 1", "UNCHANGED <<x>>"]}, "x = 0")
+    assert _blocks(spec) == [{"x"}, {"y"}]
+    # a property over two otherwise separate blocks: C1 is their union
+    spec = _spec(["x", "y", "z"], {
+        "A": ["x' = 1", "UNCHANGED <<y, z>>"],
+        "B": ["y' = 1", "UNCHANGED <<x, z>>"],
+        "C": ["z' = 1", "UNCHANGED <<x, y>>"]}, "x = z")
+    assert _blocks(spec) == [{"x", "z"}, {"y"}]
+    # later blocks: fewest occurrences first (q has 7, r and s 5 each),
+    # ties broken by name, not by declaration order
+    spec = _spec(["p", "q", "s", "r"], {
+        "A": ["q = 0", "q' = q + 1", "UNCHANGED <<p, s, r>>"],
+        "B": ["s' = 1", "UNCHANGED <<p, q, r>>"],
+        "C": ["r' = 1", "UNCHANGED <<p, q, s>>"]}, "p = 0")
+    assert [spec.occurrences[v] for v in "qrs"] == [7, 5, 5]
+    assert _blocks(spec) == [{"p"}, {"r"}, {"s"}, {"q"}]
 
 
 def test_slice_drops_empty_actions():

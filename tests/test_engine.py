@@ -11,13 +11,13 @@ import time
 import pytest
 
 import oracle as oc
-from recomp import engine, lts, parse, semantics
+from recomp import decompose, engine, lts, parse, semantics, total_order
 from recomp.corpus import consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
 from recomp.lts import _POLL_EVERY, Cancelled, explore, minimize
-from recomp.order import Strategy
-from recomp.recompose import P, make_map
+from recomp.order import Strategy, make_strategy
+from recomp.recompose import P, build_groups, make_map
 from recomp.semantics import err_lts, to_lts
 from recomp.syntax import SpecError
 
@@ -271,9 +271,13 @@ def test_monolithic_ignores_reduction():
 
 
 def test_reduction_toggle_does_not_change_verdicts(tp):
+    prop = tp.property("Consistent")
+    comps = decompose(tp, prop)
+    comps = [comps[i - 1] for i in total_order(comps, tp)]
     for kind in ("S1", "S2", "S3"):
-        a, _ = recomp_verify(tp, tp.property("Consistent"), kind, reduce=True)
-        b, _ = recomp_verify(tp, tp.property("Consistent"), kind, reduce=False)
+        a, _ = recomp_verify(tp, prop, kind)
+        f = make_strategy(kind, len(comps))
+        b, _ = comp_verify(*build_groups(f, comps, tp), prop)
         assert a.outcome == b.outcome == HOLDS
 
 

@@ -7,8 +7,8 @@ from recomp import parse, decompose, total_order
 from recomp import syntax as sx
 from recomp.corpus import ALL, tpcounter, twophase
 from recomp.decompose import slice_spec
-from recomp.recompose import (P, RecompositionMap, build_groups, make_map,
-                              necessary_components, parse_map_file,
+from recomp.recompose import (P, RecompositionMap, alphabets, build_groups,
+                              interaction_sets, make_map, parse_map_file,
                               render_map, static_reduce)
 from recomp.syntax import SpecError
 
@@ -127,13 +127,13 @@ def test_build_groups_composes_everything_once(tp, tp_comps):
 def test_reduction_trace_converges():
     spec = parse(tpcounter(3))
     comps = _ordered(spec, "Consistent")
-    trace = necessary_components(comps)
-    assert trace.x_sets[0] == frozenset({1})
-    assert trace.x_sets[-1] == trace.x_sets[-2]
+    x_sets = interaction_sets(alphabets(comps))
+    assert x_sets[0] == frozenset({1})
+    assert x_sets[-1] == x_sets[-2]
     # the counter shares no action with anything reachable from C1
     counter_idx = next(i + 1 for i, c in enumerate(comps)
                        if "counter" in c.variables)
-    assert counter_idx not in trace.kept
+    assert counter_idx not in x_sets[-1]
 
 
 def test_static_reduce_renumbers_densely():
