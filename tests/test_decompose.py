@@ -113,25 +113,78 @@ def test_decompose_closes_over_conjunct_coupling():
         "B": ["z' = y", "UNCHANGED <<x, y, w>>"],
         "C": ["w' = w + 1", "UNCHANGED <<x, y, z>>"]}, "x = 0")
     assert _blocks(spec) == [{"x", "y", "z"}, {"w"}]
+
+
+def test_decompose_frames_couple_nothing():
     # a frame names the variables its action leaves alone, but couples none
     spec = _spec(["x", "y"], {
         "A": ["x' = 1", "UNCHANGED <<y>>"],
         "B": ["y' = 1", "UNCHANGED <<x>>"]}, "x = 0")
     assert _blocks(spec) == [{"x"}, {"y"}]
+
+
+def test_decompose_joins_the_property_blocks_into_c1():
     # a property over two otherwise separate blocks: C1 is their union
     spec = _spec(["x", "y", "z"], {
         "A": ["x' = 1", "UNCHANGED <<y, z>>"],
         "B": ["y' = 1", "UNCHANGED <<x, z>>"],
         "C": ["z' = 1", "UNCHANGED <<x, y>>"]}, "x = z")
     assert _blocks(spec) == [{"x", "z"}, {"y"}]
-    # later blocks: fewest occurrences first (q has 7, r and s 5 each),
-    # ties broken by name, not by declaration order
+
+
+def test_decompose_orders_later_blocks_by_occurrences_then_name():
+    # fewest occurrences first (q has 7, r and s 5 each), ties broken by
+    # name, not by declaration order
     spec = _spec(["p", "q", "s", "r"], {
         "A": ["q = 0", "q' = q + 1", "UNCHANGED <<p, s, r>>"],
         "B": ["s' = 1", "UNCHANGED <<p, q, r>>"],
         "C": ["r' = 1", "UNCHANGED <<p, q, s>>"]}, "p = 0")
     assert [spec.occurrences[v] for v in "qrs"] == [7, 5, 5]
     assert _blocks(spec) == [{"p"}, {"r"}, {"s"}, {"q"}]
+
+
+def _coupling_pieces(spec, variables):
+    """The connected pieces of the coupling graph restricted to
+    `variables`, found by search from each unvisited variable."""
+    edges = {v: set() for v in variables}
+    for a in spec.actions:
+        for c, kind in zip(a.conjuncts, a.kinds):
+            if kind != "frame":
+                vs = (sx.free_vars(spec, c) - {a.param}) & set(variables)
+                for v in vs:
+                    edges[v] |= vs
+    pieces, seen = [], set()
+    for v in variables:
+        if v in seen:
+            continue
+        piece, todo = set(), [v]
+        while todo:
+            u = todo.pop()
+            if u not in piece:
+                piece.add(u)
+                todo.extend(edges[u] - piece)
+        seen |= piece
+        pieces.append(piece)
+    return pieces
+
+
+@pytest.mark.parametrize("spec,prop", _cases())
+def test_components_are_the_connected_components_of_coupling(spec, prop):
+    comps = decompose(spec, prop)
+    # no non-frame conjunct reaches across two components
+    home = {v: i for i, c in enumerate(comps) for v in c.variables}
+    for a in spec.actions:
+        for c, kind in zip(a.conjuncts, a.kinds):
+            if kind != "frame":
+                assert len({home[v] for v in
+                            sx.free_vars(spec, c) - {a.param}}) <= 1
+    # every later component is one piece; every piece of C1 holds a
+    # property variable
+    for c in comps[1:]:
+        assert len(_coupling_pieces(spec, c.variables)) == 1
+    pv = sx.free_vars(spec, prop.body)
+    for piece in _coupling_pieces(spec, comps[0].variables):
+        assert not pv or piece & pv
 
 
 def test_slice_drops_empty_actions():
