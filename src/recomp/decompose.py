@@ -32,13 +32,13 @@ def slice_spec(spec, v):
     variables = tuple(x for x in spec.variables if x in v)
     init = tuple(c for c in spec.init if c.left.id in v)
     actions = []
-    for a in spec.actions:
+    for a, reads in zip(spec.actions, spec.conjunct_vars):
         kept = []
         updated = set()
-        for c, kind in zip(a.conjuncts, a.kinds):
+        for c, kind, r in zip(a.conjuncts, a.kinds, reads):
             if kind == "frame":
                 continue
-            if sx.free_vars(spec, c) - {a.param} <= v:
+            if r <= v:
                 kept.append(c)
                 if kind == "update":
                     updated.add(c.left.id)
@@ -53,8 +53,8 @@ def slice_spec(spec, v):
         if frame:
             kept.append(sx.Unchanged(frame))
         actions.append(sx.ActionDef(a.name, a.param, tuple(kept)))
-    properties = tuple(p for p in spec.properties
-                       if sx.free_vars(spec, p.body) <= v)
+    properties = tuple(p for p, r in zip(spec.properties, spec.property_vars)
+                       if r <= v)
     return sx.SpecAst(
         name=spec.name,
         constants=spec.constants,
@@ -73,12 +73,12 @@ def _blocks(spec):
     through others, by the non-frame conjuncts; a variable in none of
     them is a block of its own."""
     block = {v: {v} for v in spec.variables}
-    for a in spec.actions:
-        for c, kind in zip(a.conjuncts, a.kinds):
+    for a, reads in zip(spec.actions, spec.conjunct_vars):
+        for kind, r in zip(a.kinds, reads):
             if kind == "frame":
                 continue
             joined = set()
-            for v in sx.free_vars(spec, c) - {a.param}:
+            for v in r:
                 joined |= block[v]
             for v in joined:
                 block[v] = joined

@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 from . import syntax as sx
@@ -67,12 +68,15 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
                 cancel=None):
     """Iterative compose-and-check over the property group and the
     ordered groups; Holds as soon as pi is unreachable (k groups used),
-    Violated if it stays reachable through all of them."""
+    Violated if it stays reachable through all of them.  A run that
+    exceeds the bound ends with the stage it was building, its count at
+    the bound, and a cancelled run with the stages it finished."""
     bound = bound or DEFAULT_BOUND
     t0 = time.monotonic()
     stages = []
     max_states = 0
     k_done = 0
+    building = None  # the Stage under construction, given its count
 
     def report(verdict, k):
         ms = int((time.monotonic() - t0) * 1000)
@@ -84,6 +88,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
     try:
         if not groups:
             # Monolithic: search only up to the first violating state.
+            building = partial(Stage, d_p.name)
             violated, count, trace = err_reach(d_p, prop, bound, cancel)
             stages.append(Stage(d_p.name, count))
             max_states = count
@@ -92,6 +97,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             return report(Verdict(HOLDS), 0)
 
         remaining_alpha = [sx.symbolic_actions(g) for g in groups]
+        building = partial(Stage, d_p.name)
         d = err_lts(d_p, prop, bound, cancel)
         gen = d.n_states
         max_states = gen
@@ -104,6 +110,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
 
         composed_alpha = set(sx.symbolic_actions(d_p))
         for j, g in enumerate(groups):
+            building = partial(Stage, g.name)
             gl = to_lts(g, bound, cancel)
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
@@ -111,6 +118,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             for alpha in remaining_alpha[j + 1:]:
                 visible |= alpha
             gm = _minimized(gl, minimize_mode, visible, cancel)
+            building = partial(Stage, g.name, gen, gm.n_states)
             d = compose(d, gm, bound=bound, cancel=cancel)
             k_done = j + 1
             composed_alpha |= remaining_alpha[j]
@@ -120,7 +128,9 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             if not pi_reachable(d):
                 return report(Verdict(HOLDS), k_done)
         return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
-    except StateBoundExceeded:
+    except StateBoundExceeded as exc:
+        stages.append(building(exc.bound))
+        max_states = max(max_states, exc.bound)
         return report(Verdict(INCONCLUSIVE, reason="bound-exceeded"), k_done)
     except Cancelled:
         return report(Verdict(INCONCLUSIVE, reason="cancelled"), k_done)

@@ -98,7 +98,28 @@ DEFAULT_BOUND = 10_000_000
 # graph, so the helper finds it with one comparison; for any other
 # function, a tuple or a key outside the domain, the comparison fails and
 # the helper scans as `_apply`/`_except` do, with the same results and
-# errors.
+# errors.  Where the function is a plain state read q[i], application
+# makes the helper's test inline, `(q[i][1][j][1] if q[i][0] == 'fun' and
+# j < len(q[i][1]) and q[i][1][j][0] == b else _apply(q[i], b))`, and
+# calls the scan only on a miss; the test cannot raise.  EXCEPT keeps
+# calling `_except_at`: inlining it too made no measurable difference.
+#
+# Quantifiers hoist what does not depend on their bound name.  The body
+# of `\A x \in S : B` is split into disjuncts (`\/` gives its operands,
+# `~(P /\ Q)` gives ~P and ~Q, `P => Q` gives ~P and Q, each split in
+# turn), and the leading run of them that does not mention x moves out
+# of the loop: `((s<k> := _elems(S)) == () or H1 or ... or all(rest for
+# b_x in s<k>))`.  `\E` is the dual, over conjuncts, `~(P \/ Q)` giving ~P
+# and ~Q, with `!= ()`, `and` and `any`.  The unhoisted loop evaluates S,
+# nothing more if S is empty, and otherwise H1, ... in order for the
+# first element, each giving the same bool for every element; so the
+# hoisted code evaluates the same subexpressions in the same order,
+# raises the same EvalError and reads the same variables.  Only a leading
+# run may move, since a later part runs only after the parts before it
+# fail for some element.  Each hoisting quantifier of a module binds its
+# own s<k>, as nested binders may share a name.  A quantifier inside a
+# comprehension's domain does not hoist, since Python allows no
+# assignment expression there.
 
 _BOOLEAN = (sx.Eq, sx.In, sx.Not, sx.And, sx.Or, sx.Implies, sx.Forall,
             sx.Exists)
@@ -134,6 +155,8 @@ class _Codegen:
         self.reads = set()  # indices of the variables read as q[i]
         self.coded = False  # whether states are coded, set by successors_fn
         self.positions = set()  # position names used, such as j_x
+        self.iterable = False  # whether compiling a comprehension's domain
+        self.domains = 0  # hoisting quantifiers so far, naming their s<k>
 
     def expr(self, e, bound):
         """Python expression for the tagged value of e.  `bound` maps the
@@ -160,17 +183,22 @@ class _Codegen:
             return (_construct(e, go) if kind is None
                     else self._hoist(e, bound, kind))
         if isinstance(e, sx.FuncLit):
-            body, loop = self._binder(e, bound, self.expr)
-            return "_mk_fun([(b_%s, %s) %s])" % (e.var, body, loop)
+            body, loop = self._binder(e.var, e.body, bound, self.expr)
+            return "_mk_fun([(b_%s, %s) %s])" % (
+                e.var, body, loop % self._elems(e.domain, bound, True))
         if isinstance(e, sx.Apply):
             at = self._at(e.arg, bound)
+            if at and self._is_read(e.fn, bound):
+                return _INLINE_APPLY % {"f": go(e.fn), "b": at[0],
+                                        "j": at[1]}
             if at:
-                return "_apply_at(%s, %s)" % (go(e.fn), at)
+                return "_apply_at(%s, %s, %s)" % (go(e.fn), *at)
             return "_apply(%s, %s)" % (go(e.fn), go(e.arg))
         if isinstance(e, sx.Except):
             at = self._at(e.key, bound)
             if at:
-                return "_except_at(%s, %s, %s)" % (go(e.fn), at, go(e.value))
+                return "_except_at(%s, %s, %s, %s)" % (go(e.fn), *at,
+                                                       go(e.value))
             return "_except(%s, %s, %s)" % (go(e.fn), go(e.key), go(e.value))
         if isinstance(e, sx.Union):
             return "_union(%s, %s)" % (go(e.left), go(e.right))
@@ -179,30 +207,43 @@ class _Codegen:
         raise EvalError("cannot compile %r" % (e,))
 
     def _at(self, e, bound):
-        """"value, position" of the bound name e, or None for any other
-        expression."""
+        """(value, position) names of the bound name e, or None for any
+        other expression."""
         if not (isinstance(e, sx.Name) and e.id in bound):
             return None
-        value, position = bound[e.id]
-        self.positions.add(position)
-        return "%s, %s" % (value, position)
+        self.positions.add(bound[e.id][1])
+        return bound[e.id]
 
-    def _binder(self, e, bound, gen):
-        """For the binder e (a quantifier or function literal): the source
-        `gen` makes of its body, and the `for` clause binding b_<var> to
-        the elements of its domain, with their positions as j_<var> when
-        the body applies or updates a function at the bound name."""
+    def _is_read(self, e, bound):
+        """Whether e is a plain read of a state variable, q[i]."""
+        return (isinstance(e, sx.Name) and e.id not in bound
+                and e.id in self.var_index)
+
+    def _binder(self, var, body, bound, gen):
+        """For a binder of var (a quantifier or function literal): the
+        source `gen` makes of `body`, and its `for` clause, with a %s for
+        the source of the domain's elements: it binds b_<var> to each
+        element and, when the body applies or updates a function at the
+        bound name, j_<var> to the element's position."""
         outer = self.positions
         self.positions = set()
-        body = gen(e.body, _bind(bound, e.var))
-        position = "j_" + e.var
+        body = gen(body, _bind(bound, var))
+        position = "j_" + var
         positional = position in self.positions
         self.positions = outer | (self.positions - {position})
-        elems = "_elems(%s)" % self.expr(e.domain, bound)
         if positional:
-            return body, "for %s, b_%s in enumerate(%s)" % (position, e.var,
-                                                           elems)
-        return body, "for b_%s in %s" % (e.var, elems)
+            return body, "for %s, b_%s in enumerate(%%s)" % (position, var)
+        return body, "for b_%s in %%s" % var
+
+    def _elems(self, domain, bound, iterable):
+        """Source of the elements of a binder's domain; `iterable` when
+        the source goes into a comprehension's `for` clause, where Python
+        allows no assignment expression, so no quantifier in it hoists."""
+        outer = self.iterable
+        self.iterable = outer or iterable
+        src = "_elems(%s)" % self.expr(domain, bound)
+        self.iterable = outer
+        return src
 
     def _leaves(self, e, bound):
         """For a tree of constructors, "const" when its leaves are literals
@@ -258,10 +299,38 @@ class _Codegen:
         if isinstance(e, sx.Implies):
             return "(not %s or %s)" % (go(e.left), go(e.right))
         if isinstance(e, (sx.Forall, sx.Exists)):
-            quant = "all" if isinstance(e, sx.Forall) else "any"
-            body, loop = self._binder(e, bound, self.cond)
-            return "%s(%s %s)" % (quant, body, loop)
+            return self._quantifier(e, bound)
         return "_is_true(%s)" % self.expr(e, bound)
+
+    def _quantifier(self, e, bound):
+        """\\A as `all` or \\E as `any` over the domain's elements.  The
+        leading parts of the body (`_split`) that do not mention the bound
+        name are hoisted before the loop, after the domain's elements are
+        bound to s<k> and tested for emptiness."""
+        forall = isinstance(e, sx.Forall)
+        quant = "all" if forall else "any"
+        parts = _split(e.body, forall)
+        lead = 0
+        while (not self.iterable and lead < len(parts)
+               and e.var not in sx.free_idents(parts[lead])):
+            lead += 1
+        if not lead:
+            body, loop = self._binder(e.var, e.body, bound, self.cond)
+            return "%s(%s %s)" % (
+                quant, body, loop % self._elems(e.domain, bound, True))
+        out = [self.cond(x, bound) for x in parts[:lead]]
+        elems = "s%d" % self.domains
+        self.domains += 1
+        rest = parts[lead:]
+        if rest:
+            body = rest[0] if len(rest) == 1 else (
+                sx.Or if forall else sx.And)(tuple(rest))
+            body, loop = self._binder(e.var, body, bound, self.cond)
+            out.append("%s(%s %s)" % (quant, body, loop % elems))
+        empty, op = ("==", " or ") if forall else ("!=", " and ")
+        return "((%s := %s) %s ()%s%s)" % (
+            elems, self._elems(e.domain, bound, False), empty, op,
+            op.join(out))
 
     def _decoded(self):
         """Source of the value state of the state c."""
@@ -412,6 +481,11 @@ class _Codegen:
 
 
 _PAD = "    "
+# application of the state read f at the bound name b, j being b's
+# position: the pair at j when it holds b, else the scan
+_INLINE_APPLY = ("(%(f)s[1][%(j)s][1] if %(f)s[0] == 'fun' and %(j)s < "
+                 "len(%(f)s[1]) and %(f)s[1][%(j)s][0] == %(b)s "
+                 "else _apply(%(f)s, %(b)s))")
 
 
 def _indented(steps, base):
@@ -425,6 +499,23 @@ def _key(read):
     if len(read) == 1:
         return "c[%d]" % read[0]
     return "(%s)" % "".join("c[%d], " % i for i in read)
+
+
+def _split(e, forall):
+    """The disjuncts of e, for the body of \\A (`forall`), or its
+    conjuncts, for \\E: `\\/` (`/\\`) gives its operands, `~(P /\\ Q)`
+    (`~(P \\/ Q)`) gives ~P and ~Q, and under \\A `P => Q` gives ~P and
+    Q, each split in turn.  Joined in order by `or` (`and`), the parts
+    evaluate what e evaluates, in the same order, to the same bool."""
+    join, dual = (sx.Or, sx.And) if forall else (sx.And, sx.Or)
+    if isinstance(e, join):
+        return [x for o in e.operands for x in _split(o, forall)]
+    if isinstance(e, sx.Not) and isinstance(e.operand, dual):
+        return [x for o in e.operand.operands
+                for x in _split(sx.Not(o), forall)]
+    if forall and isinstance(e, sx.Implies):
+        return _split(sx.Not(e.left), forall) + _split(e.right, forall)
+    return [e]
 
 
 def _bind(bound, var):

@@ -210,6 +210,21 @@ class SpecAst:
                     out.update(x.names)
         return out
 
+    @cached_property
+    def conjunct_vars(self):
+        """The state variables of each conjunct of each action, its
+        parameter left out; computed once per spec."""
+        variables = set(self.variables)
+        return tuple(tuple(frozenset(free_idents(c) & variables) - {a.param}
+                           for c in a.conjuncts) for a in self.actions)
+
+    @cached_property
+    def property_vars(self):
+        """The state variables of each property; computed once per spec."""
+        variables = set(self.variables)
+        return tuple(frozenset(free_idents(p.body) & variables)
+                     for p in self.properties)
+
 
 # --------------------------------------------------------------------------
 # Syntactic queries

@@ -187,6 +187,30 @@ def test_components_are_the_connected_components_of_coupling(spec, prop):
         assert not pv or piece & pv
 
 
+@pytest.mark.parametrize("name", sorted(ALL))
+def test_spec_caches_the_variables_of_conjuncts_and_properties(name):
+    spec = parse(ALL[name]())
+    for a, reads in zip(spec.actions, spec.conjunct_vars):
+        assert reads == tuple(sx.free_vars(spec, c) - {a.param}
+                              for c in a.conjuncts)
+    assert spec.property_vars == tuple(sx.free_vars(spec, p.body)
+                                       for p in spec.properties)
+
+
+def test_decompose_walks_each_conjunct_once(monkeypatch):
+    spec = parse(ALL["lockserv"](7))
+    walked = []
+    free_idents = sx.free_idents
+    monkeypatch.setattr(sx, "free_idents",
+                        lambda e: walked.append(e) or free_idents(e))
+    comps = decompose(spec, spec.property("Mutex"))
+    assert len(comps) == 5
+    # each conjunct and property once, and the checked property's own
+    # unknown-variable check and seed
+    assert len(walked) == (sum(len(a.conjuncts) for a in spec.actions)
+                           + len(spec.properties) + 2)
+
+
 def test_slice_drops_empty_actions():
     spec = parse(twophase(3))
     rm_only = slice_spec(spec, {"rmState"})

@@ -77,6 +77,32 @@ def test_bound_exceeded_is_inconclusive(tp):
     assert not verdict.conclusive()
 
 
+@pytest.mark.parametrize("model,size,prop,kind,bound,stages", [
+    # the whole-system search, the only stage of S4
+    (tpcounter, 3, "Consistent", "S4", 5000, [
+        ("TPCounter_C1_TPCounter_C5_TPCounter_C3_TPCounter_C4_TPCounter_C2",
+         5000)]),
+    # the property group
+    (twophase, 5, "Consistent", "S3", 2000, [
+        ("TwoPhase_C1_TwoPhase_C4_TwoPhase_C2", 2000)]),
+    # a group, after the property group
+    (lockserv, 5, "Mutex", "S2", 5000, [
+        ("LockServ_C1", 7, 7),
+        ("LockServ_C3_LockServ_C4_LockServ_C2_LockServ_C5", 5000)]),
+    # the composite of the property group and a group
+    (twophase, 5, "Consistent", "S1", 2000, [
+        ("TwoPhase_C1", 455, 245), ("TwoPhase_C4", 128, 128, 2000)]),
+], ids=["search", "property-group", "group", "composite"])
+def test_bound_exceeded_reports_the_stage_at_the_bound(model, size, prop,
+                                                        kind, bound, stages):
+    spec = parse(model(size))
+    verdict, stats = recomp_verify(spec, spec.property(prop), kind,
+                                   bound=bound)
+    assert verdict.reason == "bound-exceeded"
+    assert stats.stages == tuple(engine.Stage(*s) for s in stages)
+    assert stats.max_states == bound
+
+
 def test_preset_cancel_event_is_reported():
     # needs a model bigger than the poll interval; the unbounded counter
     # under the monolithic strategy never finishes on its own

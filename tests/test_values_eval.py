@@ -449,11 +449,14 @@ def test_positional_binders_match_oracle():
         ("Known", '\\A x \\in {"A", "a", "b", "c", "d"} : '
                   'x = "A" \\/ f[x] \\in {0, 1}')], '{"a", "b", "c", "d"}')
     cg = _Codegen(spec.config, spec.variables, spec.name)
-    assert "_apply_at(q[0], b_x, j_x)" in cg.successors_fn(spec.actions)
+    assert _inline_apply("q[0]", "b_x", "j_x") in cg.successors_fn(
+        spec.actions)
     for prop in spec.properties:
         src = cg.predicate_fn(prop.body)
-        assert ", b_x, j_x" in src, prop.name
-        assert "_apply(" not in src and "_except(" not in src
+        assert "for j_x, b_x in enumerate(" in src, prop.name
+        # a scan only where the inline check misses
+        assert src.count("_apply(") == src.count(" else _apply(")
+        assert "_except(" not in src
     assert "_except_at(q[0], b_x, j_x, " in cg.predicate_fn(
         spec.property("Except").body)
     l = to_lts(spec)
@@ -469,15 +472,128 @@ def test_twophase_applies_and_updates_at_the_parameter_position():
                    spec.name).successors_fn(spec.actions)
     # rmState is q[1]; SndPrepare and SilentAbort read rmState[rm], and
     # four actions update it at rm
-    assert src.count("_apply_at(q[1], _d, j)") == 2
+    assert src.count(_inline_apply("q[1]", "_d", "j")) == 2
     assert src.count("_except_at(q[1], _d, j, ") == 4
-    assert "_apply(" not in src and "_except(" not in src
-    # Consistent applies rmState at the positions of its two binders
+    assert src.count("_apply(") == 2 and "_except(" not in src
+    # Consistent applies rmState at the positions of its two binders, and
+    # its rm1 disjunct runs once per rm1, before the loop over rm2
     src = _Codegen(spec.config, spec.variables, spec.name).predicate_fn(
         spec.property("Consistent").body)
-    for x in ("rm1", "rm2"):
-        assert "_apply_at(q[1], b_%s, j_%s)" % (x, x) in src
-    assert "_apply(" not in src
+    rm1, rm2 = (_inline_apply("q[1]", "b_" + x, "j_" + x)
+                for x in ("rm1", "rm2"))
+    assert src == (
+        "def prop(q):\n    return all(((s0 := _elems(c_RMs)) == () or "
+        "(not (%s == ('str', 'aborted'))) or all((not (%s == "
+        "('str', 'committed'))) for j_rm2, b_rm2 in enumerate(s0))) "
+        "for j_rm1, b_rm1 in enumerate(_elems(c_RMs)))\n" % (rm1, rm2))
+
+
+def test_mutex_is_not_hoisted():
+    # its leading disjunct x = y mentions the inner variable
+    spec = parse(lockserv(3))
+    src = _Codegen(spec.config, spec.variables, spec.name).predicate_fn(
+        spec.property("Mutex").body)
+    assert ":=" not in src
+    assert src.startswith("def prop(q):\n    return all(all(((b_x == b_y) "
+                          "or (not (")
+
+
+def _inline_apply(f, b, j):
+    """Source of the inline application of the state read f at the bound
+    name b, at position j: the pair at j if it holds b, else the scan."""
+    return ("(%s[1][%s][1] if %s[0] == 'fun' and %s < len(%s[1]) and "
+            "%s[1][%s][0] == %s else _apply(%s, %s))"
+            % (f, j, f, j, f, f, j, b, f, b))
+
+
+# Quantifier bodies whose leading parts do not mention the bound name,
+# so that the compiled code tests them once, before the loop.
+HOISTED = _spec({"f": '[x \\in {"a", "b", "c"} |-> 0]', "n": "0"}, {
+    "Set": ["f[d] = 0", "f' = [f EXCEPT ![d] = 1]", "UNCHANGED <<n>>"],
+    "Inc": ["n \\in {0, 1}", "n' = n + 1", "UNCHANGED <<f>>"],
+}, [("Or", '\\A x \\in {"a", "b", "c"} : n = 2 \\/ f[x] = 0'),
+    ("NotAnd", '\\A x \\in {"a", "b"} : ~(n = 1 /\\ f[x] = 1)'),
+    ("Implies", '\\A x \\in {"b", "c"} : n = 0 => f[x] = 1'),
+    ("And", '\\E x \\in {"a", "c"} : n = 1 /\\ f[x] = 1'),
+    ("NotOr", '\\E x \\in {"a", "b", "c"} : ~(n = 0 \\/ f[x] = 0)'),
+    # the inner x shadows the outer one, so the inner quantifier is
+    # hoisted out of the outer loop, and hoists n = 1 out of its own
+    ("Shadowed", '\\A x \\in {"a", "b"} : '
+                 '(\\E x \\in {"b", "c"} : n = 1 /\\ f[x] = 1) \\/ f[x] = 0'),
+    # the inner domain depends on the outer bound name
+    ("Dependent", '\\A x \\in {"a", "b"} : \\A y \\in {x, "c"} : '
+                  'f[x] = 0 \\/ f[y] = 1'),
+    ("DependentE", '\\E x \\in {"a", "b"} : \\E y \\in {x, "c"} : '
+                   'f[x] = 1 /\\ f[y] = 0')], '{"a", "b", "c"}')
+
+
+def test_hoisted_quantifiers_match_oracle():
+    spec = HOISTED
+    for prop in spec.properties:
+        src = _Codegen(spec.config, spec.variables,
+                       spec.name).predicate_fn(prop.body)
+        assert "(s0 := _elems(" in src, prop.name
+        # each hoisting quantifier binds its own domain's elements
+        assert ("(s1 := _elems(" in src) == (prop.name == "Shadowed")
+        _, ns, steps = walk(spec, prop)
+        # each property holds in some reachable states and not in others
+        assert {ns["violates"](c) for c in steps} == {False, True}
+    _assert_properties_match_oracle(spec)
+
+
+def _property(text):
+    return parse("MODULE M\n\nVARIABLES v\n\nINIT\n  /\\ v = 0\n\n"
+                 "PROPERTY P\n  %s\n" % text).property("P").body
+
+
+@pytest.mark.parametrize("text,empty", [
+    ("\\A x \\in %s : 1 \\/ x = 0", True),
+    ("\\E x \\in %s : 1 /\\ x = 0", False),
+], ids=["forall", "exists"])
+def test_hoisted_ill_typed_part_raises_only_over_a_non_empty_domain(text,
+                                                                     empty):
+    # the hoisted 1 is not a boolean, which only evaluating it shows
+    assert _predicate(CONST_SPEC, _property(text % "{}"))(()) is empty
+    with pytest.raises(EvalError) as got:
+        _predicate(CONST_SPEC, _property(text % "{0}"))(())
+    assert str(got.value) == "expected a boolean, got 1"
+
+
+# Applications of a state variable at a binder's bound name where the
+# inline check misses: (property, the variable, argument and position
+# whose application raises, or None where the property evaluates).
+MISSES = {
+    # the binder's domain is not f's: pair j_x of f holds another key
+    "other-domain": ('\\A x \\in {"b", "c"} : f[x] = 0', None),
+    "outside-domain": ('\\E x \\in {"c", "z"} : f[x] = 1',
+                       ("f", ("str", "z"), 1)),
+    "tuple": ("\\A x \\in {1, 2} : t[x] \\in {5, 6}", None),
+    "tuple-index": ("\\A x \\in {2, 3} : t[x] = 6", ("t", ("int", 3), 1)),
+    "non-function": ("\\A x \\in {1} : n[x] = 0", ("n", ("int", 1), 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSES))
+def test_inline_application_misses_match_the_helper(case):
+    text, raises = MISSES[case]
+    spec = _spec({"f": '[x \\in {"a", "b", "c"} |-> 0]', "t": "<<5, 6>>",
+                  "n": "0"}, {"Idle": ["n = 1", "UNCHANGED <<f, t, n>>"]},
+                 [("P", text)], '{"a"}')
+    body = spec.property("P").body
+    src = _Codegen(spec.config, spec.variables, spec.name).predicate_fn(body)
+    assert " else _apply(q[" in src and "_apply_at(" not in src
+    (q,) = init_states(spec)
+    pred = _predicate(spec, body)
+    if raises is None:
+        env = {**oc._consts(spec), **dict(_oracle_state(spec, q))}
+        assert pred(q) is True and bool(oc.o_eval(body, env))
+        return
+    name, key, j = raises
+    with pytest.raises(EvalError) as expected:
+        va.apply_at(q[spec.variables.index(name)], key, j)
+    with pytest.raises(EvalError) as got:
+        pred(q)
+    assert str(got.value) == str(expected.value)
 
 
 def test_conflicting_init_has_no_states():
