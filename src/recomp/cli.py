@@ -21,6 +21,9 @@ from .syntax import SpecError
 
 EXIT = {HOLDS: 0, VIOLATED: 1, INCONCLUSIVE: 2}
 USAGE_ERROR = 3
+# seconds: the pool waits for its workers with poll(), which takes at
+# most 2**31 - 1 milliseconds
+MAX_TIMEOUT = 2_147_483
 
 
 def _build_parser():
@@ -42,7 +45,8 @@ def _build_parser():
     check.add_argument("--bound", type=int, default=None,
                        help="state bound (default %d)" % DEFAULT_BOUND)
     check.add_argument("--timeout", type=float, default=None,
-                       help="seconds before giving up")
+                       help="seconds before giving up (at most %d)"
+                       % MAX_TIMEOUT)
     check.add_argument("--minimize", choices=("strong", "observational"),
                        default="strong")
     check.add_argument("--format", choices=("text", "structured"),
@@ -89,6 +93,10 @@ def _cmd_check(args):
     strategies = _strategies(args.strategy, spec, prop)
     if (args.bound is not None and args.bound < 1) or args.workers < 1:
         raise SpecError("bound and workers must be at least 1")
+    # NaN fails both comparisons
+    if args.timeout is not None and not 0 < args.timeout <= MAX_TIMEOUT:
+        raise SpecError("timeout must be above 0 and at most %d seconds"
+                        % MAX_TIMEOUT)
     verdict, stats, winner = run_portfolio(
         spec, prop, strategies, workers=args.workers, timeout=args.timeout,
         bound=args.bound, minimize_mode=args.minimize)

@@ -8,18 +8,15 @@ holds the spec's successor generator and, for a property, its predicate,
 and builds its state graph with `lts.explore`, the breadth-first LTS
 builder.
 
-An action whose read set (the variables its guards, right-hand sides
-and frame checks read) leaves out some variable is evaluated once per
-distinct projection of the reached states onto its read set, and its
-successors are cached under that projection.  In a build with such an
-action a state is coded: a tuple of small ids, one per variable in the
-spec's variable order, each naming a value in that variable's table.  A
-value is hashed when it is interned, so a cache hit and `explore` hash
-only short tuples of ints.  A build whose actions all read every
-variable, such as that of any one-variable group, has nothing to cache,
-and its states stay tuples of values: interning would hash each
-successor's values as often as `explore` does.  The invariant is
-memoized on the part of the state it reads in either kind of build.
+Every build codes its states: a state is a tuple of small ids, one per
+variable in the spec's variable order, each naming a value in that
+variable's table.  A value is hashed when it is interned, so `explore`
+hashes only short tuples of ints.  An action whose read set (the
+variables its guards, right-hand sides and frame checks read) leaves
+out some variable is evaluated once per distinct projection of the
+reached states onto its read set, and its successors are cached under
+that projection.  The invariant is memoized on the part of the state it
+reads.
 
 `err_reach` reduces by symmetry: under the permutations of each CONFIG
 set of strings that nothing but the set names (`symmetric_sets`), it
@@ -54,31 +51,31 @@ DEFAULT_BOUND = 10_000_000
 #
 # A spec's actions become one generator `successors(c)` yielding (label
 # index, successor) pairs; a property becomes `prop(q)` over value states
-# and `violates(c)`, and a closed expression `val()`.  In boolean positions (guards, property
-# bodies, the operands of the logical operators and quantifier bodies)
-# the code computes Python bools, and `_is_true` checks any other
-# expression found there.  Everywhere else it computes tagged values:
-# scalar literals and tuples are written as tagged tuples, a boolean
-# operator's result is wrapped as `_B_TRUE`/`_B_FALSE`, and the rest goes
-# through the helpers in `values`.
+# and `violates(c)`, and a closed expression `val()`.  In boolean
+# positions (guards, property bodies, the operands of the logical
+# operators and quantifier bodies) the code computes Python bools, and
+# `_is_true` checks any other expression found there.  Everywhere else it
+# computes tagged values: scalar literals and tuples are written as
+# tagged tuples, a boolean operator's result is wrapped as
+# `_B_TRUE`/`_B_FALSE`, and the rest goes through the helpers in
+# `values`.
 #
 # Read sets and coded states.  The read set of an action is every
 # variable its code reads as q[i] (the free variables of its guards and
 # right-hand sides), any variable it updates twice and any it both
 # updates and frames.  An action whose read set is not all the variables
-# is cached, and then the build's states are coded: variable i has a
-# table `_t<i>` (value -> id; a value not yet in it gets the next id) and
-# its list `_v<i>` (id -> value).  The code decodes the state c into the
-# value state q, `(_v0[c[0]], ...)`, evaluates on q, and writes each
-# updated value's id as w<i>; a variable the action leaves unchanged
-# keeps its id c[i].  `_c<k>` maps the ids cached action k reads to the
-# list of (label, written ids) over the Next domain, and c is decoded
-# only on a miss.  A miss runs the action's code in the usual order,
-# yielding as it goes, and stores the list only once the loop completes,
-# so EvalErrors are raised where and in the order they always were, and
-# a search that stops early leaves no partial entry.  In a build without
-# cached actions, c is the value state itself and n_v the new value of
-# v.  The tables and caches live in the build's module and go with it.
+# is cached.  States are coded: variable i has a table `_t<i>` (value ->
+# id; a value not yet in it gets the next id) and its list `_v<i>` (id ->
+# value).  The code decodes the state c into the value state q,
+# `(_v0[c[0]], ...)`, evaluates on q, and writes each updated value's id
+# as w<i>; a variable the action leaves unchanged keeps its id c[i].
+# `_c<k>` maps the ids cached action k reads to the list of (label,
+# written ids) over the Next domain, and c is decoded only on a miss.  A
+# miss runs the action's code in the usual order, yielding as it goes,
+# and stores the list only once the loop completes, so EvalErrors are
+# raised where and in the order they always were, and a search that
+# stops early leaves no partial entry.  The tables and caches live in the
+# build's module and go with it.
 #
 # Constructors are hoisted.  A set, record or tuple literal whose leaves
 # are literals and CONFIG constants is evaluated once, when the module is
@@ -153,7 +150,6 @@ class _Codegen:
         self.consts = dict(consts)
         self.hoisted = {}  # source of a hoisted value -> its name
         self.reads = set()  # indices of the variables read as q[i]
-        self.coded = False  # whether states are coded, set by successors_fn
         self.positions = set()  # position names used, such as j_x
         self.iterable = False  # whether compiling a comprehension's domain
         self.domains = 0  # hoisting quantifiers so far, naming their s<k>
@@ -334,8 +330,6 @@ class _Codegen:
 
     def _decoded(self):
         """Source of the value state of the state c."""
-        if not self.coded:
-            return "c"
         return "(%s)" % "".join("_v%d[c[%d]], " % (i, i)
                                 for i in range(len(self.variables)))
 
@@ -388,31 +382,26 @@ class _Codegen:
                              if len(rhss) > 1 or v in framed}
         return out, depth, read, [(index[v], v) for v in updates]
 
-    def successors_fn(self, actions, coded=False):
+    def successors_fn(self, actions):
         """Source of `def successors(c)` and of the caches it fills.  For
         each action in order, and each element `_d` of the Next domain
         `_dom` in order, at position j, it yields (action index * `_n` +
         j, successor).  Guards that come before the first guard reading
         the parameter run once per action, and only when the domain is
-        non-empty: they give the same result for every element.  States
-        are coded when some action is cached, or when `coded` asks."""
+        non-empty: they give the same result for every element.  The
+        value state q is decoded on entry when some action reads every
+        variable, and otherwise on the first cache miss."""
         n = len(self.variables)
         codes = [self._action(a) for a in actions]
-        self.coded = coded or any(len(read) < n for _, _, read, _ in codes)
         eager = any(len(read) == n for _, _, read, _ in codes)
         caches = []
-        # without coding, the state is the value state q itself
-        state = "c" if self.coded else "q"
-        lines = ["def successors(%s):" % state]
-        if self.coded:
-            lines.append("    q = " + (self._decoded() if eager else "None"))
+        lines = ["def successors(c):",
+                 "    q = " + (self._decoded() if eager else "None")]
         for k, (steps, depth, read, written) in enumerate(codes):
-            new = {i: "n_" + v for i, v in written}
-            if self.coded:
-                new = {i: "w%d" % i for i, _ in written}
-                steps = steps + [(depth, "w%d = _t%d[n_%s]" % (i, i, v))
-                                 for i, v in written]
-            succ = "(%s)" % "".join(new.get(i, "%s[%d]" % (state, i)) + ", "
+            new = {i: "w%d" % i for i, _ in written}
+            steps = steps + [(depth, "w%d = _t%d[n_%s]" % (i, i, v))
+                             for i, v in written]
+            succ = "(%s)" % "".join(new.get(i, "c[%d]" % i) + ", "
                                     for i in range(n))
             if len(read) == n:
                 lines += _indented(steps, 1)
@@ -534,20 +523,12 @@ def _construct(e, go):
     return "_mk_rec((%s))" % items
 
 
-def _same(x):
-    return x
-
-
-def _coding(n, coded):
-    """The names a build's module codes states with: `encode(q)` and
-    `decode(c)` between value states and states, and, if states are
-    coded, each variable's table `_t<i>` and its list `_v<i>`."""
-    if not coded:
-        return {"encode": _same, "decode": _same}
-    tables = [_Table() for _ in range(n)]
+def _coding(tables):
+    """The names a build's module codes states with: `decode(c)`, from a
+    coded state to its value state, and each variable's table `_t<i>`
+    and its list `_v<i>`."""
     lists = [t.vals for t in tables]
-    names = {"encode": lambda q: tuple(map(getitem, tables, q)),
-             "decode": lambda c: tuple(map(getitem, lists, c))}
+    names = {"decode": lambda c: tuple(map(getitem, lists, c))}
     for i, t in enumerate(tables):
         names["_t%d" % i] = t
         names["_v%d" % i] = lists[i]
@@ -576,12 +557,11 @@ def _init_and_domain(spec):
     return {tuple(assignment[v] for v in spec.variables)}, domain
 
 
-def _compile(spec, prop=None, coded=False):
-    """Everything one LTS build evaluates: (initial states, in the order
-    of their values and coded as the build codes states, alphabet,
-    namespace of the generated module).  The namespace holds
-    `successors(c)`, `encode(q)` and `decode(c)`, the caches `_c<k>`, the
-    tables `_t<i>` if states are coded (always, with `coded`) and, with a
+def _compile(spec, prop=None):
+    """Everything one LTS build evaluates: (coded initial states, in the
+    order of their values, alphabet, namespace of the generated module).
+    The namespace holds `successors(c)` and `decode(c)`, the caches
+    `_c<k>`, the tables `_t<i>` and their lists `_v<i>` and, with a
     property, `prop(q)` and `violates(c)`.  The alphabet lists the
     (action name, argument) of each label index."""
     cg = _Codegen(spec.config, spec.variables, spec.name)
@@ -594,15 +574,16 @@ def _compile(spec, prop=None, coded=False):
                             % (prop.name, spec.name, ", ".join(sorted(extra))))
         src = cg.predicate_fn(prop.body)
         read = cg.reads
-    src += cg.successors_fn(spec.actions, coded)
+    src += cg.successors_fn(spec.actions)
     if prop is not None:
         src += cg.violates_fn(read)
     # after the source, so that errors in the spec's text come first
     initials, domain = _init_and_domain(spec)
-    ns = cg.build(src, _dom=domain, _n=len(domain),
-                  **_coding(len(spec.variables), cg.coded))
+    tables = [_Table() for _ in spec.variables]
+    ns = cg.build(src, _dom=domain, _n=len(domain), **_coding(tables))
     alphabet = [(a.name, d) for a in spec.actions for d in domain]
-    return [ns["encode"](q) for q in sorted(initials)], alphabet, ns
+    return ([tuple(map(getitem, tables, q)) for q in sorted(initials)],
+            alphabet, ns)
 
 
 # --------------------------------------------------------------------------
@@ -784,7 +765,7 @@ def _reduced_reach(spec, prop, sets, bound, cancel):
     renaming from representative to concrete state starts as the inverse
     of the initial state's, and each step composes it with the inverse
     of the renaming of the representative's successor."""
-    initials, alphabet, ns = _compile(spec, prop, coded=True)
+    initials, alphabet, ns = _compile(spec, prop)
     try:
         order, canon = _symmetry(sets, [ns["_t%d" % i]
                                         for i in range(len(spec.variables))])

@@ -5,7 +5,7 @@ contract (slicing, then composing the slices, gives back the spec) can be
 checked as structural equality.  `init_states` evaluates a spec's
 initial states on their own, which the package only does as part of an
 LTS build.  `walk` and `compiled_steps` search one build's generated
-successor generator without `lts.explore`; its states may be coded, and
+successor generator without `lts.explore`; its states are coded, and
 `compiled_steps` decodes them.
 """
 

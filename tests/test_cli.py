@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from recomp import parse, decompose, pretty, total_order
-from recomp.cli import main
+from recomp.cli import MAX_TIMEOUT, main
 from recomp.corpus import tpcounter, twophase
 from recomp.report import parse_report
 
@@ -58,6 +58,18 @@ def test_usage_errors_exit_three(tp_file, capsys):
     assert main(["check", tp_file, "--property", "Consistent",
                  "--bound", "0"]) == 3
     assert main(["frobnicate"]) == 3
+
+
+@pytest.mark.parametrize("timeout", ["inf", "nan", "0", "-1", "1e9"])
+def test_timeout_out_of_range_exits_three(tp_file, timeout, capsys):
+    assert main(["check", tp_file, "--property", "Consistent",
+                 "--strategy", "s4", "--timeout", timeout]) == 3
+    assert "timeout" in capsys.readouterr().err
+
+
+def test_longest_timeout_is_accepted(tp_file, capsys):
+    assert main(["check", tp_file, "--property", "Consistent",
+                 "--strategy", "s4", "--timeout", str(MAX_TIMEOUT)]) == 0
 
 
 def test_structured_report_round_trips(tp_file, capsys):

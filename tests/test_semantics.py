@@ -1,19 +1,22 @@
 """State-graph generation: the streaming check against the full error
 LTS, what `bound` admits in each, boolean positions and hoisted guards
 in the successor generator, the memoized invariant, and the work one
-build does: its compile() calls, the values it builds once and the
-action code it runs once per read projection."""
+build does: its compile() calls, the values it builds once, the action
+code it runs once per read projection and the coded states of builds
+that cache nothing."""
 
 from collections import Counter
 
 import pytest
 
 import oracle as oc
-from recomp import parse, semantics
+from recomp import (decompose, make_strategy, parse, semantics,
+                    static_reduce, total_order)
 from recomp import syntax as sx
 from recomp import values as va
 from recomp.corpus import ALL, lockserv, twophase
 from recomp.lts import StateBoundExceeded, pi_reachable, pi_trace
+from recomp.recompose import build_groups
 from recomp.semantics import _compile, err_lts, err_reach, to_lts
 from recomp.values import EvalError
 from spec_helpers import search, walk
@@ -280,3 +283,27 @@ def test_each_action_runs_once_per_read_projection(gen):
         runs += len(projections)
     assert probes
     assert runs < len(spec.actions) * len(states) / 2
+
+
+def test_builds_without_cached_actions_code_their_states(tp):
+    """S1 gives twophase(3) one group per variable, so no action of any
+    group's build is cached; each build codes its states all the same."""
+    prop = tp.property("Consistent")
+    comps = decompose(tp, prop)
+    comps = [comps[i - 1] for i in total_order(comps, tp)]
+    f = static_reduce(make_strategy("S1", len(comps)), comps)
+    d_p, groups = build_groups(f, comps, tp)
+    # the property group under err_lts, the others under to_lts
+    for group, p in [(d_p, prop)] + [(g, None) for g in groups]:
+        assert len(group.variables) == 1, group.name
+        initials, _, ns = _compile(group, p)
+        assert not any(k.startswith("_c") for k in ns), group.name
+        assert initials and all(type(x) is int for c in initials for x in c)
+        assert isinstance(ns["_t0"], dict), group.name
+        assert isinstance(ns["_v0"], list), group.name
+        states = search(initials, ns["successors"])
+        assert all(type(x) is int for c in states for x in c), group.name
+        decoded = {tuple(sorted(zip(group.variables,
+                                    map(oc._conv, ns["decode"](c)))))
+                   for c in states}
+        assert decoded == oc.oracle_reach(group)[0], group.name
