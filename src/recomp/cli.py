@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from .decompose import decompose
-from .engine import HOLDS, INCONCLUSIVE, VIOLATED, run_portfolio
+from .engine import (HOLDS, INCONCLUSIVE, MAX_TIMEOUT, VIOLATED,
+                     run_portfolio)
 from .order import KINDS, Strategy, data_flow_order, make_strategy, total_order
 from .parser import parse
 from .recompose import parse_map_file, render_map
@@ -21,9 +22,6 @@ from .syntax import SpecError
 
 EXIT = {HOLDS: 0, VIOLATED: 1, INCONCLUSIVE: 2}
 USAGE_ERROR = 3
-# seconds: the pool waits for its workers with poll(), which takes at
-# most 2**31 - 1 milliseconds
-MAX_TIMEOUT = 2_147_483
 
 
 def _build_parser():
@@ -93,10 +91,6 @@ def _cmd_check(args):
     strategies = _strategies(args.strategy, spec, prop)
     if (args.bound is not None and args.bound < 1) or args.workers < 1:
         raise SpecError("bound and workers must be at least 1")
-    # NaN fails both comparisons
-    if args.timeout is not None and not 0 < args.timeout <= MAX_TIMEOUT:
-        raise SpecError("timeout must be above 0 and at most %d seconds"
-                        % MAX_TIMEOUT)
     verdict, stats, winner = run_portfolio(
         spec, prop, strategies, workers=args.workers, timeout=args.timeout,
         bound=args.bound, minimize_mode=args.minimize)

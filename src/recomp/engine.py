@@ -30,6 +30,10 @@ from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import DEFAULT_BOUND, err_lts, err_reach, to_lts
 
+# seconds: the pool waits for its workers with poll(), which takes at
+# most 2**31 - 1 milliseconds
+MAX_TIMEOUT = 2_147_483
+
 HOLDS = "holds"
 VIOLATED = "violated"
 INCONCLUSIVE = "inconclusive"
@@ -169,15 +173,19 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     """Race the strategies on the worker pool; the first conclusive
     verdict wins, and losers are cancelled cooperatively and finish in
     the background.  A worker that exits without a result is an
-    inconclusive outcome.  Concurrent calls take turns.  Returns
-    (verdict, stats, winning strategy)."""
+    inconclusive outcome.  Concurrent calls take turns.  A timeout must
+    lie in (0, `MAX_TIMEOUT`] seconds.  Returns (verdict, stats, winning
+    strategy)."""
+    # NaN fails both comparisons
+    if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:
+        raise ValueError("timeout must be above 0 and at most %d seconds"
+                         % MAX_TIMEOUT)
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
         raise ValueError("need at least one strategy")
     deadline = None if timeout is None else time.monotonic() + timeout
     # a call that waits for another thread's race spends its own timeout
-    if not _POOL.lock.acquire(timeout=-1 if timeout is None
-                              else max(0.0, timeout)):
+    if not _POOL.lock.acquire(timeout=-1 if timeout is None else timeout):
         return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None
     try:
         return _POOL.race((spec, prop, bound, minimize_mode),

@@ -13,12 +13,13 @@ relabeled to a tau label that is unique per LTS, so tau never
 synchronizes in a composition.
 
 `minimize` quotients by strong bisimulation, or by weak bisimulation
-after hiding.  Both refine signatures until the partition is stable.
-The weak signatures are computed along the DAG of tau-SCCs, sinks
-first (after Blom & Orzan's signature refinement), so the weak
-transition relation, quadratic in tau-connected states, is never
-built; each round still gives exactly the partition that saturating
-it would.
+after hiding.  Both refine signatures until the partition is stable
+(after Blom & Orzan).  Strong refinement reads the CSR arrays directly,
+coding each edge as one int (`_edge_keys`), so that a state's signature
+is a frozenset of ints.  The weak signatures are computed along the DAG
+of tau-SCCs, sinks first, so the weak transition relation, quadratic in
+tau-connected states, is never built; each round still gives exactly
+the partition that saturating it would.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from operator import add
 from typing import Optional
 
 # Loops poll their `cancel` argument once per this many edges they read
-# or append (`_refine` counts its states too, `_weak_refine` the set
-# elements it builds), so that the time between two polls is bounded by
-# work done rather than by states expanded.
+# or append (`_refine` also once per this many states, `_weak_refine`
+# per set elements it builds), so that the time between two polls is
+# bounded by work done rather than by states expanded.
 _POLL_EVERY = 1024
 
 _tau_counter = itertools.count()
@@ -269,75 +270,78 @@ def compose(a, b, bound=None, cancel=None):
 # Minimization
 
 
-def _refine(n, adj, seed, cancel=None):
-    """Signature-based partition refinement.
-
-    adj[s] is an iterable of (label, block-of-target-relevant key) edge
-    descriptors; seed[s] is the initial block id.  Returns a list mapping
-    each state to its final block id (dense, ordered by first occurrence).
-    """
+def _refine(l, seed, cancel=None):
+    """Strong bisimulation from the initial blocks seed[s].  A round
+    codes each edge as label + width * block of target, width being the
+    alphabet's size, and numbers the signatures (block, frozenset of the
+    state's keys) by first occurrence, in slices of `_POLL_EVERY`
+    states.  Returns each state's final block id, dense."""
+    rows = list(map(slice, l.offsets[:-1], l.offsets[1:]))
+    width = len(l.alphabet)
     block = list(seed)
     n_blocks = len(set(block))
     while True:
+        keys = _edge_keys(l, range(width), [b * width for b in block],
+                          cancel)
         sigs = {}
-        new = [0] * n
-        work = 0
-        next_poll = _POLL_EVERY
-        for s in range(n):
-            edges = adj[s]
-            work += len(edges) + 1
-            if work >= next_poll:
-                _check_cancel(cancel)
-                next_poll += _POLL_EVERY
-            sig = (block[s], frozenset((l, block[t]) for l, t in edges))
-            b = sigs.get(sig)
-            if b is None:
-                b = len(sigs)
-                sigs[sig] = b
-            new[s] = b
+        new = []
+        for lo in range(0, l.n_states, _POLL_EVERY):
+            hi = lo + _POLL_EVERY
+            new += [sigs.setdefault((b, frozenset(keys[r])), len(sigs))
+                    for b, r in zip(block[lo:hi], rows[lo:hi])]
+            _check_cancel(cancel)
         if len(sigs) == n_blocks:
             return new
         block, n_blocks = new, len(sigs)
 
 
+def _edge_keys(l, label_key, target_key, cancel):
+    """label_key[label] + target_key[target] for l's edges, in a list
+    built in slices of `_POLL_EVERY` edges with a poll after each."""
+    labels, dsts = l.labels, l.dsts
+    label_key = list(label_key)
+    keys = []
+    for lo in range(0, len(dsts), _POLL_EVERY):
+        hi = lo + _POLL_EVERY
+        keys += [label_key[lab] + target_key[t]
+                 for lab, t in zip(labels[lo:hi], dsts[lo:hi])]
+        _check_cancel(cancel)
+    return keys
+
+
 def _quotient(l, block, cancel=None):
     """The quotient of l by a partition, explored from the sorted initial
     blocks: a block steps to the sorted set of (label, block of target)
-    over its members' edges.  Only reachable blocks are kept (all of them
-    on an LTS that `explore` built), and pi's block becomes the last.
-    `cancel` is also polled once per `_POLL_EVERY` edges of l read."""
-    members = [[] for _ in range(max(block) + 1)]
+    over its members' edges, coded as label * blocks + block of target
+    (`_edge_keys`), whose int order is the pairs' order, and decoded by
+    `divmod`.  Only reachable blocks are kept (all of them on an LTS
+    that `explore` built), and pi's block becomes the last.  `cancel`
+    is also polled once per `_POLL_EVERY` edges of l read."""
+    n_blocks = max(block) + 1
+    members = [[] for _ in range(n_blocks)]
     for s, b in enumerate(block):
         members[b].append(s)
+    keys = _edge_keys(l, range(0, len(l.alphabet) * n_blocks, n_blocks),
+                      block, cancel)
     offsets = l.offsets
     read = 0
     next_poll = _POLL_EVERY
 
     def successors(b):
         nonlocal read, next_poll
-        ms = members[b]
-        read += sum(offsets[s + 1] - offsets[s] for s in ms)
+        row = set()
+        for s in members[b]:
+            lo, hi = offsets[s], offsets[s + 1]
+            row.update(keys[lo:hi])
+            read += hi - lo
         if read >= next_poll:
             _check_cancel(cancel)
             next_poll += _POLL_EVERY
-        return sorted({(lab, block[t]) for s in ms for lab, t in l.out(s)})
+        return map(divmod, sorted(row), itertools.repeat(n_blocks))
 
     pi = block[l.pi] if l.pi is not None else None
     return explore(sorted({block[s] for s in l.initials}), successors,
                    l.alphabet, lambda b: b == pi, cancel=cancel)
-
-
-def _rows(l, cancel):
-    """(state, its outgoing (label index, target) pairs) for every state
-    in order, polling `cancel` once per `_POLL_EVERY` edges."""
-    offsets, labels, dsts = l.offsets, l.labels, l.dsts
-    next_poll = _POLL_EVERY
-    for s in range(l.n_states):
-        lo, hi = offsets[s], offsets[s + 1]
-        if hi >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
-        yield s, zip(labels[lo:hi], dsts[lo:hi])
 
 
 def _tau_sccs(l, tau, cancel=None):
@@ -607,12 +611,8 @@ def minimize(l, mode="strong", hide=None, cancel=None):
     seed = [0] * l.n_states
     if l.pi is not None:
         seed[l.pi] = 1
-    if mode == "strong":
-        adj = [list(row) for _, row in _rows(l, cancel)]
-        block = _refine(l.n_states, adj, seed, cancel)
-    else:
-        block = _weak_refine(l, seed, cancel)
-    return _quotient(l, block, cancel)
+    refine = _refine if mode == "strong" else _weak_refine
+    return _quotient(l, refine(l, seed, cancel), cancel)
 
 
 def hide_labels(l, hide):

@@ -114,7 +114,12 @@ DEFAULT_BOUND = 10_000_000
 # raises the same EvalError and reads the same variables.  Only a leading
 # run may move, since a later part runs only after the parts before it
 # fail for some element.  Each hoisting quantifier of a module binds its
-# own s<k>, as nested binders may share a name.  A quantifier inside a
+# own s<k>, as nested binders may share a name.  Where the domain names a
+# constant whose value is a set, its elements are known at compile time:
+# they are bound once, to a module-level `_h<k>` as hoisted constructors
+# are, and the emptiness test is decided then, so an empty domain
+# compiles to `True` (`\A`) or `False` (`\E`) and a non-empty one to
+# `(H1 or ... or all(rest for b_x in _h<k>))`.  A quantifier inside a
 # comprehension's domain does not hoist, since Python allows no
 # assignment expression there.
 
@@ -302,7 +307,8 @@ class _Codegen:
         """\\A as `all` or \\E as `any` over the domain's elements.  The
         leading parts of the body (`_split`) that do not mention the bound
         name are hoisted before the loop, after the domain's elements are
-        bound to s<k> and tested for emptiness."""
+        bound to s<k> and tested for emptiness; a constant set's elements
+        are bound in the module instead, and its emptiness decided here."""
         forall = isinstance(e, sx.Forall)
         quant = "all" if forall else "any"
         parts = _split(e.body, forall)
@@ -314,9 +320,16 @@ class _Codegen:
             body, loop = self._binder(e.var, e.body, bound, self.cond)
             return "%s(%s %s)" % (
                 quant, body, loop % self._elems(e.domain, bound, True))
+        const = self._const_set(e.domain, bound)
+        if const == ():
+            return repr(forall)
         out = [self.cond(x, bound) for x in parts[:lead]]
-        elems = "s%d" % self.domains
-        self.domains += 1
+        if const is None:
+            elems = "s%d" % self.domains
+            self.domains += 1
+        else:
+            elems = self.hoisted.setdefault("_elems(c_%s)" % e.domain.id,
+                                            "_h%d" % len(self.hoisted))
         rest = parts[lead:]
         if rest:
             body = rest[0] if len(rest) == 1 else (
@@ -324,9 +337,22 @@ class _Codegen:
             body, loop = self._binder(e.var, body, bound, self.cond)
             out.append("%s(%s %s)" % (quant, body, loop % elems))
         empty, op = ("==", " or ") if forall else ("!=", " and ")
+        if const is not None:
+            return "(%s)" % op.join(out)
         return "((%s := %s) %s ()%s%s)" % (
             elems, self._elems(e.domain, bound, False), empty, op,
             op.join(out))
+
+    def _const_set(self, domain, bound):
+        """The elements of a domain that names a constant whose value is
+        a set; None for any other domain."""
+        if not (isinstance(domain, sx.Name) and domain.id not in bound
+                and domain.id not in self.var_index):
+            return None
+        value = self.consts.get(domain.id)
+        if value is None or value[0] != "set":
+            return None
+        return value[1]
 
     def _decoded(self):
         """Source of the value state of the state c."""

@@ -10,8 +10,10 @@ and 4) and every property, with bound 30,000:
   LTS arrays (alphabet, offsets, labels, targets, initial states);
 - `err_reach`: verdict, state count and witness;
 - the groups `recomp_verify` builds under S1-S3 after static reduction:
-  each group's name, action order and a digest of its LTS (`err_lts`
-  for the property group, `to_lts` for the others);
+  each group's name, action order and digests of its LTS (`err_lts`
+  for the property group, `to_lts` for the others) and of that LTS's
+  strong and observational quotients, the latter hiding what
+  `comp_verify` hides (the labels no other group's actions name);
 - `recomp_verify` under S1-S4, each with strong and observational
   minimization: verdict, reason, witness, n, m, k, stages, `max_states`.
 
@@ -33,7 +35,12 @@ MODES = ("strong", "observational")
 
 
 def _digest(l):
-    arrays = repr((l.alphabet, l.offsets, l.labels, l.dsts, l.initials))
+    """A digest of the LTS arrays, with each tau label's counter dropped:
+    it numbers the taus of the whole process."""
+    from recomp.lts import is_tau
+
+    alphabet = tuple(("τ",) if is_tau(lab) else lab for lab in l.alphabet)
+    arrays = repr((alphabet, l.offsets, l.labels, l.dsts, l.initials))
     return hashlib.sha256(arrays.encode()).hexdigest()[:16]
 
 
@@ -43,18 +50,26 @@ def _lts_row(l):
 
 
 def _groups_row(spec, prop, kind):
-    from recomp import (decompose, err_lts, make_strategy, static_reduce,
-                        to_lts, total_order)
+    from recomp import (decompose, err_lts, make_strategy, minimize,
+                        static_reduce, to_lts, total_order)
+    from recomp.engine import _minimized
     from recomp.recompose import build_groups
+    from recomp.syntax import symbolic_actions
 
     comps = decompose(spec, prop)
     comps = [comps[i - 1] for i in total_order(comps, spec)]
     f = static_reduce(make_strategy(kind, len(comps)), comps)
     d_p, groups = build_groups(f, comps, spec)
     lts = [err_lts(d_p, prop, BOUND)] + [to_lts(g, BOUND) for g in groups]
-    return " ; ".join("%s[%s] %s" % (g.name, ",".join(a.name for a in
-                                                      g.actions), _digest(l))
-                      for g, l in zip([d_p] + groups, lts))
+    alphas = [symbolic_actions(g) for g in [d_p] + groups]
+    cells = []
+    for i, (g, l) in enumerate(zip([d_p] + groups, lts)):
+        visible = set().union(*alphas[:i], *alphas[i + 1:])
+        cells.append("%s[%s] %s strong=%s observational=%s" % (
+            g.name, ",".join(a.name for a in g.actions), _digest(l),
+            _digest(minimize(l, "strong")),
+            _digest(_minimized(l, "observational", visible, None))))
+    return " ; ".join(cells)
 
 
 def _verify_row(verdict, stats):

@@ -7,16 +7,19 @@ anywhere, which the package's one builder `explore` never does.
 `lts.pi_trace` relies on `explore`'s layout.  The comparisons are
 brute-force and test-scale: `trace_set` materializes every bounded
 action sequence, `traces_equal` runs a synchronized subset construction
-and `bisimilar` refines one partition over both systems with the
-package's own `_refine`.  `weak_minimize` is observational minimization
-the direct way: it saturates the weak transition relation and refines
-signatures over it, where `lts.minimize` works along the tau-SCCs.
+and `bisimilar` refines one partition over both systems.  `refine` is
+signature refinement over per-state lists of (label, target) pairs, and
+`quotient` lays out a partition's quotient with the pairs as keys, where
+`lts.minimize` codes each edge as an int.  `weak_minimize` is
+observational minimization the direct way: it saturates the weak
+transition relation and refines signatures over it, where
+`lts.minimize` works along the tau-SCCs.
 """
 
 import itertools
 from array import array
 
-from recomp.lts import Lts, _quotient, _refine, hide_labels, is_tau
+from recomp.lts import Lts, explore, hide_labels, is_tau
 
 
 def lts_from_edges(n, alphabet, edges, initials, pi=None):
@@ -156,10 +159,58 @@ def bisimilar(a, b):
             seed.append(1 if l.pi == s else 0)
     if n == 0:
         return True
-    block = _refine(n, adj, seed)
+    block = refine(n, adj, seed)
     a_init = {block[s] for s in a.initials}
     b_init = {block[s + a.n_states] for s in b.initials}
     return a_init == b_init
+
+
+def refine(n, adj, seed):
+    """Signature-based partition refinement.
+
+    adj[s] is an iterable of (label, target) edges; seed[s] is the
+    initial block id.  Returns a list mapping each state to its final
+    block id (dense, ordered by first occurrence).
+    """
+    block = list(seed)
+    n_blocks = len(set(block))
+    while True:
+        sigs = {}
+        new = [0] * n
+        for s in range(n):
+            sig = (block[s], frozenset((l, block[t]) for l, t in adj[s]))
+            new[s] = sigs.setdefault(sig, len(sigs))
+        if len(sigs) == n_blocks:
+            return new
+        block, n_blocks = new, len(sigs)
+
+
+def quotient(l, block):
+    """The quotient of l by a partition, explored from the sorted initial
+    blocks: a block steps to the sorted set of (label, block of target)
+    over its members' edges, and pi's block becomes the last."""
+    members = {}
+    for s, b in enumerate(block):
+        members.setdefault(b, []).append(s)
+
+    def successors(b):
+        return sorted({(lab, block[t]) for s in members[b]
+                       for lab, t in l.out(s)})
+
+    pi = block[l.pi] if l.pi is not None else None
+    return explore(sorted({block[s] for s in l.initials}), successors,
+                   l.alphabet, lambda b: b == pi)
+
+
+def strong_minimize(l):
+    """The quotient `lts.minimize(l, "strong")` must give: pi is seeded
+    in its own block, and `quotient` lays out the partition `refine`
+    finds over the edges as stored."""
+    if l.n_states == 0:
+        return l
+    seed = [1 if s == l.pi else 0 for s in range(l.n_states)]
+    return quotient(l, refine(l.n_states, [list(l.out(s))
+                                           for s in range(l.n_states)], seed))
 
 
 def tau_closures(l):
@@ -203,8 +254,8 @@ def saturate(l):
 def weak_minimize(l, hide=None):
     """The quotient `lts.minimize(l, "observational", hide)` must give,
     from signatures over the saturated relation: labels in `hide` become
-    a fresh tau, pi is seeded in its own block, and `_quotient` lays out
-    the partition `_refine` finds."""
+    a fresh tau, pi is seeded in its own block, and `quotient` lays out
+    the partition `refine` finds."""
     if l.n_states == 0:
         return l
     if hide:
@@ -212,4 +263,4 @@ def weak_minimize(l, hide=None):
     seed = [0] * l.n_states
     if l.pi is not None:
         seed[l.pi] = 1
-    return _quotient(l, _refine(l.n_states, saturate(l), seed))
+    return quotient(l, refine(l.n_states, saturate(l), seed))

@@ -206,12 +206,13 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     minimization and composition make over the edges they read.
     Composition reads the group's rows that its search reaches.
 
-    Strong minimization reads every edge twice: for the signature lists,
-    then for the quotient's rows.  Observational minimization reads them
-    three times: in the tau-SCC search, in the pass that lists each
-    SCC's tau successors and visible pairs, and for the quotient's rows;
-    its refinement rounds poll on top of that, once per `_POLL_EVERY`
-    pairs, set elements or states they read."""
+    Strong minimization reads every edge at least twice: for the edge
+    keys of each refinement round, then for the quotient's keys.
+    Observational minimization reads them three times: in the tau-SCC
+    search, in the pass that lists each SCC's tau successors and visible
+    pairs, and for the quotient's keys; its refinement rounds poll on
+    top of that, once per `_POLL_EVERY` pairs, set elements or states
+    they read."""
     cancel = _CountingCancel()
     checked = []
     passes = {"strong": 2, "observational": 3}
@@ -615,6 +616,20 @@ def test_the_pool_runs_under_other_start_methods(tp, pool, monkeypatch,
 def test_portfolio_requires_a_strategy(tp):
     with pytest.raises(ValueError):
         run_portfolio(tp, tp.property("Consistent"), [])
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), float("nan"), 0, -1, 1e9])
+def test_portfolio_rejects_a_timeout_out_of_range(tp, pool, monkeypatch,
+                                                  timeout):
+    # checked before the pool starts: no worker is forked
+    launches = _LaunchCounter()
+    monkeypatch.setattr(engine, "multiprocessing", launches)
+    with pytest.raises(ValueError) as got:
+        run_portfolio(tp, tp.property("Consistent"), ["S4"], workers=1,
+                      timeout=timeout)
+    assert str(got.value) == ("timeout must be above 0 and at most %d "
+                              "seconds" % engine.MAX_TIMEOUT)
+    assert launches.launched == 0 and pool.workers == []
 
 
 def test_custom_strategy_runs_through_the_engine(tp):

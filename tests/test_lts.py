@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from lts_oracle import (bisimilar, lts_from_edges, shortest_pi_trace,
-                        tau_closures, trace_set, traces_equal, weak_minimize)
-from recomp.lts import (StateBoundExceeded, compose, explore, hide_labels,
-                        is_tau, minimize, pi_reachable, pi_trace)
+from lts_oracle import (bisimilar, lts_from_edges, refine, shortest_pi_trace,
+                        strong_minimize, tau_closures, trace_set,
+                        traces_equal, weak_minimize)
+from recomp.lts import (_POLL_EVERY, StateBoundExceeded, _refine, compose,
+                        explore, hide_labels, is_tau, minimize, pi_reachable,
+                        pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -193,6 +195,81 @@ def test_minimize_merges_duplicate_states():
                        [(0, 0, 1), (0, 0, 2)], [0])
     m = minimize(l, "strong")
     assert m.n_states == 2
+
+
+def _strong_draw(rng):
+    """A small LTS for strong minimization: half the draws from
+    `rand_lts` (pi last and absorbing, when present), the rest by hand,
+    with pi anywhere, self-loops, duplicate edges and several initial
+    states, which can leave states unreachable."""
+    if rng.random() < 0.5:
+        return rand_lts(rng, 6, with_pi=rng.random() < 0.5)
+    n = rng.randrange(1, 9)
+    alphabet = LABELS[:rng.randrange(1, len(LABELS) + 1)]
+    pi = rng.choice([None, rng.randrange(n)])
+    edges = [(s, rng.randrange(len(alphabet)), rng.randrange(n))
+             for s in range(n) for _ in range(rng.randrange(4))]
+    edges += rng.sample(edges, rng.randrange(len(edges) + 1))
+    rng.shuffle(edges)
+    initials = sorted(rng.sample(range(n), rng.randrange(1, min(n, 2) + 1)))
+    return lts_from_edges(n, alphabet, edges, initials, pi)
+
+
+def _reachable(l):
+    seen = set(l.initials)
+    stack = list(seen)
+    while stack:
+        for _, t in l.out(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def test_strong_refinement_matches_the_oracle():
+    # the int-coded edge keys give the oracle's partition over (label,
+    # target) pairs, numbered alike, also from seeds whose ids are not
+    # dense; and the quotient is the oracle's, array for array
+    rng = random.Random(19)
+    draws = 1500
+    seen = dict.fromkeys(("pi inside", "self-loop", "duplicate",
+                          "unreachable"), 0)
+    for _ in range(draws):
+        l = _strong_draw(rng)
+        n = l.n_states
+        rows = [list(l.out(s)) for s in range(n)]
+        seeds = ([1 if s == l.pi else 0 for s in range(n)],
+                 [rng.choice((0, 3, 7)) for _ in range(n)])
+        for seed in seeds:
+            assert _refine(l, seed) == refine(n, rows, seed)
+        assert _layout(minimize(l, "strong")) == _layout(strong_minimize(l))
+        seen["pi inside"] += l.pi is not None and l.pi < n - 1
+        seen["self-loop"] += any(s == t for s in range(n)
+                                 for _, t in rows[s])
+        seen["duplicate"] += any(len(set(row)) < len(row) for row in rows)
+        seen["unreachable"] += len(_reachable(l)) < n
+    assert min(seen.values()) >= draws // 10, seen
+
+
+def test_strong_minimize_polls_while_coding_the_edges():
+    """One state with 10 x `_POLL_EVERY` self-loops: the edge keys are
+    built in slices of `_POLL_EVERY` edges with a poll after each, so
+    refinement polls at least ten times, where a poll per state's
+    signature would poll once; the quotient codes the edges again."""
+    polls = []
+
+    class Counting:
+        def is_set(self):
+            polls.append(1)
+            return False
+
+    l = lts_from_edges(1, LABELS[:1], [(0, 0, 0)] * (10 * _POLL_EVERY), [0])
+    assert _refine(l, [0], Counting()) == [0]
+    assert len(polls) >= 10
+    del polls[:]
+    m = minimize(l, "strong", cancel=Counting())
+    assert (m.n_states, list(m.out(0))) == (1, [(0, 0)])
+    assert len(polls) >= 20
 
 
 def test_quotient_keeps_reachable_blocks_with_pi_last():

@@ -476,16 +476,20 @@ def test_twophase_applies_and_updates_at_the_parameter_position():
     assert src.count("_except_at(q[1], _d, j, ") == 4
     assert src.count("_apply(") == 2 and "_except(" not in src
     # Consistent applies rmState at the positions of its two binders, and
-    # its rm1 disjunct runs once per rm1, before the loop over rm2
-    src = _Codegen(spec.config, spec.variables, spec.name).predicate_fn(
-        spec.property("Consistent").body)
+    # its rm1 disjunct runs once per rm1, before the loop over rm2;
+    # RMs is a non-empty constant set, so the inner loop reads its
+    # elements from the module, bound once
+    cg = _Codegen(spec.config, spec.variables, spec.name)
+    src = cg.predicate_fn(spec.property("Consistent").body)
     rm1, rm2 = (_inline_apply("q[1]", "b_" + x, "j_" + x)
                 for x in ("rm1", "rm2"))
     assert src == (
-        "def prop(q):\n    return all(((s0 := _elems(c_RMs)) == () or "
-        "(not (%s == ('str', 'aborted'))) or all((not (%s == "
-        "('str', 'committed'))) for j_rm2, b_rm2 in enumerate(s0))) "
-        "for j_rm1, b_rm1 in enumerate(_elems(c_RMs)))\n" % (rm1, rm2))
+        "def prop(q):\n    return all(((not (%s == ('str', 'aborted'))) or "
+        "all((not (%s == ('str', 'committed'))) for j_rm2, b_rm2 in "
+        "enumerate(_h0))) for j_rm1, b_rm1 in enumerate(_elems(c_RMs)))\n"
+        % (rm1, rm2))
+    assert cg.hoisted == {"_elems(c_RMs)": "_h0"}
+    _assert_properties_match_oracle(spec)
 
 
 def test_mutex_is_not_hoisted():
@@ -539,6 +543,82 @@ def test_hoisted_quantifiers_match_oracle():
         # each property holds in some reachable states and not in others
         assert {ns["violates"](c) for c in steps} == {False, True}
     _assert_properties_match_oracle(spec)
+
+
+# Hoisting quantifiers over CONFIG constants: S a non-empty set, E the
+# empty set, K no set at all.
+CONST_DOMAINS = """MODULE C
+
+CONSTANTS S, E, K
+
+VARIABLES f, n
+
+CONFIG
+  S = {"a", "b"}
+  E = {}
+  K = 1
+
+INIT
+  /\\ f = [x \\in S |-> 0]
+  /\\ n = 0
+
+ACTION Set(d)
+  /\\ f[d] = 0
+  /\\ f' = [f EXCEPT ![d] = 1]
+  /\\ UNCHANGED <<n>>
+
+ACTION Inc(d)
+  /\\ n \\in {0, 1}
+  /\\ n' = n + 1
+  /\\ UNCHANGED <<f>>
+
+NEXT \\E d \\in S :
+  \\/ Set(d)
+  \\/ Inc(d)
+
+PROPERTY Forall
+  \\A x \\in S : \\A y \\in S : f[x] = 0 \\/ f[y] = 1
+
+PROPERTY Exists
+  \\A x \\in S : f[x] = 0 \\/ (\\E y \\in S : n = 1 /\\ f[y] = 1)
+
+PROPERTY EmptyForall
+  n = 2 \\/ (\\A x \\in S : \\A y \\in E : f[x] = 0 \\/ f[y] = 1)
+
+PROPERTY EmptyExists
+  n = 0 \\/ (\\E x \\in E : n = 1 /\\ f[x] = 1)
+"""
+
+
+def test_constant_set_domains_are_decided_at_compile_time():
+    spec = parse(CONST_DOMAINS + "\nPROPERTY NoSet\n  "
+                 "\\A x \\in K : n = 0 \\/ f[x] = 1\n")
+    sources = {}
+    for prop in spec.properties:
+        cg = _Codegen(spec.config, spec.variables, spec.name)
+        sources[prop.name] = cg.predicate_fn(prop.body), cg.hoisted
+    # a non-empty one is bound once, with no emptiness test
+    for name in ("Forall", "Exists"):
+        src, hoisted = sources[name]
+        assert hoisted == {"_elems(c_S)": "_h0"}
+        assert "enumerate(_h0)" in src and ":=" not in src, name
+    # an empty one leaves the quantifier's value alone
+    assert sources["EmptyForall"] == (
+        "def prop(q):\n    return ((q[1] == ('int', 2)) or "
+        "all(True for b_x in _elems(c_S)))\n", {})
+    assert sources["EmptyExists"] == (
+        "def prop(q):\n    return ((q[1] == ('int', 0)) or False)\n", {})
+    # any other domain compiles as before, and fails where it is read
+    src, hoisted = sources["NoSet"]
+    assert "(s0 := _elems(c_K)) == ()" in src and hoisted == {}
+    with pytest.raises(EvalError) as got:
+        err_reach(spec, spec.property("NoSet"))
+    assert str(got.value) == "expected a set, got 1"
+    spec = parse(CONST_DOMAINS)
+    _assert_properties_match_oracle(spec)
+    for name in ("Forall", "Exists", "EmptyExists"):
+        _, ns, steps = walk(spec, spec.property(name))
+        assert {ns["violates"](c) for c in steps} == {False, True}, name
 
 
 def _property(text):
