@@ -12,14 +12,15 @@ Labels are concrete actions `(name, argument)`; hidden actions are
 relabeled to a tau label that is unique per LTS, so tau never
 synchronizes in a composition.
 
-`minimize` quotients by strong bisimulation, or by weak bisimulation
-after hiding.  Both refine signatures until the partition is stable
-(after Blom & Orzan).  Strong refinement reads the CSR arrays directly,
-coding each edge as one int (`_edge_keys`), so that a state's signature
-is a frozenset of ints.  The weak signatures are computed along the DAG
-of tau-SCCs, sinks first, so the weak transition relation, quadratic in
-tau-connected states, is never built; each round still gives exactly
-the partition that saturating it would.
+`minimize` quotients by strong bisimulation, or by branching
+bisimulation after hiding.  Both refine signatures until the partition
+is stable (after Blom & Orzan).  Strong refinement reads the CSR arrays
+directly, coding each edge as one int (`_edge_keys`), so that a state's
+signature is a frozenset of ints.  Branching signatures follow only
+inert tau steps, those that stay inside a block; they are computed
+along the DAG of tau-SCCs, sinks first, and an SCC with nothing of its
+own to add shares the signature of the SCC it steps to.  No weak
+transition relation is built.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from operator import add
 from typing import Optional
 
 # Loops poll their `cancel` argument once per this many edges they read
-# or append (`_refine` also once per this many states, `_weak_refine`
-# per set elements it builds), so that the time between two polls is
-# bounded by work done rather than by states expanded.
+# or append (`_refine` also once per this many states,
+# `_branching_refine` per pairs, set elements or SCCs it reads), so that
+# the time between two polls is bounded by work done rather than by
+# states expanded.
 _POLL_EVERY = 1024
 
 _tau_counter = itertools.count()
@@ -344,16 +346,17 @@ def _quotient(l, block, cancel=None):
                    l.alphabet, lambda b: b == pi, cancel=cancel)
 
 
-def _tau_sccs(l, tau, cancel=None):
-    """The tau-SCCs of l, by an iterative Tarjan over its tau edges.
+def _tau_sccs(l, tau, seed, cancel=None):
+    """The tau-SCCs of l, by an iterative Tarjan over its tau edges whose
+    two ends share a seed block.
 
     `tau[lab]` tells whether label index lab is a tau.  Returns
     (scc, members, member_offsets): scc[s] is the number of s's
     component, and the components are numbered in the order Tarjan
-    emits them, sinks first, so a tau edge never leads to a higher
-    number.  Component c's states are members[member_offsets[c]:
-    member_offsets[c + 1]].  `cancel` is polled once per `_POLL_EVERY`
-    edges read.
+    emits them, sinks first, so a tau edge inside a seed block never
+    leads to a higher number.  Component c's states are
+    members[member_offsets[c]:member_offsets[c + 1]].  `cancel` is
+    polled once per `_POLL_EVERY` edges read.
     """
     n = l.n_states
     offsets, labels, dsts = l.offsets, l.labels, l.dsts
@@ -376,9 +379,10 @@ def _tau_sccs(l, tau, cancel=None):
         while work:
             v, e = work[-1]
             hi = offsets[v + 1]
+            home = seed[v]
             descend = -1
             while e < hi:
-                if tau[labels[e]]:
+                if tau[labels[e]] and seed[dsts[e]] == home:
                     w = dsts[e]
                     if index[w] < 0:
                         descend = w
@@ -415,37 +419,32 @@ def _tau_sccs(l, tau, cancel=None):
     return scc, members, member_offsets
 
 
-def _weak_refine(l, seed, cancel=None):
-    """Weak bisimulation by signature refinement along the tau-SCCs,
-    never building the weak transition relation.
+def _branching_refine(l, seed, cancel=None):
+    """Branching bisimulation by signature refinement along the tau-SCCs
+    (after Blom & Orzan).
 
-    A state's weak signature is its own block, TB (the blocks it reaches
-    by tau*) and W (the (visible label, block) pairs it reaches by
-    tau* a tau*).  States of one tau-SCC share TB and W.  Each round
-    makes two sinks-first passes over the SCCs: an SCC's TB is its
-    members' blocks plus the TB of each tau successor, and its K, the
-    pairs (label, TB of target) over the visible edges reachable by
-    tau*, is its members' own pairs plus the K of each tau successor.
-    W is a function of K that distributes over union, so each distinct
-    K expands once: a set of own pairs by lifting each pair through its
-    TB, any other K as the union of the W of the sets that first gave
-    it.  Equal sets are interned and unions memoized on the indices of
-    their parts, so SCCs with the same sets share one object and a
-    signature is three ints.  The state's own block stays in the
-    signature, since members of one tau cycle may differ there (pi, on
-    a hand-built LTS).  Each round yields the partition that signatures
-    over the saturated relation give, numbered by first occurrence as
-    in `_refine`.  Every pass over the states or SCCs polls `cancel`
-    once per `_POLL_EVERY` edges or set elements it reads, and each
-    round polls once more before it numbers the signatures.
+    A tau step is inert when its target is in its source's block.  A
+    state's signature is the set of (label, block of target) pairs of
+    the steps it can take after a path of inert steps, the inert steps
+    themselves left out; every tau label counts as the same label.  The
+    tau-SCCs (`_tau_sccs`) never join states of different seed blocks,
+    so each lies inside one block in every round, its members share one
+    signature, and an inert step out of it leads to a lower-numbered
+    SCC.  So a round goes sinks first: an SCC's signature is its own
+    distinct pairs, inert steps left out, joined with the signatures of
+    the SCCs its inert steps lead to, reused as they are when they hold
+    the rest.  Rounds run over the SCCs, whose key is (block,
+    signature); the final partition is numbered by first occurrence over
+    the states, as in `_refine`.  Every pass polls `cancel` once per
+    `_POLL_EVERY` pairs, set elements or SCCs it reads.
     """
-    n = l.n_states
     tau = [is_tau(lab) for lab in l.alphabet]
-    n_labels = len(tau)
-    scc, members, member_offsets = _tau_sccs(l, tau, cancel)
+    width = len(tau) + 1  # label codes: the label's index, or tau_code
+    tau_code = len(tau)
+    scc, members, member_offsets = _tau_sccs(l, tau, seed, cancel)
     n_scc = len(member_offsets) - 1
 
-    # Per SCC, as CSR over SCC numbers: the other SCCs one tau edge
+    # Per SCC, as CSR over SCC numbers: the other SCCs one tau step
     # leads to, and the distinct (visible label, target SCC) pairs.
     succ_offsets = array("q", [0])
     succ = array("i")
@@ -475,118 +474,52 @@ def _weak_refine(l, seed, cancel=None):
             vis_sccs.extend(ds)
         vis_offsets.append(len(vis_labels))
 
-    block = list(seed)
+    block = [seed[members[member_offsets[c]]] for c in range(n_scc)]
     n_blocks = len(set(block))
     while True:
-        work = 0
+        # pair (code, block b) as code + width * b
+        key = [width * b for b in block]
+        sig = [None] * n_scc
+        read = 0
         next_poll = _POLL_EVERY
-
-        def poll(more):
-            nonlocal work, next_poll
-            work += more
-            if work >= next_poll:
-                _check_cancel(cancel)
-                next_poll += _POLL_EVERY
-
-        # TB, sinks first: tb[c] indexes SCC c's set in tb_sets
-        width = max(block) + 1  # the seed's block ids need not be dense
-        tb_ids = {}
-        tb_sets = []
-        tb_memo = {}
-        tb = [0] * n_scc
-        for c in range(n_scc):
-            lo, hi = member_offsets[c], member_offsets[c + 1]
-            slo, shi = succ_offsets[c], succ_offsets[c + 1]
-            ids = [tb[d] for d in succ[slo:shi]]
-            ids.append(_intern(frozenset([block[m] for m in members[lo:hi]]),
-                               tb_ids, tb_sets))
-            tb[c] = _union(frozenset(ids), tb_sets, tb_ids, tb_memo)
-            poll(hi - lo + shi - slo + len(tb_sets[tb[c]]))
-
-        # K, sinks first, with the pair (lab, TB of d) as
-        # TB index * n_labels + lab: k[c] indexes SCC c's set in k_sets,
-        # and k_parts maps each K index to the K indices whose union
-        # first gave it (None for a set of an SCC's own edges)
-        n_tb = len(tb_sets)
-        tb_key = [i * n_labels for i in tb]
-        k_ids = {}
-        k_sets = []
-        k_memo = {}
-        k_parts = {}
-        k = [0] * n_scc
         for c in range(n_scc):
             lo, hi = vis_offsets[c], vis_offsets[c + 1]
             slo, shi = succ_offsets[c], succ_offsets[c + 1]
-            own = _intern(frozenset(map(add, vis_labels[lo:hi], map(
-                tb_key.__getitem__, vis_sccs[lo:hi]))), k_ids, k_sets)
-            k_parts.setdefault(own, None)
-            ids = [k[d] for d in succ[slo:shi]]
-            ids.append(own)
-            parts = frozenset(ids)
-            k[c] = i = _union(parts, k_sets, k_ids, k_memo)
-            k_parts.setdefault(i, parts)
-            poll(hi - lo + shi - slo + len(k_sets[i]))
-
-        # W, in K index order: a K of own edges expands each pair to
-        # lab * width + block for the blocks of its TB; any other K is
-        # the union of the W of its parts
-        lifted = {}
-        w_ids = {}
-        w_sets = []
-        w_memo = {}
-        k_w = []
-        for i, ks in enumerate(k_sets):
-            parts = k_parts[i]
-            if parts is None:
-                for key in ks:
-                    if key not in lifted:
-                        t, lab = divmod(key, n_labels)
-                        base = lab * width
-                        lifted[key] = frozenset([base + b
-                                                 for b in tb_sets[t]])
-                k_w.append(_intern(frozenset().union(
-                    *map(lifted.__getitem__, ks)), w_ids, w_sets))
+            own = set(map(add, vis_labels[lo:hi],
+                          map(key.__getitem__, vis_sccs[lo:hi])))
+            b = block[c]
+            inert = []
+            for d in succ[slo:shi]:
+                if block[d] == b:
+                    inert.append(sig[d])
+                else:
+                    own.add(tau_code + key[d])
+            if inert:
+                base = max(inert, key=len)
+                rest = [s for s in inert if s is not base and not s <= base]
+                sig[c] = (base.union(own, *rest) if rest or not own <= base
+                          else base)
+                read += sum(map(len, inert))
             else:
-                k_w.append(_union(frozenset([k_w[j] for j in parts]),
-                                  w_sets, w_ids, w_memo))
-            poll(len(ks) + len(w_sets[k_w[i]]))
+                sig[c] = frozenset(own)
+            read += hi - lo + shi - slo
+            if read >= next_poll:
+                _check_cancel(cancel)
+                next_poll += _POLL_EVERY
 
-        # signatures (own block, TB, W), numbered by first occurrence
-        n_w = len(w_sets)
-        scc_sig = [t * n_w + k_w[i] for t, i in zip(tb, k)]
-        n_sig = n_tb * n_w
-        _check_cancel(cancel)
-        sigs = {}
-        new = [sigs.setdefault(b * n_sig + scc_sig[c], len(sigs))
-               for b, c in zip(block, scc)]
-        if len(sigs) == n_blocks:
-            return new
-        block, n_blocks = new, len(sigs)
+        ids = {}
+        new = []
+        for lo in range(0, n_scc, _POLL_EVERY):
+            hi = lo + _POLL_EVERY
+            new += [ids.setdefault(k, len(ids))
+                    for k in zip(block[lo:hi], sig[lo:hi])]
+            _check_cancel(cancel)
+        if len(ids) == n_blocks:
+            break
+        block, n_blocks = new, len(ids)
 
-
-def _union(ids, sets, index, memo):
-    """The index of the union of sets[i] over the frozenset `ids`,
-    interned in `sets` and `index`; `memo` maps each `ids` already
-    joined to that index.  The largest part is reused when it holds
-    the others."""
-    i = memo.get(ids)
-    if i is None:
-        parts = [sets[j] for j in ids]
-        base = max(parts, key=len)
-        rest = [p for p in parts if p is not base and not base.issuperset(p)]
-        i = memo[ids] = _intern(base.union(*rest) if rest else base, index,
-                                sets)
-    return i
-
-
-def _intern(s, ids, sets):
-    """The index of set s in `sets`, appending it if no equal set is
-    there yet."""
-    i = ids.get(s)
-    if i is None:
-        i = ids[s] = len(sets)
-        sets.append(s)
-    return i
+    first = {}
+    return [first.setdefault(i, len(first)) for i in map(new.__getitem__, scc)]
 
 
 def minimize(l, mode="strong", hide=None, cancel=None):
@@ -596,11 +529,12 @@ def minimize(l, mode="strong", hide=None, cancel=None):
     mode "strong": strong bisimulation on the given labels, by signature
     refinement over the edges as stored (`_refine`).
     mode "observational": labels in `hide` are renamed to a fresh tau
-    first, then states are merged up to weak bisimulation, by signature
-    refinement over the tau-SCC DAG (`_weak_refine`), which computes
-    each state's weak signature without saturating the relation.  It is
-    weak, not branching, bisimulation: branching is finer, so its
-    quotients could be larger.
+    first, then states are merged up to branching bisimulation, by
+    signature refinement over the tau-SCC DAG (`_branching_refine`).
+    Branching bisimulation is finer than weak, so a quotient can keep
+    states that weak bisimulation would merge.  On every group that
+    S1-S3 build for the corpus at sizes 2 and 3 the two quotients have
+    the same number of states.
     """
     if l.n_states == 0:
         return l
@@ -611,7 +545,7 @@ def minimize(l, mode="strong", hide=None, cancel=None):
     seed = [0] * l.n_states
     if l.pi is not None:
         seed[l.pi] = 1
-    refine = _refine if mode == "strong" else _weak_refine
+    refine = _refine if mode == "strong" else _branching_refine
     return _quotient(l, refine(l, seed, cancel), cancel)
 
 

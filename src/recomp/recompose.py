@@ -12,6 +12,7 @@ which is their composition; a group of one is that component.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from . import syntax as sx
 from .decompose import slice_spec
@@ -58,7 +59,8 @@ class RecompositionMap:
 def make_map(pairs):
     groups = {g for _, g in pairs}
     m = len(groups - {P})
-    return RecompositionMap(tuple(sorted(pairs)), m).validate()
+    return RecompositionMap(tuple(sorted(pairs, key=itemgetter(0))),
+                            m).validate()
 
 
 def alphabets(components):
@@ -123,6 +125,7 @@ def parse_map_file(text, components):
     integer; validated as a recomposition map over the given components."""
     names = {c.name: i + 1 for i, c in enumerate(components)}
     pairs = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -132,6 +135,10 @@ def parse_map_file(text, components):
         name, group = (part.strip() for part in line.split("=", 1))
         if name not in names:
             raise SpecError("map line %d: unknown component %r" % (lineno, name))
+        if name in seen:
+            raise SpecError("map line %d: component %r is assigned twice"
+                            % (lineno, name))
+        seen.add(name)
         if group == P:
             g = P
         elif group.isdigit() and int(group) > 0:

@@ -92,7 +92,9 @@ def render_text(verdict, stats, winner=None):
     out = ["verdict: %s" % verdict.outcome]
     if verdict.reason:
         out.append("reason: %s" % verdict.reason)
-    if verdict.witness:
+    if verdict.witness == ():
+        out.append("counterexample: the initial state violates the property")
+    elif verdict.witness is not None:
         out.append("counterexample:")
         for lab in verdict.witness:
             out.append("  %s" % (lab if isinstance(lab, str) else fmt_label(lab)))

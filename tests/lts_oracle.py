@@ -10,10 +10,13 @@ action sequence, `traces_equal` runs a synchronized subset construction
 and `bisimilar` refines one partition over both systems.  `refine` is
 signature refinement over per-state lists of (label, target) pairs, and
 `quotient` lays out a partition's quotient with the pairs as keys, where
-`lts.minimize` codes each edge as an int.  `weak_minimize` is
-observational minimization the direct way: it saturates the weak
-transition relation and refines signatures over it, where
-`lts.minimize` works along the tau-SCCs.
+`lts.minimize` codes each edge as an int.  `branching_minimize` is
+observational minimization by the definition of branching bisimulation:
+it searches each state's inert tau paths one by one, where
+`lts.minimize` collapses tau-SCCs and reuses their signatures.
+`weak_minimize` saturates the weak transition relation and refines
+signatures over it, and `weakly_bisimilar` compares two systems over
+their saturated relations.
 """
 
 import itertools
@@ -251,16 +254,85 @@ def saturate(l):
     return adj
 
 
-def weak_minimize(l, hide=None):
-    """The quotient `lts.minimize(l, "observational", hide)` must give,
-    from signatures over the saturated relation: labels in `hide` become
-    a fresh tau, pi is seeded in its own block, and `quotient` lays out
-    the partition `refine` finds."""
-    if l.n_states == 0:
-        return l
+def _hidden(l, hide):
+    """l with `hide` relabeled to a fresh tau, and its seed partition:
+    pi in a block of its own."""
     if hide:
         l = hide_labels(l, hide)
-    seed = [0] * l.n_states
-    if l.pi is not None:
-        seed[l.pi] = 1
+    return l, [1 if s == l.pi else 0 for s in range(l.n_states)]
+
+
+def weakly_bisimilar(a, b):
+    """Weak bisimilarity of the initial states, keeping pi classes apart
+    from ordinary states: strong bisimilarity of the saturated relations,
+    with every tau label as one.  pi's own steps are left out on both
+    sides, since a quotient makes pi absorbing whatever steps it had."""
+    adj = []
+    seed = []
+    for l, off in ((a, 0), (b, a.n_states)):
+        cut = lts_from_edges(l.n_states, l.alphabet,
+                             [(s, lab, t) for s in range(l.n_states)
+                              if s != l.pi for lab, t in l.out(s)],
+                             l.initials, l.pi)
+        for s, out in enumerate(saturate(cut)):
+            adj.append([(None if lab < 0 else l.alphabet[lab], t + off)
+                        for lab, t in out])
+            seed.append(1 if l.pi == s else 0)
+    block = refine(len(adj), adj, seed)
+    return ({block[s] for s in a.initials}
+            == {block[s + a.n_states] for s in b.initials})
+
+
+def branching_refine(l, seed):
+    """Branching bisimulation by signature refinement, by the definition.
+
+    A tau step is inert when its target is in its source's block.  Per
+    state, a search collects the states it reaches by inert steps, and
+    the signature is the state's block with the (label, block of target)
+    pairs of their other steps, every tau label as one."""
+    tau_idx = {i for i, lab in enumerate(l.alphabet) if is_tau(lab)}
+    block = list(seed)
+    n_blocks = len(set(block))
+    while True:
+        sigs = {}
+        new = []
+        for s in range(l.n_states):
+            seen = {s}
+            stack = [s]
+            pairs = set()
+            while stack:
+                for lab, t in l.out(stack.pop()):
+                    if lab not in tau_idx:
+                        pairs.add((lab, block[t]))
+                    elif block[t] != block[s]:
+                        pairs.add((-1, block[t]))
+                    elif t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+            new.append(sigs.setdefault((block[s], frozenset(pairs)),
+                                       len(sigs)))
+        if len(sigs) == n_blocks:
+            return new
+        block, n_blocks = new, len(sigs)
+
+
+def branching_minimize(l, hide=None):
+    """The quotient `lts.minimize(l, "observational", hide)` must give:
+    labels in `hide` become a fresh tau, pi is seeded in its own block,
+    and `quotient` lays out the partition `branching_refine` finds."""
+    if l.n_states == 0:
+        return l
+    l, seed = _hidden(l, hide)
+    return quotient(l, branching_refine(l, seed))
+
+
+def weak_minimize(l, hide=None):
+    """The quotient by weak bisimulation, from signatures over the
+    saturated relation: labels in `hide` become a fresh tau, pi is
+    seeded in its own block, and `quotient` lays out the partition
+    `refine` finds.  Branching bisimulation is finer, so
+    `branching_minimize` gives no fewer states."""
+    if l.n_states == 0:
+        return l
+    l, seed = _hidden(l, hide)
     return quotient(l, refine(l.n_states, saturate(l), seed))

@@ -43,6 +43,21 @@ def test_violation_exits_one_and_prints_counterexample(tp_file, capsys):
     assert 'SndPrepare("rm1")' in out
 
 
+@pytest.mark.parametrize("strategy", ["s1", "s2", "s4"])
+def test_violation_in_the_initial_state_prints_a_counterexample(
+        tmp_path, strategy, capsys):
+    corpus = Path(__file__).parent.parent / "corpus"
+    path = tmp_path / "busy.spec"
+    path.write_text((corpus / "lockserv3.spec").read_text()
+                    + '\nPROPERTY Busy server = "held"\n')
+    code = main(["check", str(path), "--property", "Busy",
+                 "--strategy", strategy])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "verdict: violated" in out
+    assert "counterexample: the initial state violates the property" in out
+
+
 def test_inconclusive_exits_two(counter_file, capsys):
     code = main(["check", counter_file, "--property", "Consistent",
                  "--strategy", "s4", "--bound", "20000"])
@@ -130,6 +145,25 @@ def test_map_strategy(tp_file, tmp_path, capsys):
     assert verdict.outcome == "holds"
     assert stats.m == 2
     assert stats.k == 2  # both groups are needed at this size
+
+
+def test_map_naming_a_component_twice_exits_three(tp_file, tmp_path,
+                                                   capsys):
+    spec = parse(twophase(3))
+    comps = decompose(spec, spec.property("Consistent"))
+    ordered = [comps[i - 1] for i in total_order(comps, spec)]
+    lines = ["%s = P" % ordered[0].name,
+             "%s = P" % ordered[1].name,
+             "%s = 2" % ordered[1].name,
+             "%s = 1" % ordered[2].name,
+             "%s = 1" % ordered[3].name]
+    mapfile = tmp_path / "twice.map"
+    mapfile.write_text("\n".join(lines) + "\n")
+    code = main(["check", tp_file, "--property", "Consistent",
+                 "--strategy", "map:%s" % mapfile])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "map line 3" in err and ordered[1].name in err
 
 
 def test_decompose_subcommand(tp_file, capsys):

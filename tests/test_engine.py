@@ -11,15 +11,17 @@ import time
 import pytest
 
 import oracle as oc
+from lts_oracle import weak_minimize
 from recomp import decompose, engine, lts, parse, semantics, total_order
-from recomp.corpus import consensus, lockserv, tpcounter, twophase
+from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
-from recomp.lts import _POLL_EVERY, Cancelled, explore, minimize
+from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded, explore,
+                        minimize)
 from recomp.order import Strategy, make_strategy
-from recomp.recompose import P, build_groups, make_map
+from recomp.recompose import P, build_groups, make_map, static_reduce
 from recomp.semantics import err_lts, to_lts
-from recomp.syntax import SpecError
+from recomp.syntax import SpecError, symbolic_actions
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +212,10 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     keys of each refinement round, then for the quotient's keys.
     Observational minimization reads them three times: in the tau-SCC
     search, in the pass that lists each SCC's tau successors and visible
-    pairs, and for the quotient's keys; its refinement rounds poll on
-    top of that, once per `_POLL_EVERY` pairs, set elements or states
-    they read."""
+    pairs, and for the quotient's keys.  Its branching refinement rounds
+    poll on top of that, once per `_POLL_EVERY` pairs and signature
+    elements they read while building the SCCs' signatures, and once per
+    `_POLL_EVERY` SCCs they number."""
     cancel = _CountingCancel()
     checked = []
     passes = {"strong": 2, "observational": 3}
@@ -277,12 +280,79 @@ def test_observational_minimization_fits_in_1_2_gb():
     """lockserv(4) `Mutex` under S2 hides most labels of its one 8,192-state
     group.  Its observational check runs in a process that caps its own
     address space at 1.2 GB, as `tests/fingerprint.py` does; saturating
-    the weak transition relation raised `MemoryError` there."""
+    the weak transition relation raised `MemoryError` there.  Branching
+    refinement keeps one signature set per tau-SCC and builds no
+    saturated relation."""
     src = str(pathlib.Path(__file__).parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", _CAPPED_OBSERVATIONAL_CHECK,
                            src], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["holds", "8192", "512"]
+
+
+def _group_ltss(spec, prop, f=None, kind=None):
+    """The LTSs `comp_verify` minimizes under map f, or under `kind`'s
+    map after static reduction, the property group's first, each with
+    the actions the other groups name (what hiding keeps visible)."""
+    comps = decompose(spec, prop)
+    comps = [comps[i - 1] for i in total_order(comps, spec)]
+    if f is None:
+        f = static_reduce(make_strategy(kind, len(comps)), comps)
+    d_p, groups = build_groups(f, comps, spec)
+    alphas = [symbolic_actions(g) for g in [d_p] + groups]
+    return [(err_lts(g, prop, 30_000) if i == 0 else to_lts(g, 30_000),
+             set().union(*alphas[:i], *alphas[i + 1:]))
+            for i, g in enumerate([d_p] + groups)]
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(ALL)
+                                  if parse(ALL[name](2)).properties])
+def test_observational_quotients_are_weakly_minimal_on_the_corpus(name):
+    """Every group that S1-S3 build for the corpus models with properties,
+    at sizes 2 and 3, gets an observational (branching) quotient with as
+    many states as the weak quotient of the saturating oracle: on the
+    corpus, branching merges all that weak merges.  A grouping with an
+    LTS past the bound (tpcounter's unbounded counter) is left out."""
+    compared = 0
+    for n in (2, 3):
+        spec = parse(ALL[name](n))
+        for prop in spec.properties:
+            for kind in ("S1", "S2", "S3"):
+                try:
+                    groups = _group_ltss(spec, prop, kind=kind)
+                except StateBoundExceeded:
+                    assert name == "tpcounter"
+                    continue
+                for l, visible in groups:
+                    hide = {lab for lab in l.alphabet
+                            if lab[0] not in visible}
+                    m = engine._minimized(l, "observational", visible, None)
+                    assert m.n_states == weak_minimize(l, hide).n_states, \
+                        (n, prop.name, kind)
+                    compared += 1
+    assert compared >= 6
+
+
+def test_observational_minimize_stops_in_its_refinement_rounds():
+    """A token that trips at the first poll inside the refinement rounds
+    (once the tau-SCCs and their pairs are built) stops observational
+    `minimize` of twophase(5)'s property group with `Cancelled`."""
+    spec = parse(twophase(5))
+    l, visible = _group_ltss(spec, spec.property("Consistent"),
+                             TUNED.custom)[0]
+    tripped = []
+
+    class InRounds:
+        def is_set(self):
+            frame = sys._getframe(2)  # past `_check_cancel`
+            if (frame.f_code.co_name == "_branching_refine"
+                    and "sig" in frame.f_locals):
+                tripped.append(frame.f_lineno)
+            return bool(tripped)
+
+    with pytest.raises(Cancelled):
+        engine._minimized(l, "observational", visible, InRounds())
+    assert len(tripped) == 1
 
 
 def test_monolithic_ignores_reduction():

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from lts_oracle import (bisimilar, lts_from_edges, refine, shortest_pi_trace,
-                        strong_minimize, tau_closures, trace_set,
-                        traces_equal, weak_minimize)
+from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
+                        refine, shortest_pi_trace, strong_minimize,
+                        tau_closures, trace_set, traces_equal, weak_minimize,
+                        weakly_bisimilar)
 from recomp.lts import (_POLL_EVERY, StateBoundExceeded, _refine, compose,
                         explore, hide_labels, is_tau, minimize, pi_reachable,
                         pi_trace)
@@ -334,16 +335,19 @@ def _layout(l):
             list(l.dsts), l.initials, l.pi)
 
 
-def test_observational_minimize_matches_the_saturating_oracle():
-    # the tau-SCC refinement gives the quotient that signatures over the
-    # saturated weak relation give, array for array
+def test_observational_minimize_matches_the_branching_oracle():
+    # the tau-SCC refinement gives the quotient that branching signatures
+    # over explicit inert tau paths give, array for array; that quotient
+    # is weakly bisimilar to its input and no smaller than the weak one
     rng = random.Random(18)
     draws = 2500
     cycles = pi_on_cycle = hide_all = hide_none = 0
     for _ in range(draws):
         l, hide = _weak_draw(rng)
-        assert _layout(minimize(l, "observational", hide=hide)) == \
-            _layout(weak_minimize(l, hide))
+        m = minimize(l, "observational", hide=hide)
+        assert _layout(m) == _layout(branching_minimize(l, hide))
+        assert weakly_bisimilar(hide_labels(l, hide), m)
+        assert m.n_states >= weak_minimize(l, hide).n_states
         closures = tau_closures(hide_labels(l, hide))
         on_cycle = {s for s in range(l.n_states)
                     if any(s in closures[u] for u in closures[s] if u != s)}
@@ -354,6 +358,20 @@ def test_observational_minimize_matches_the_saturating_oracle():
         hide_none += not hide
     assert cycles >= draws // 6  # a fifth of the draws, with this seed
     assert min(pi_on_cycle, hide_all, hide_none) >= 50
+
+
+def test_observational_minimize_is_branching_not_weak():
+    # 0 -A-> 1, 1 -D-> 2, 1 -C-> 3, 2 -B-> 3, and 4 -A-> 1, 4 -A-> 2,
+    # with D hidden: weakly 4 ~ 0 (4's step to 2 is matched by A then
+    # tau), but not in the branching sense, where 2 would have to be
+    # equivalent to 1
+    l = lts_from_edges(5, LABELS,
+                       [(0, 0, 1), (1, 3, 2), (1, 2, 3), (2, 1, 3),
+                        (4, 0, 1), (4, 0, 2)], [0, 4])
+    hide = {("D", None)}
+    m = minimize(l, "observational", hide=hide)
+    assert _layout(m) == _layout(branching_minimize(l, hide))
+    assert (m.n_states, weak_minimize(l, hide).n_states) == (5, 4)
 
 
 def test_observational_keeps_pi_separate():

@@ -103,6 +103,8 @@ def test_make_map_validates_shape():
         RecompositionMap(((1, P), (2, 2)), m=2).validate()  # group 1 empty
     with pytest.raises(SpecError):
         RecompositionMap(((1, P), (1, 1)), m=1).validate()  # duplicate
+    with pytest.raises(SpecError, match="twice"):
+        make_map([(1, P), (2, P), (2, 1)])  # P and 1 do not compare
 
 
 def test_build_groups_folds_preimages(tp, tp_comps):
