@@ -151,3 +151,7 @@ def main(argv=None):
 
 def entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

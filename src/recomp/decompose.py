@@ -3,14 +3,14 @@
 A spec's variables are split into blocks: the connected components of
 the coupling graph, in which two variables are joined when they occur
 together in a non-frame action conjunct.  Frames couple nothing: an
-`UNCHANGED` conjunct names every variable its action leaves alone, and
-slicing regenerates it.  The first block is the union of the blocks
-that hold the checked property's variables; each later one is the
-block of the leftover variable with the fewest occurrences in the spec,
-ties broken by name.  Each component is the spec sliced onto one block
-(`slice_spec`), so slicing onto the union of any components' blocks is
-their composition, and slicing onto all of them gives back the spec
-with its frames regenerated.
+`UNCHANGED` conjunct names variables its action leaves alone, and a
+slice keeps the names that lie in it.  The first block is the union of
+the blocks that hold the checked property's variables; each later one
+is the block of the leftover variable with the fewest occurrences in
+the spec, ties broken by name.  Each component is the spec sliced onto
+one block (`slice_spec`), so slicing onto the union of any components'
+blocks is their composition, and slicing onto all of them gives back
+the spec with each action's frames joined into one.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .syntax import SpecError
 def slice_spec(spec, v):
     """Restrict a spec to the variables in v.
 
-    Non-frame conjuncts survive iff all their variables lie in v; frame
-    conjuncts are dropped and regenerated over the unupdated v-variables.
-    Actions with no surviving conjunct are removed entirely.
+    Non-frame conjuncts survive iff all their variables lie in v; the
+    frames' names in v survive as one frame, in written order, at the
+    end.  Actions with no surviving non-frame conjunct are removed
+    entirely.
     """
     v = set(v)
     variables = tuple(x for x in spec.variables if x in v)
@@ -34,14 +35,12 @@ def slice_spec(spec, v):
     actions = []
     for a, reads in zip(spec.actions, spec.conjunct_vars):
         kept = []
-        updated = set()
+        frame = {}  # an ordered set
         for c, kind, r in zip(a.conjuncts, a.kinds, reads):
             if kind == "frame":
-                continue
-            if r <= v:
+                frame.update(dict.fromkeys(x for x in c.names if x in v))
+            elif r <= v:
                 kept.append(c)
-                if kind == "update":
-                    updated.add(c.left.id)
             elif kind == "update" and c.left.id in v:
                 raise SpecError(
                     "cannot slice %s to %s: update of %s in action %s also "
@@ -49,9 +48,8 @@ def slice_spec(spec, v):
                     % (spec.name, sorted(v), c.left.id, a.name))
         if not kept:
             continue
-        frame = tuple(x for x in variables if x not in updated)
         if frame:
-            kept.append(sx.Unchanged(frame))
+            kept.append(sx.Unchanged(tuple(frame)))
         actions.append(sx.ActionDef(a.name, a.param, tuple(kept)))
     properties = tuple(p for p, r in zip(spec.properties, spec.property_vars)
                        if r <= v)

@@ -2,9 +2,11 @@
 
 A recomposition map assigns each component (1-based index) to either the
 property group "P" or a numbered group 1..m; it must be surjective and
-must send component 1 to "P".  Static reduction drops components whose
-action alphabets can never influence component 1, directly or
-transitively, then renumbers the remaining groups densely.  A group of
+must send its first component to "P", which construction checks.
+Static reduction, where a map first meets its components, requires the
+map to cover exactly components 1..n; it drops components whose action
+alphabets can never influence component 1, directly or transitively,
+then renumbers the remaining groups densely.  A group of
 several components is the spec sliced onto the union of their variables,
 which is their composition; a group of one is that component.
 """
@@ -30,37 +32,28 @@ class RecompositionMap:
     assignment: tuple  # of (component index 1..n, group id P or 1..m)
     m: int
 
-    def group(self, i):
-        for j, g in self.assignment:
-            if j == i:
-                return g
-        raise SpecError("component %d outside map domain" % i)
-
-    def domain(self):
-        return [j for j, _ in self.assignment]
-
-    def validate(self):
-        groups = {g for _, g in self.assignment}
-        dom = self.domain()
-        if len(set(dom)) != len(dom):
+    def __post_init__(self):
+        group = dict(self.assignment)
+        if len(group) != len(self.assignment):
             raise SpecError("recomposition map assigns a component twice")
-        if not dom:
+        if not group:
             raise SpecError("recomposition map has an empty domain")
-        first = min(dom)
-        if self.group(first) != P:
+        if group[min(group)] != P:
             raise SpecError("the first component must map to the property group")
-        expected = {P} | set(range(1, self.m + 1))
-        if groups != expected:
+        if set(group.values()) != {P} | set(range(1, self.m + 1)):
             raise SpecError("recomposition map is not surjective onto "
                             "P plus 1..%d" % self.m)
-        return self
 
 
 def make_map(pairs):
-    groups = {g for _, g in pairs}
-    m = len(groups - {P})
-    return RecompositionMap(tuple(sorted(pairs, key=itemgetter(0))),
-                            m).validate()
+    m = len({g for _, g in pairs} - {P})
+    return RecompositionMap(tuple(sorted(pairs, key=itemgetter(0))), m)
+
+
+def _require_components(f, n):
+    if {j for j, _ in f.assignment} != set(range(1, n + 1)):
+        raise SpecError("recomposition map must cover components 1..%d "
+                        "exactly once" % n)
 
 
 def alphabets(components):
@@ -88,21 +81,20 @@ def interaction_sets(alpha):
 
 
 def static_reduce(f, components):
-    """Restrict a map to the necessary components, renumbering groups
-    densely so it stays surjective."""
-    f.validate()
+    """Restrict a map over exactly these components to the necessary
+    ones, renumbering groups densely so it stays surjective."""
+    _require_components(f, len(components))
     kept = interaction_sets(alphabets(components))[-1]
     pairs = [(j, g) for j, g in f.assignment if j in kept]
     surviving = sorted({g for _, g in pairs if g != P})
     renumber = {g: i + 1 for i, g in enumerate(surviving)}
     pairs = [(j, P if g == P else renumber[g]) for j, g in pairs]
-    return RecompositionMap(tuple(pairs), len(surviving)).validate()
+    return RecompositionMap(tuple(pairs), len(surviving))
 
 
 def build_groups(f, components, spec):
     """The map's preimages as (property group, ordered groups); the
     components are slices of `spec`."""
-    f.validate()
     by_group = {}
     for j, g in f.assignment:
         by_group.setdefault(g, []).append(components[j - 1])
@@ -122,7 +114,7 @@ def build_groups(f, components, spec):
 
 def parse_map_file(text, components):
     """Lines `component-name = group-id` with group id P or a positive
-    integer; validated as a recomposition map over the given components."""
+    integer; a recomposition map over exactly the given components."""
     names = {c.name: i + 1 for i, c in enumerate(components)}
     pairs = []
     seen = set()
@@ -146,9 +138,9 @@ def parse_map_file(text, components):
         else:
             raise SpecError("map line %d: bad group id %r" % (lineno, group))
         pairs.append((names[name], g))
-    if {j for j, _ in pairs} != set(names.values()):
-        raise SpecError("map must cover every component exactly once")
-    return make_map(pairs)
+    f = make_map(pairs)
+    _require_components(f, len(components))
+    return f
 
 
 def render_map(f, components):

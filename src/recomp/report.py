@@ -1,22 +1,16 @@
 """Line-oriented result reports.
 
 The structured format is versioned and diff-friendly: `key: value`
-lines plus one `stage:` line per pipeline stage.  `parse_report` inverts
-`render_report` on the stats fields exactly, so a benchmark harness can
-round-trip stored runs.
+lines plus one `stage:` line per pipeline stage.  The text format is a
+summary for people.  A witness is a sequence of `(action, argument)`
+labels.
 """
 
 from __future__ import annotations
 
-from .engine import Stage, StatsReport, Verdict
 from .lts import fmt_label
 
 REPORT_VERSION = 1
-
-
-def _fmt_witness(witness):
-    return "; ".join(lab if isinstance(lab, str) else fmt_label(lab)
-                     for lab in witness)
 
 
 def _opt(v):
@@ -29,7 +23,8 @@ def render_report(verdict, stats):
     if verdict.reason is not None:
         lines.append("reason: %s" % verdict.reason)
     if verdict.witness is not None:
-        lines.append("witness: %s" % _fmt_witness(verdict.witness))
+        lines.append("witness: %s"
+                     % "; ".join(map(fmt_label, verdict.witness)))
     lines += [
         "strategy: %s" % (stats.strategy or "-"),
         "n: %d" % stats.n,
@@ -45,48 +40,6 @@ def render_report(verdict, stats):
     return "\n".join(lines) + "\n"
 
 
-def parse_report(text):
-    fields = {}
-    stages = []
-    for raw in text.splitlines():
-        if not raw.strip():
-            continue
-        key, _, value = raw.partition(": ")
-        if key == "stage":
-            name, gen, mini, comp = value.split(" ")
-            stages.append(Stage(
-                name,
-                int(gen.split("=", 1)[1]),
-                _parse_opt(mini.split("=", 1)[1]),
-                _parse_opt(comp.split("=", 1)[1]),
-            ))
-        else:
-            fields[key] = value
-    if int(fields["report-version"]) != REPORT_VERSION:
-        raise ValueError("unsupported report version %s"
-                         % fields["report-version"])
-    witness = None
-    if "witness" in fields:
-        witness = tuple(fields["witness"].split("; ")) if fields["witness"] else ()
-    verdict = Verdict(fields["verdict"], witness=witness,
-                      reason=fields.get("reason"))
-    strategy = fields["strategy"]
-    stats = StatsReport(
-        strategy="" if strategy == "-" else strategy,
-        n=int(fields["n"]),
-        m=int(fields["m"]),
-        k=int(fields["k"]),
-        stages=tuple(stages),
-        max_states=int(fields["max-states"]),
-        elapsed_ms=int(fields["elapsed-ms"]),
-    )
-    return verdict, stats
-
-
-def _parse_opt(s):
-    return None if s == "-" else int(s)
-
-
 def render_text(verdict, stats, winner=None):
     """Human-readable summary."""
     out = ["verdict: %s" % verdict.outcome]
@@ -97,7 +50,7 @@ def render_text(verdict, stats, winner=None):
     elif verdict.witness is not None:
         out.append("counterexample:")
         for lab in verdict.witness:
-            out.append("  %s" % (lab if isinstance(lab, str) else fmt_label(lab)))
+            out.append("  %s" % fmt_label(lab))
     if winner is not None:
         out.append("winning strategy: %s" % winner.kind)
     elif stats.strategy:

@@ -377,10 +377,6 @@ class _Codegen:
                 updates.setdefault(c.left.id, []).append(c.right)
             else:
                 framed.update(c.names)
-        loose = set(self.variables) - set(updates) - framed
-        if loose:
-            raise SpecError("action %s leaves %s unconstrained"
-                            % (action.name, ", ".join(sorted(loose))))
         self.reads = set()
         lead = 0
         while lead < len(guards) and p not in sx.free_idents(guards[lead]):

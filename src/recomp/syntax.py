@@ -331,19 +331,26 @@ def validate(spec):
         if not a.conjuncts:
             raise SpecError("action %s has an empty body" % a.name)
         scope = declared | {a.param}
+        loose = set(spec.variables)
         for c, kind in zip(a.conjuncts, a.kinds):
             unknown = free_idents(c) - scope
             if unknown:
                 raise SpecError("action %s references undeclared %s"
                                 % (a.name, ", ".join(sorted(unknown))))
-            if kind == "update" and c.left.id not in spec.variables:
-                raise SpecError("action %s primes non-variable %s"
-                                % (a.name, c.left.id))
+            if kind == "update":
+                if c.left.id not in spec.variables:
+                    raise SpecError("action %s primes non-variable %s"
+                                    % (a.name, c.left.id))
+                loose.discard(c.left.id)
             if kind == "frame":
                 bad = set(c.names) - set(spec.variables)
                 if bad:
                     raise SpecError("UNCHANGED over non-variables %s"
                                     % ", ".join(sorted(bad)))
+                loose.difference_update(c.names)
+        if loose:
+            raise SpecError("action %s leaves %s unconstrained"
+                            % (a.name, ", ".join(sorted(loose))))
         for c in a.conjuncts:
             for x in _walk(c):
                 if isinstance(x, (FuncLit, Forall, Exists)) and has_primes(x.domain):

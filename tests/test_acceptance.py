@@ -56,10 +56,37 @@ def _random_map(rng, n):
 # 1. soundness: every strategy agrees with the monolithic oracle
 
 
+# Bump updates x and also frames it, so it is never enabled: x stays 0.
+SELF_FRAMED = """MODULE SelfFramed
+
+VARIABLES x, y
+
+INIT
+  /\\ x = 0
+  /\\ y = 0
+
+ACTION Bump(d)
+  /\\ x' = 1
+  /\\ UNCHANGED <<x, y>>
+
+ACTION Flip(d)
+  /\\ y' = 1
+  /\\ UNCHANGED <<x>>
+
+NEXT \\E d \\in {"a"} :
+  \\/ Bump(d)
+  \\/ Flip(d)
+
+PROPERTY Zero
+  x = 0
+"""
+
+
 def _soundness_cases():
     texts = [("twophase2", twophase(2)), ("twophase3", twophase(3)),
              ("twophase4", twophase(4)), ("twophase5", twophase(5)),
-             ("lockserv3", lockserv(3)), ("consensus2", consensus(2))]
+             ("lockserv3", lockserv(3)), ("consensus2", consensus(2)),
+             ("selfframed", SELF_FRAMED)]
     out = []
     for mode, suffix in (("strong", ""), ("observational", "-observational")):
         for name, text in texts:

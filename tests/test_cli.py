@@ -9,7 +9,19 @@ import pytest
 from recomp import parse, decompose, pretty, total_order
 from recomp.cli import MAX_TIMEOUT, main
 from recomp.corpus import tpcounter, twophase
-from recomp.report import parse_report
+
+REPO = Path(__file__).parent.parent
+
+
+def _fields(out):
+    """The `key: value` lines of a structured report."""
+    return dict(line.split(": ", 1) for line in out.splitlines())
+
+
+def _env():
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(REPO / "src")
+                + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture(scope="module")
@@ -91,10 +103,10 @@ def test_structured_report_round_trips(tp_file, capsys):
     code = main(["check", tp_file, "--property", "Consistent",
                  "--strategy", "s1", "--format", "structured"])
     assert code == 0
-    verdict, stats = parse_report(capsys.readouterr().out)
-    assert verdict.outcome == "holds"
-    assert stats.strategy == "S1"
-    assert stats.n == 4
+    fields = _fields(capsys.readouterr().out)
+    assert fields["verdict"] == "holds"
+    assert fields["strategy"] == "S1"
+    assert fields["n"] == "4"
 
 
 def test_portfolio_is_the_default(counter_file, capsys):
@@ -107,15 +119,11 @@ def test_portfolio_is_the_default(counter_file, capsys):
 def test_no_process_outlives_the_cli(counter_file):
     """A portfolio check in its own session leaves no process behind: the
     pool's workers stop when the program exits."""
-    src = str(Path(__file__).parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from recomp.cli import entry; entry()",
          "check", counter_file, "--property", "Consistent",
          "--strategy", "portfolio", "--timeout", "60"],
-        env=env, stdout=subprocess.PIPE, text=True, start_new_session=True)
+        env=_env(), stdout=subprocess.PIPE, text=True, start_new_session=True)
     try:
         out, _ = proc.communicate(timeout=120)
     finally:
@@ -141,10 +149,10 @@ def test_map_strategy(tp_file, tmp_path, capsys):
     code = main(["check", tp_file, "--property", "Consistent",
                  "--strategy", "map:%s" % mapfile, "--format", "structured"])
     assert code == 0
-    verdict, stats = parse_report(capsys.readouterr().out)
-    assert verdict.outcome == "holds"
-    assert stats.m == 2
-    assert stats.k == 2  # both groups are needed at this size
+    fields = _fields(capsys.readouterr().out)
+    assert fields["verdict"] == "holds"
+    assert fields["m"] == "2"
+    assert fields["k"] == "2"  # both groups are needed at this size
 
 
 def test_map_naming_a_component_twice_exits_three(tp_file, tmp_path,
@@ -164,6 +172,29 @@ def test_map_naming_a_component_twice_exits_three(tp_file, tmp_path,
     assert code == 3
     err = capsys.readouterr().err
     assert "map line 3" in err and ordered[1].name in err
+
+
+@pytest.mark.parametrize("module", ["recomp", "recomp.cli"])
+def test_python_m_runs_the_check(module):
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "check",
+         str(REPO / "corpus" / "twophase3.spec"), "--property", "NoPrepares",
+         "--strategy", "s4"],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "verdict: violated" in proc.stdout
+    assert "counterexample:" in proc.stdout
+
+
+def test_a_spec_leaving_a_variable_unconstrained_exits_three(tmp_path,
+                                                              capsys):
+    path = tmp_path / "loose.spec"
+    path.write_text("MODULE M\n\nVARIABLES x, y\n\nINIT\n  /\\ x = 0\n"
+                    "  /\\ y = 0\n\nACTION Step(d)\n  /\\ x' = 1\n\n"
+                    "NEXT \\E d \\in {\"a\"} :\n  \\/ Step(d)\n\n"
+                    "PROPERTY Zero\n  y = 0\n")
+    assert main(["check", str(path), "--property", "Zero"]) == 3
+    assert "Step leaves y unconstrained" in capsys.readouterr().err
 
 
 def test_decompose_subcommand(tp_file, capsys):

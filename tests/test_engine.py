@@ -708,6 +708,16 @@ def test_custom_strategy_runs_through_the_engine(tp):
     assert stats.m == 2
 
 
+@pytest.mark.parametrize("pairs", [
+    [(1, P), (2, 1)],  # components 3 and 4 left out
+    [(1, P), (2, 1), (3, 1), (4, 1), (5, 1)],  # there is no component 5
+])
+def test_custom_map_must_cover_exactly_the_components(tp, pairs):
+    strategy = Strategy("custom", custom=make_map(pairs))
+    with pytest.raises(SpecError, match="cover components 1..4"):
+        recomp_verify(tp, tp.property("Consistent"), strategy)
+
+
 def test_verdict_conclusiveness():
     assert Verdict(HOLDS).conclusive()
     assert Verdict(VIOLATED, witness=()).conclusive()

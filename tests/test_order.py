@@ -7,7 +7,7 @@ from recomp.corpus import twophase
 from recomp.engine import recomp_verify
 from recomp.order import (KINDS, Strategy, data_flow_order,
                           dataflow_from_alphabets, make_strategy)
-from recomp.recompose import P
+from recomp.recompose import P, RecompositionMap
 
 
 def rand_alphabets(rng):
@@ -70,15 +70,16 @@ def test_twophase_total_order_is_deterministic():
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_strategies_are_valid_maps(kind, n):
     f = make_strategy(kind, n)
-    f.validate()
-    assert f.group(1) == P
+    RecompositionMap(f.assignment, f.m)  # construction checks the shape
+    assert dict(f.assignment)[1] == P
 
 
 def test_strategy_shapes():
     assert make_strategy("S1", 4).m == 3  # one group per extra component
     assert make_strategy("S2", 4).m == 1  # everything in one group
     f3 = make_strategy("S3", 4)
-    assert f3.m == 1 and f3.group(4) == 1 and f3.group(3) == P
+    assert f3.m == 1 and dict(f3.assignment)[4] == 1
+    assert dict(f3.assignment)[3] == P
     f4 = make_strategy("S4", 4)
     assert f4.m == 0
     assert all(g == P for _, g in f4.assignment)

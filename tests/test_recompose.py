@@ -96,13 +96,15 @@ def test_one_sided_actions_frame_the_other_component(tp, tp_comps):
 def test_make_map_validates_shape():
     f = make_map([(1, P), (2, 1), (3, 1)])
     assert f.m == 1
-    assert f.group(3) == 1
+    assert dict(f.assignment)[3] == 1
     with pytest.raises(SpecError):
         make_map([(1, 1), (2, P)])  # first component must carry the property
     with pytest.raises(SpecError):
-        RecompositionMap(((1, P), (2, 2)), m=2).validate()  # group 1 empty
+        RecompositionMap(((1, P), (2, 2)), m=2)  # group 1 empty
     with pytest.raises(SpecError):
-        RecompositionMap(((1, P), (1, 1)), m=1).validate()  # duplicate
+        RecompositionMap(((1, P), (1, 1)), m=1)  # duplicate
+    with pytest.raises(SpecError):
+        RecompositionMap((), m=0)  # empty domain
     with pytest.raises(SpecError, match="twice"):
         make_map([(1, P), (2, P), (2, 1)])  # P and 1 do not compare
 
