@@ -15,8 +15,6 @@ so slicing and composition can be checked against them.
 
 from __future__ import annotations
 
-import os
-
 
 def _rms(n):
     return "{%s}" % ", ".join('"rm%d"' % i for i in range(1, n + 1))
@@ -332,15 +330,3 @@ ALL = {
     "consensus": consensus,
 }
 
-
-def write_corpus(directory, sizes=(3,)):
-    """Emit canonical .spec files for the bundled corpus."""
-    from .parser import parse, pretty
-
-    os.makedirs(directory, exist_ok=True)
-    for name, gen in ALL.items():
-        for n in sizes:
-            text = pretty(parse(gen(n)))
-            path = os.path.join(directory, "%s%d.spec" % (name, n))
-            with open(path, "w") as fh:
-                fh.write(text)

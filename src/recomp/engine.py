@@ -2,7 +2,12 @@
 
 `comp_verify` is compositional reachability analysis: build the error
 LTS of the property group, then fold in one minimized group LTS at a
-time, stopping as soon as the error state is unreachable.  `recomp_verify`
+time, stopping as soon as the error state is unreachable.  In
+observational mode, a stage hides the actions that no other group
+needs, takes the branching quotient and, if a label was hidden,
+determinizes it: only visible traces, and which of them reach the error
+state, decide the verdict.  The running composite is reduced the same
+way between compositions, but only when it hides a label.  `recomp_verify`
 is the full pipeline (decompose, order, map, statically reduce, build
 groups, verify).  `run_portfolio` races several strategies in separate
 processes and returns the first conclusive answer.  Its worker processes
@@ -24,8 +29,8 @@ from typing import Optional
 
 from . import syntax as sx
 from .decompose import decompose
-from .lts import (Cancelled, StateBoundExceeded, compose, minimize,
-                  pi_reachable, pi_trace)
+from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
+                  is_tau, minimize, pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import DEFAULT_BOUND, err_lts, err_reach, to_lts
@@ -51,6 +56,11 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Stage:
+    """One group's sizes: `generated` as built, `minimized` after
+    reduction (in observational mode possibly determinized), and
+    `composed` the product with the running composite before any
+    reduction of it, which is what `max_states` counts."""
+
     name: str
     generated: int
     minimized: Optional[int] = None
@@ -108,8 +118,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         if not pi_reachable(d):
             stages.append(Stage(d_p.name, gen))
             return report(Verdict(HOLDS), 0)
-        d = _minimized(d, minimize_mode, set().union(*remaining_alpha),
-                       cancel)
+        d = _reduced(d, minimize_mode, set().union(*remaining_alpha), cancel)
         stages.append(Stage(d_p.name, gen, minimized=d.n_states))
 
         composed_alpha = set(sx.symbolic_actions(d_p))
@@ -118,10 +127,8 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             gl = to_lts(g, bound, cancel)
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
-            visible = set(composed_alpha)
-            for alpha in remaining_alpha[j + 1:]:
-                visible |= alpha
-            gm = _minimized(gl, minimize_mode, visible, cancel)
+            later = set().union(*remaining_alpha[j + 1:])
+            gm = _reduced(gl, minimize_mode, composed_alpha | later, cancel)
             building = partial(Stage, g.name, gen, gm.n_states)
             d = compose(d, gm, bound=bound, cancel=cancel)
             k_done = j + 1
@@ -131,6 +138,10 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             max_states = max(max_states, gen, d.n_states)
             if not pi_reachable(d):
                 return report(Verdict(HOLDS), k_done)
+            if (minimize_mode == "observational" and j + 1 < len(groups)
+                    and _hidden(d, later)):
+                # the composite's labels that no later group names
+                d = _reduced(d, minimize_mode, later, cancel)
         return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
     except StateBoundExceeded as exc:
         stages.append(building(exc.bound))
@@ -140,11 +151,30 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         return report(Verdict(INCONCLUSIVE, reason="cancelled"), k_done)
 
 
+def _hidden(l, visible_actions):
+    """The labels of l, tau aside, whose action is not in
+    visible_actions."""
+    return {lab for lab in l.alphabet
+            if not is_tau(lab) and lab[0] not in visible_actions}
+
+
 def _minimized(l, mode, visible_actions, cancel):
+    """The strong quotient, or the branching quotient after hiding the
+    labels whose action is not in visible_actions."""
     if mode == "strong":
         return minimize(l, "strong", cancel=cancel)
-    hide = {lab for lab in l.alphabet if lab[0] not in visible_actions}
-    return minimize(l, "observational", hide=hide, cancel=cancel)
+    return minimize(l, "observational", hide=_hidden(l, visible_actions),
+                    cancel=cancel)
+
+
+def _reduced(l, mode, visible_actions, cancel):
+    """`_minimized`, then, in observational mode when hiding removed a
+    label, determinized: only visible traces and which of them reach pi
+    decide a product's verdict."""
+    m = _minimized(l, mode, visible_actions, cancel)
+    if mode == "observational" and _hidden(l, visible_actions):
+        m = determinize(m, cancel)
+    return m
 
 
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
@@ -174,8 +204,9 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     verdict wins, and losers are cancelled cooperatively and finish in
     the background.  A worker that exits without a result is an
     inconclusive outcome.  Concurrent calls take turns.  A timeout must
-    lie in (0, `MAX_TIMEOUT`] seconds.  Returns (verdict, stats, winning
-    strategy)."""
+    lie in (0, `MAX_TIMEOUT`] seconds, and a custom map must cover the
+    spec's components exactly once: both raise before any worker starts.
+    Returns (verdict, stats, winning strategy)."""
     # NaN fails both comparisons
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:
         raise ValueError("timeout must be above 0 and at most %d seconds"
@@ -183,6 +214,12 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
         raise ValueError("need at least one strategy")
+    # a map that does not fit the components raises here, not in a worker
+    custom = [s.custom for s in strategies if s.custom is not None]
+    if custom:
+        comps = decompose(spec, prop)
+        for f in custom:
+            static_reduce(f, comps)
     deadline = None if timeout is None else time.monotonic() + timeout
     # a call that waits for another thread's race spends its own timeout
     if not _POOL.lock.acquire(timeout=-1 if timeout is None else timeout):

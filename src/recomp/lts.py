@@ -21,6 +21,11 @@ inert tau steps, those that stay inside a block; they are computed
 along the DAG of tau-SCCs, sinks first, and an SCC with nothing of its
 own to add shares the signature of the SCC it steps to.  No weak
 transition relation is built.
+
+`determinize` reduces a system with hidden steps further, to the
+minimal deterministic automaton of its visible traces with pi kept,
+which preserves whether pi is reachable in a composition: a subset
+construction over int bitmasks, then a strong quotient.
 """
 
 from __future__ import annotations
@@ -547,6 +552,103 @@ def minimize(l, mode="strong", hide=None, cancel=None):
         seed[l.pi] = 1
     refine = _refine if mode == "strong" else _branching_refine
     return _quotient(l, refine(l, seed, cancel), cancel)
+
+
+def determinize(l, cancel=None):
+    """The minimal deterministic automaton of l's visible traces, pi
+    kept: a subset construction over the labels that are not tau, and
+    the strong quotient of its result.
+
+    Subsets are int bitmasks, closed under tau steps: a subset steps by
+    a visible label to the union of the tau-closures of its members'
+    targets.  Every subset that holds pi becomes pi, so a word leads to
+    pi exactly when some path of l that spells it, taus aside, reaches
+    pi; whether pi is reachable in a composition with systems that share
+    no tau therefore does not change.  If the subsets without pi
+    outnumber l's states other than pi, l is returned unchanged.  The
+    closure pass, the step pass and the subset search poll `cancel` once
+    per `_POLL_EVERY` edges they read.
+    """
+    n = l.n_states
+    if n == 0:
+        return l
+    tau = [is_tau(lab) for lab in l.alphabet]
+    visible = [i for i, t in enumerate(tau) if not t]
+    relabel = [-1] * len(tau)
+    for j, i in enumerate(visible):
+        relabel[i] = j
+    offsets, labels, dsts = l.offsets, l.labels, l.dsts
+
+    # tau-closures per tau-SCC, sinks first (`_tau_sccs`)
+    scc, members, member_offsets = _tau_sccs(l, tau, [0] * n, cancel)
+    closure = []
+    read = 0
+    next_poll = _POLL_EVERY
+    for c in range(len(member_offsets) - 1):
+        mask = 0
+        for m in members[member_offsets[c]:member_offsets[c + 1]]:
+            mask |= 1 << m
+            lo, hi = offsets[m], offsets[m + 1]
+            for lab, t in zip(labels[lo:hi], dsts[lo:hi]):
+                if tau[lab] and scc[t] != c:
+                    mask |= closure[scc[t]]
+            read += hi - lo
+        closure.append(mask)
+        if read >= next_poll:
+            _check_cancel(cancel)
+            next_poll += _POLL_EVERY
+    closure = [closure[c] for c in scc]
+
+    # per state, its (visible label, union of the closures of its
+    # targets by that label) pairs; pi's row is never read
+    steps = [()] * n
+    read = 0
+    next_poll = _POLL_EVERY
+    for s in range(n):
+        if s != l.pi:
+            row = {}
+            lo, hi = offsets[s], offsets[s + 1]
+            for lab, t in zip(labels[lo:hi], dsts[lo:hi]):
+                j = relabel[lab]
+                if j >= 0:
+                    row[j] = row.get(j, 0) | closure[t]
+            read += hi - lo
+            steps[s] = tuple(row.items())
+        if read >= next_poll:
+            _check_cancel(cancel)
+            next_poll += _POLL_EVERY
+
+    read = 0
+    next_poll = _POLL_EVERY
+
+    def successors(mask):
+        nonlocal read, next_poll
+        row = {}
+        get = row.get
+        bits = bin(mask)[:1:-1]  # bit i at position i
+        s = bits.find("1")
+        while s >= 0:
+            step = steps[s]
+            for j, m in step:
+                row[j] = get(j, 0) | m
+            read += len(step)
+            if read >= next_poll:
+                _check_cancel(cancel)
+                next_poll += _POLL_EVERY
+            s = bits.find("1", s + 1)
+        return sorted(row.items())
+
+    pi_bit = 0 if l.pi is None else 1 << l.pi
+    start = 0
+    for s in l.initials:
+        start |= closure[s]
+    try:
+        d = explore([start], successors, [l.alphabet[i] for i in visible],
+                    lambda mask: mask & pi_bit, bound=n - (l.pi is not None),
+                    cancel=cancel)
+    except StateBoundExceeded:
+        return l
+    return minimize(d, "strong", cancel=cancel)
 
 
 def hide_labels(l, hide):

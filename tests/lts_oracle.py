@@ -16,7 +16,9 @@ it searches each state's inert tau paths one by one, where
 `lts.minimize` collapses tau-SCCs and reuses their signatures.
 `weak_minimize` saturates the weak transition relation and refines
 signatures over it, and `weakly_bisimilar` compares two systems over
-their saturated relations.
+their saturated relations.  `weak_words` and `weak_subsets` follow
+visible words through sets of states, as frozensets, where
+`lts.determinize` codes the sets as int bitmasks.
 """
 
 import itertools
@@ -336,3 +338,60 @@ def weak_minimize(l, hide=None):
         return l
     l, seed = _hidden(l, hide)
     return quotient(l, refine(l.n_states, saturate(l), seed))
+
+
+def _weak_steps(l):
+    """A function from a set of states and a label index to the tau-closed
+    set its members reach by that label, and the tau-closed start set."""
+    closures = tau_closures(l)
+    grouped = _grouped(l)
+
+    def close(states):
+        return frozenset().union(*(closures[s] for s in states))
+
+    def step(states, lab):
+        return close({t for s in states for t in grouped[s].get(lab, ())})
+
+    return step, close(l.initials)
+
+
+def weak_words(l, length):
+    """Per word of visible labels, of length <= `length`, that l admits
+    with tau steps free: whether some path that spells it reaches pi.  A
+    set of states that holds pi admits every word, and each reaches pi."""
+    step, start = _weak_steps(l)
+    visible = [i for i, lab in enumerate(l.alphabet) if not is_tau(lab)]
+    out = {}
+    frontier = {(): start}
+    for depth in range(length + 1):
+        nxt = {}
+        for word, states in frontier.items():
+            at_pi = l.pi in states
+            out[word] = at_pi
+            if depth == length:
+                continue
+            for lab in visible:
+                targets = states if at_pi else step(states, lab)
+                if targets:
+                    nxt[word + (l.alphabet[lab],)] = targets
+        frontier = nxt
+    return out
+
+
+def weak_subsets(l):
+    """The tau-closed sets of states that l's visible words lead to,
+    leaving out those that hold pi."""
+    step, start = _weak_steps(l)
+    visible = [i for i, lab in enumerate(l.alphabet) if not is_tau(lab)]
+    seen = {start}
+    todo = [start]
+    while todo:
+        states = todo.pop()
+        if l.pi in states:
+            continue
+        for lab in visible:
+            targets = step(states, lab)
+            if targets and targets not in seen:
+                seen.add(targets)
+                todo.append(targets)
+    return {states for states in seen if l.pi not in states}

@@ -124,9 +124,9 @@ def test_verdicts_match_the_oracle(spec, prop, mode):
 
 
 @pytest.mark.xfail(
-    reason="observational minimization hides actions as tau, and a "
-    "witness through a hidden step names tau instead of the action",
-    strict=True)
+    reason="observational reduction hides actions and determinizes, so "
+    "a witness through a hidden step omits that step and cannot be "
+    "replayed", strict=True)
 def test_observational_counterexamples_replay():
     for spec in (parse(twophase(3)), parse(tpcounter(3))):
         prop = spec.property("NoPrepares")
@@ -407,10 +407,6 @@ def test_ten_rm_run_completes_with_small_property_group(ten_rm_run):
     assert d_p_stage.minimized <= 2 * 13_291
 
 
-@pytest.mark.xfail(
-    reason="this encoding reaches 1,560,325 states in the final "
-    "composition, 3.2x the 481,550 target; the tolerance is calibrated "
-    "to a different transcription of the protocol", strict=True)
 def test_ten_rm_peak_state_count_within_tolerance(ten_rm_run):
     _, stats = ten_rm_run
     assert stats.max_states <= 2 * 481_550

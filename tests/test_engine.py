@@ -136,11 +136,12 @@ def test_minimize_polls_cancel(tp, mode):
 
 @pytest.mark.parametrize("spec_text,strategy,mode", [
     (tpcounter(3), Strategy("S4"), "strong"),
-    (twophase(7), TUNED, "observational"),
-], ids=["tpcounter3-S4", "twophase7-tuned-observational"])
+    (twophase(8), TUNED, "observational"),
+], ids=["tpcounter3-S4", "twophase8-tuned-observational"])
 def test_cancel_is_acknowledged_promptly(spec_text, strategy, mode):
-    # neither run finishes within half a second on its own; both must
-    # stop soon after the cancel is set, wherever they are at that moment
+    # neither run finishes within half a second on its own (the
+    # twophase(8) check takes well over a second); both must stop soon
+    # after the cancel is set, wherever they are at that moment
     spec = parse(spec_text)
     cancel = threading.Event()
     set_at = []
@@ -215,10 +216,16 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     pairs, and for the quotient's keys.  Its branching refinement rounds
     poll on top of that, once per `_POLL_EVERY` pairs and signature
     elements they read while building the SCCs' signatures, and once per
-    `_POLL_EVERY` SCCs they number."""
+    `_POLL_EVERY` SCCs they number.  Determinization reads the edges of
+    the quotient outside pi's row three times: in its tau-SCC search,
+    its closure pass and its step pass; its subset search and strong
+    quotient poll on top of that."""
     cancel = _CountingCancel()
     checked = []
     passes = {"strong": 2, "observational": 3}
+    called = {"strong": {"explore", "minimize", "compose"},
+              "observational": {"explore", "minimize", "determinize",
+                                "compose"}}
 
     def count(module, name, needed):
         fn = getattr(module, name)
@@ -240,6 +247,7 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     count(semantics, "explore", lambda args, out: searched(out))
     count(engine, "minimize",
           lambda args, out: passes[args[1]] * read(args[0]))
+    count(engine, "determinize", lambda args, out: 3 * searched(args[0]))
     # the product, and the rows of the group (the operand without pi)
     # that it reaches
     count(engine, "compose", lambda args, out: searched(out) + (
@@ -251,8 +259,7 @@ def test_polls_are_bounded_by_edges(monkeypatch):
         verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
                                    minimize_mode=mode, cancel=cancel)
         assert verdict.outcome == HOLDS
-        assert {name for name, _, _ in checked} == {"explore", "minimize",
-                                                     "compose"}
+        assert {name for name, _, _ in checked} == called[mode]
         assert max(needed for _, _, needed in checked) >= 50  # big enough
         short = [c for c in checked if c[1] < c[2]]
         assert not short, (mode, short)
@@ -404,6 +411,55 @@ def test_observational_mode_agrees_with_strong(tp):
     v, _ = recomp_verify(tp, tp.property("NoPrepares"), "S1",
                          minimize_mode="observational")
     assert v.outcome == VIOLATED
+
+
+def _asym_twophase(n):
+    """twophase(n) with `SilentAbort` barred for rm1, as
+    `tests/test_symmetry.py` builds it: no CONFIG set is symmetric."""
+    return twophase(n).replace(
+        "ACTION SilentAbort(rm)\n",
+        'ACTION SilentAbort(rm)\n  /\\ rm /= "rm1"\n')
+
+
+@pytest.mark.parametrize("text,strategy,max_states,stages,reductions", [
+    # nothing is hidden, so no stage is determinized, and neither
+    # composite is reduced: branching refinement of their 35,969 and
+    # 71,937 states would take several times the whole check
+    (_asym_twophase(6), Strategy("S1"), 71_937,
+     [(1395, 563, None), (64, 64, 35_969), (3, 2, 71_937),
+      (256, 256, 12_260)],
+     [("minimize", 1395, 563), ("minimize", 64, 64), ("minimize", 3, 2),
+      ("minimize", 256, 256)]),
+    # the property group and the first group hide labels and are
+    # determinized; so is the first composite, which hides the labels
+    # that only they name
+    (twophase(7), TUNED, 4247,
+     [(4247, 705, None), (384, 130, 833), (128, 128, 129)],
+     [("minimize", 4247, 1265), ("determinize", 1265, 705),
+      ("minimize", 384, 130), ("determinize", 130, 130),
+      ("minimize", 833, 131), ("determinize", 131, 130),
+      ("minimize", 128, 128)]),
+], ids=["asym-twophase6-S1", "twophase7-tuned"])
+def test_observational_stages_reduce_only_what_hides_a_label(
+        monkeypatch, text, strategy, max_states, stages, reductions):
+    """Each (generated, minimized, composed) stage, and the (input,
+    output) state counts of every reduction the engine runs."""
+    seen = []
+    for name in ("minimize", "determinize"):
+        def recorded(l, *args, _fn=getattr(engine, name), _name=name,
+                     **kwargs):
+            out = _fn(l, *args, **kwargs)
+            seen.append((_name, l.n_states, out.n_states))
+            return out
+        monkeypatch.setattr(engine, name, recorded)
+    spec = parse(text)
+    verdict, stats = recomp_verify(spec, spec.property("Consistent"),
+                                   strategy, minimize_mode="observational")
+    assert verdict.outcome == HOLDS
+    assert stats.max_states == max_states
+    assert [(s.generated, s.minimized, s.composed)
+            for s in stats.stages] == stages
+    assert seen == reductions
 
 
 # --------------------------------------------------------------------------
@@ -716,6 +772,22 @@ def test_custom_map_must_cover_exactly_the_components(tp, pairs):
     strategy = Strategy("custom", custom=make_map(pairs))
     with pytest.raises(SpecError, match="cover components 1..4"):
         recomp_verify(tp, tp.property("Consistent"), strategy)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(1, P), (2, 1)],
+    [(1, P), (2, 1), (3, 1), (4, 1), (5, 1)],
+], ids=["components-left-out", "no-component-5"])
+def test_portfolio_raises_for_a_map_off_the_components(tp, pool, monkeypatch,
+                                                       pairs):
+    # checked before the pool starts: no worker is forked
+    launches = _LaunchCounter()
+    monkeypatch.setattr(engine, "multiprocessing", launches)
+    strategy = Strategy("custom", custom=make_map(pairs))
+    with pytest.raises(SpecError, match="cover components 1..4"):
+        run_portfolio(tp, tp.property("Consistent"), ["S1", strategy],
+                      workers=2)
+    assert launches.launched == 0 and pool.workers == []
 
 
 def test_verdict_conclusiveness():

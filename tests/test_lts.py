@@ -1,16 +1,17 @@
 """LTS algebra: composition, reachability, minimization, trace oracles."""
 
 import random
+import sys
 
 import pytest
 
 from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
                         refine, shortest_pi_trace, strong_minimize,
                         tau_closures, trace_set, traces_equal, weak_minimize,
-                        weakly_bisimilar)
-from recomp.lts import (_POLL_EVERY, StateBoundExceeded, _refine, compose,
-                        explore, hide_labels, is_tau, minimize, pi_reachable,
-                        pi_trace)
+                        weak_subsets, weak_words, weakly_bisimilar)
+from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded, _refine,
+                        compose, determinize, explore, hide_labels, is_tau,
+                        minimize, pi_reachable, pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -379,6 +380,90 @@ def test_observational_keeps_pi_separate():
     m = minimize(l, "observational", hide={("A", None)})
     assert m.pi is not None
     assert pi_reachable(m)
+
+
+def test_determinize_keeps_the_weak_traces_and_pi():
+    # on hidden random LTSs and their branching quotients: a
+    # deterministic, strongly minimal automaton over the visible labels
+    # whose words up to length 4 are the input's weak words, each
+    # reaching pi exactly when the input can; or the input itself, when
+    # its tau-closed subsets without pi outnumber its other states
+    rng = random.Random(21)
+    draws = 1500
+    seen = {"capped": 0, "kept": 0, "pi reached": 0, "shrunk": 0}
+    for _ in range(draws):
+        l, hide = _weak_draw(rng)
+        for h in (hide_labels(l, hide),
+                  minimize(l, "observational", hide=hide)):
+            d = determinize(h)
+            if len(weak_subsets(h)) > h.n_states - (h.pi is not None):
+                assert d is h
+                seen["capped"] += 1
+                continue
+            assert d.alphabet == tuple(lab for lab in h.alphabet
+                                       if not is_tau(lab))
+            for s in range(d.n_states):
+                row = [lab for lab, _ in d.out(s)]
+                assert len(row) == len(set(row))
+            assert weak_words(d, 4) == weak_words(h, 4)
+            assert pi_reachable(d) == (shortest_pi_trace(h) is not None)
+            assert minimize(d, "strong").n_states == d.n_states
+            seen["kept"] += 1
+            seen["pi reached"] += pi_reachable(d)
+            seen["shrunk"] += d.n_states < h.n_states
+    assert min(seen.values()) >= draws // 20, seen
+
+
+def test_determinize_returns_its_input_past_the_cap():
+    # "the fourth label from the end is A", with a tau step after that
+    # A: 6 states, and 2 ** 4 subsets, one per choice of which of the
+    # last four labels were A
+    edges = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 2), (2, 0, 3),
+             (2, 1, 3), (3, 0, 4), (3, 1, 4), (4, 0, 5), (4, 1, 5)]
+    l = lts_from_edges(6, LABELS[:2] + [("τ", -1)], edges, [0])
+    assert len(weak_subsets(l)) == 16
+    assert determinize(l) is l
+    # "the last label is A": 2 subsets of 3 states, and every word is
+    # admitted, so one state is left
+    short = lts_from_edges(3, l.alphabet, edges[:4], [0])
+    assert len(weak_subsets(short)) == 2
+    assert determinize(short).n_states == 1
+
+
+def test_determinize_polls_in_each_of_its_passes():
+    """A tau chain of 4 x `_POLL_EVERY` states, each also stepping by A
+    to the last, which admits every word of A's: the tau-SCC search, the
+    closure pass and the step pass each read all its edges, one fewer
+    than 8 x `_POLL_EVERY`, and the search reads the steps of the first subset's 4 x
+    `_POLL_EVERY` members.  Each polls once per
+    `_POLL_EVERY` of them; a set token stops it with `Cancelled`."""
+    k = 4 * _POLL_EVERY
+    edges = [(s, 1, s + 1) for s in range(k - 1)]
+    edges += [(s, 0, k - 1) for s in range(k)]
+    l = lts_from_edges(k, [("A", None), ("τ", -1)], edges, [0])
+    polls = {}
+
+    class ByPass:
+        def is_set(self):
+            frame = sys._getframe(2)  # past `_check_cancel`
+            name = frame.f_code.co_name
+            if name == "determinize":
+                name = "step" if "steps" in frame.f_locals else "closure"
+            polls[name] = polls.get(name, 0) + 1
+            return False
+
+    d = determinize(l, ByPass())
+    assert (d.n_states, list(d.out(0))) == (1, [(0, 0)])
+    for name in ("_tau_sccs", "closure", "step"):
+        assert polls[name] >= l.n_edges // _POLL_EVERY, name
+    assert polls["successors"] >= k // _POLL_EVERY
+
+    class Set:
+        def is_set(self):
+            return True
+
+    with pytest.raises(Cancelled):
+        determinize(l, Set())
 
 
 def test_hide_labels_uses_fresh_tau():

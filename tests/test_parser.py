@@ -20,7 +20,7 @@ def test_pretty_round_trip(name):
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_bundled_corpus_matches_the_generator(name):
     """The tracked corpus/<name>3.spec files, which README's quick start
-    reads, are what `write_corpus` emits today."""
+    reads, are the pretty-printed generator text at size 3."""
     path = Path(__file__).parent.parent / "corpus" / ("%s3.spec" % name)
     assert path.read_text() == pretty(parse(ALL[name](3)))
 
