@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .decompose import decompose
-from .engine import (HOLDS, INCONCLUSIVE, MAX_TIMEOUT, VIOLATED,
-                     run_portfolio)
+from .engine import (HOLDS, INCONCLUSIVE, MAX_TIMEOUT, MINIMIZE_MODES,
+                     VIOLATED, run_portfolio)
 from .order import KINDS, Strategy, data_flow_order, make_strategy, total_order
 from .parser import parse
 from .recompose import parse_map_file, render_map
@@ -45,7 +45,7 @@ def _build_parser():
     check.add_argument("--timeout", type=float, default=None,
                        help="seconds before giving up (at most %d)"
                        % MAX_TIMEOUT)
-    check.add_argument("--minimize", choices=("strong", "observational"),
+    check.add_argument("--minimize", choices=MINIMIZE_MODES,
                        default="strong")
     check.add_argument("--format", choices=("text", "structured"),
                        default="text")

@@ -2,12 +2,13 @@
 
 `comp_verify` is compositional reachability analysis: build the error
 LTS of the property group, then fold in one minimized group LTS at a
-time, stopping as soon as the error state is unreachable.  In
-observational mode, a stage hides the actions that no other group
-needs, takes the branching quotient and, if a label was hidden,
-determinizes it: only visible traces, and which of them reach the error
-state, decide the verdict.  The running composite is reduced the same
-way between compositions, but only when it hides a label.  `recomp_verify`
+time, stopping as soon as the error state is unreachable.  Every stage
+follows one rule: minimize after hiding and, if a label was hidden,
+determinize, since only visible traces, and which of them reach the
+error state, decide the verdict.  The minimization mode decides only
+what is hidden: in observational mode, the actions no other group
+needs; in strong mode, nothing.  The running composite is reduced the
+same way between compositions, but only when it hides a label.  `recomp_verify`
 is the full pipeline (decompose, order, map, statically reduce, build
 groups, verify).  `run_portfolio` races several strategies in separate
 processes and returns the first conclusive answer.  Its worker processes
@@ -34,6 +35,9 @@ from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import DEFAULT_BOUND, err_lts, err_reach, to_lts
+
+# the values of `minimize_mode`
+MINIMIZE_MODES = ("strong", "observational")
 
 # seconds: the pool waits for its workers with poll(), which takes at
 # most 2**31 - 1 milliseconds
@@ -85,6 +89,18 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
     Violated if it stays reachable through all of them.  A run that
     exceeds the bound ends with the stage it was building, its count at
     the bound, and a cancelled run with the stages it finished."""
+    _check_mode(minimize_mode)
+    observational = minimize_mode == "observational"
+
+    def hidden(l, visible_actions):
+        """What a stage hides: in observational mode, l's labels, tau
+        aside, whose action is not in visible_actions; in strong mode,
+        nothing."""
+        if not observational:
+            return set()
+        return {lab for lab in l.alphabet
+                if not is_tau(lab) and lab[0] not in visible_actions}
+
     bound = bound or DEFAULT_BOUND
     t0 = time.monotonic()
     stages = []
@@ -118,7 +134,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         if not pi_reachable(d):
             stages.append(Stage(d_p.name, gen))
             return report(Verdict(HOLDS), 0)
-        d = _reduced(d, minimize_mode, set().union(*remaining_alpha), cancel)
+        d = _reduced(d, hidden(d, set().union(*remaining_alpha)), cancel)
         stages.append(Stage(d_p.name, gen, minimized=d.n_states))
 
         composed_alpha = set(sx.symbolic_actions(d_p))
@@ -128,7 +144,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
             later = set().union(*remaining_alpha[j + 1:])
-            gm = _reduced(gl, minimize_mode, composed_alpha | later, cancel)
+            gm = _reduced(gl, hidden(gl, composed_alpha | later), cancel)
             building = partial(Stage, g.name, gen, gm.n_states)
             d = compose(d, gm, bound=bound, cancel=cancel)
             k_done = j + 1
@@ -138,10 +154,11 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             max_states = max(max_states, gen, d.n_states)
             if not pi_reachable(d):
                 return report(Verdict(HOLDS), k_done)
-            if (minimize_mode == "observational" and j + 1 < len(groups)
-                    and _hidden(d, later)):
+            if j + 1 < len(groups):
                 # the composite's labels that no later group names
-                d = _reduced(d, minimize_mode, later, cancel)
+                hide = hidden(d, later)
+                if hide:
+                    d = _reduced(d, hide, cancel)
         return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
     except StateBoundExceeded as exc:
         stages.append(building(exc.bound))
@@ -151,30 +168,17 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         return report(Verdict(INCONCLUSIVE, reason="cancelled"), k_done)
 
 
-def _hidden(l, visible_actions):
-    """The labels of l, tau aside, whose action is not in
-    visible_actions."""
-    return {lab for lab in l.alphabet
-            if not is_tau(lab) and lab[0] not in visible_actions}
+def _check_mode(minimize_mode):
+    if minimize_mode not in MINIMIZE_MODES:
+        raise ValueError("unknown minimization mode %r" % (minimize_mode,))
 
 
-def _minimized(l, mode, visible_actions, cancel):
-    """The strong quotient, or the branching quotient after hiding the
-    labels whose action is not in visible_actions."""
-    if mode == "strong":
-        return minimize(l, "strong", cancel=cancel)
-    return minimize(l, "observational", hide=_hidden(l, visible_actions),
-                    cancel=cancel)
-
-
-def _reduced(l, mode, visible_actions, cancel):
-    """`_minimized`, then, in observational mode when hiding removed a
-    label, determinized: only visible traces and which of them reach pi
-    decide a product's verdict."""
-    m = _minimized(l, mode, visible_actions, cancel)
-    if mode == "observational" and _hidden(l, visible_actions):
-        m = determinize(m, cancel)
-    return m
+def _reduced(l, hide, cancel):
+    """The quotient of l after hiding `hide`, then, if that hid a label,
+    determinized: only visible traces and which of them reach pi decide
+    a product's verdict."""
+    m = minimize(l, hide, cancel=cancel)
+    return determinize(m, cancel) if hide else m
 
 
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
@@ -204,13 +208,15 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     verdict wins, and losers are cancelled cooperatively and finish in
     the background.  A worker that exits without a result is an
     inconclusive outcome.  Concurrent calls take turns.  A timeout must
-    lie in (0, `MAX_TIMEOUT`] seconds, and a custom map must cover the
-    spec's components exactly once: both raise before any worker starts.
-    Returns (verdict, stats, winning strategy)."""
+    lie in (0, `MAX_TIMEOUT`] seconds, the mode must be one of
+    `MINIMIZE_MODES`, and a custom map must cover the spec's components
+    exactly once: each raises before any worker starts.  Returns
+    (verdict, stats, winning strategy)."""
     # NaN fails both comparisons
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:
         raise ValueError("timeout must be above 0 and at most %d seconds"
                          % MAX_TIMEOUT)
+    _check_mode(minimize_mode)
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
         raise ValueError("need at least one strategy")

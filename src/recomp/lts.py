@@ -12,15 +12,16 @@ Labels are concrete actions `(name, argument)`; hidden actions are
 relabeled to a tau label that is unique per LTS, so tau never
 synchronizes in a composition.
 
-`minimize` quotients by strong bisimulation, or by branching
-bisimulation after hiding.  Both refine signatures until the partition
-is stable (after Blom & Orzan).  Strong refinement reads the CSR arrays
-directly, coding each edge as one int (`_edge_keys`), so that a state's
-signature is a frozenset of ints.  Branching signatures follow only
-inert tau steps, those that stay inside a block; they are computed
-along the DAG of tau-SCCs, sinks first, and an SCC with nothing of its
-own to add shares the signature of the SCC it steps to.  No weak
-transition relation is built.
+`minimize` hides the labels it is given, then quotients by branching
+bisimulation if a tau label is left, or else by strong bisimulation,
+which is the same relation on a system without tau steps.  Both refine
+signatures until the partition is stable (after Blom & Orzan).  Strong
+refinement reads the CSR arrays directly, coding each edge as one int
+(`_edge_keys`), so that a state's signature is a frozenset of ints.
+Branching signatures follow only inert tau steps, those that stay
+inside a block; they are computed along the DAG of tau-SCCs, sinks
+first, and an SCC with nothing of its own to add shares the signature
+of the SCC it steps to.  No weak transition relation is built.
 
 `determinize` reduces a system with hidden steps further, to the
 minimal deterministic automaton of its visible traces with pi kept,
@@ -527,15 +528,16 @@ def _branching_refine(l, seed, cancel=None):
     return [first.setdefault(i, len(first)) for i in map(new.__getitem__, scc)]
 
 
-def minimize(l, mode="strong", hide=None, cancel=None):
-    """Quotient by bisimulation, built by `explore` and so numbered
-    breadth-first with pi (if any) in its own class as the last state.
+def minimize(l, hide=(), cancel=None):
+    """Quotient by bisimulation after renaming the labels in `hide` to a
+    fresh tau, built by `explore` and so numbered breadth-first with pi
+    (if any) in its own class as the last state.
 
-    mode "strong": strong bisimulation on the given labels, by signature
-    refinement over the edges as stored (`_refine`).
-    mode "observational": labels in `hide` are renamed to a fresh tau
-    first, then states are merged up to branching bisimulation, by
+    With a tau label, states are merged up to branching bisimulation, by
     signature refinement over the tau-SCC DAG (`_branching_refine`).
+    Without one, branching bisimulation is strong bisimulation (van
+    Glabbeek & Weijland, JACM 1996), and the faster refinement over the
+    edges as stored (`_refine`) gives the same partition, numbered alike.
     Branching bisimulation is finer than weak, so a quotient can keep
     states that weak bisimulation would merge.  On every group that
     S1-S3 build for the corpus at sizes 2 and 3 the two quotients have
@@ -543,14 +545,11 @@ def minimize(l, mode="strong", hide=None, cancel=None):
     """
     if l.n_states == 0:
         return l
-    if mode not in ("strong", "observational"):
-        raise ValueError("unknown minimization mode %r" % mode)
-    if mode == "observational" and hide:
-        l = hide_labels(l, hide)
+    l = hide_labels(l, hide)
     seed = [0] * l.n_states
     if l.pi is not None:
         seed[l.pi] = 1
-    refine = _refine if mode == "strong" else _branching_refine
+    refine = _branching_refine if any(map(is_tau, l.alphabet)) else _refine
     return _quotient(l, refine(l, seed, cancel), cancel)
 
 
@@ -648,7 +647,7 @@ def determinize(l, cancel=None):
                     cancel=cancel)
     except StateBoundExceeded:
         return l
-    return minimize(d, "strong", cancel=cancel)
+    return minimize(d, cancel=cancel)
 
 
 def hide_labels(l, hide):

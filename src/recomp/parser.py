@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, recursive-descent parser, pretty-printer.
+"""Concrete syntax: tokenizer and recursive-descent parser.
 
 File layout (one module per file)::
 
@@ -22,8 +22,7 @@ File layout (one module per file)::
 Conjunct lists are sequences of ``/\\``-prefixed expressions; a conjunct
 that is itself a quantifier must be parenthesized, because a quantifier
 body extends as far right as possible.  Comments run from ``\\*`` to the
-end of the line.  The pretty-printer emits exactly this layout, and the
-bundled corpus files are fixed points of parse-then-print.
+end of the line.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import re
 from . import syntax as sx
 from .semantics import eval_const
 from .syntax import SpecError
-from . import values as va
 
 
 class ParseError(SpecError):
@@ -398,108 +396,3 @@ def _bind_config(constants, entries):
 def parse(text):
     """Parse one module; deterministic, raises ParseError with location."""
     return _Parser(text).spec()
-
-
-# --------------------------------------------------------------------------
-# Pretty-printer
-
-_PREC = {
-    "quant": 0, "implies": 1, "or": 2, "and": 3, "cmp": 4, "add": 5,
-    "not": 6, "postfix": 7, "atom": 8,
-}
-
-
-def fmt_expr(e, prec=0):
-    def wrap(level, s):
-        return "(%s)" % s if prec > _PREC[level] else s
-
-    if isinstance(e, sx.Name):
-        return e.id
-    if isinstance(e, sx.Prime):
-        return e.id + "'"
-    if isinstance(e, sx.BoolLit):
-        return "TRUE" if e.value else "FALSE"
-    if isinstance(e, sx.IntLit):
-        return str(e.value)
-    if isinstance(e, sx.StrLit):
-        return '"%s"' % e.value
-    if isinstance(e, sx.SetLit):
-        return "{%s}" % ", ".join(fmt_expr(x) for x in e.elems)
-    if isinstance(e, sx.TupleLit):
-        return "<<%s>>" % ", ".join(fmt_expr(x) for x in e.elems)
-    if isinstance(e, sx.RecordLit):
-        return "[%s]" % ", ".join("%s |-> %s" % (f, fmt_expr(v))
-                                  for f, v in e.fields)
-    if isinstance(e, sx.FuncLit):
-        return "[%s \\in %s |-> %s]" % (e.var, fmt_expr(e.domain),
-                                        fmt_expr(e.body))
-    if isinstance(e, sx.Apply):
-        return wrap("postfix", "%s[%s]" % (fmt_expr(e.fn, _PREC["postfix"]),
-                                           fmt_expr(e.arg)))
-    if isinstance(e, sx.Except):
-        return "[%s EXCEPT ![%s] = %s]" % (
-            fmt_expr(e.fn), fmt_expr(e.key), fmt_expr(e.value))
-    if isinstance(e, sx.Union):
-        return wrap("add", "%s \\union %s" % (fmt_expr(e.left, _PREC["add"]),
-                                              fmt_expr(e.right, _PREC["add"] + 1)))
-    if isinstance(e, sx.Add):
-        return wrap("add", "%s + %s" % (fmt_expr(e.left, _PREC["add"]),
-                                        fmt_expr(e.right, _PREC["add"] + 1)))
-    if isinstance(e, sx.In):
-        return wrap("cmp", "%s \\in %s" % (fmt_expr(e.elem, _PREC["add"]),
-                                           fmt_expr(e.set, _PREC["add"])))
-    if isinstance(e, sx.Eq):
-        return wrap("cmp", "%s = %s" % (fmt_expr(e.left, _PREC["add"]),
-                                        fmt_expr(e.right, _PREC["add"])))
-    if isinstance(e, sx.Not):
-        return wrap("not", "~%s" % fmt_expr(e.operand, _PREC["not"]))
-    if isinstance(e, sx.And):
-        return wrap("and", " /\\ ".join(fmt_expr(x, _PREC["and"] + 1)
-                                        for x in e.operands))
-    if isinstance(e, sx.Or):
-        return wrap("or", " \\/ ".join(fmt_expr(x, _PREC["or"] + 1)
-                                       for x in e.operands))
-    if isinstance(e, sx.Implies):
-        return wrap("implies", "%s => %s" % (fmt_expr(e.left, _PREC["implies"] + 1),
-                                             fmt_expr(e.right, _PREC["implies"])))
-    if isinstance(e, (sx.Forall, sx.Exists)):
-        q = "\\A" if isinstance(e, sx.Forall) else "\\E"
-        return wrap("quant", "%s %s \\in %s : %s" % (
-            q, e.var, fmt_expr(e.domain), fmt_expr(e.body)))
-    if isinstance(e, sx.Unchanged):
-        return "UNCHANGED <<%s>>" % ", ".join(e.names)
-    raise SpecError("cannot print %r" % (e,))
-
-
-def _fmt_conjunct(c):
-    # quantifier conjuncts need parentheses in a `/\`-bulleted list
-    if isinstance(c, (sx.Forall, sx.Exists)):
-        return "(%s)" % fmt_expr(c)
-    return fmt_expr(c, _PREC["and"] + 1)
-
-
-def pretty(spec):
-    """Canonical textual form; parse(pretty(parse(t))) == parse(t)."""
-    lines = ["MODULE %s" % spec.name]
-    if spec.constants:
-        lines += ["", "CONSTANTS %s" % ", ".join(spec.constants)]
-    lines += ["", "VARIABLES %s" % ", ".join(spec.variables)]
-    if spec.config:
-        lines += ["", "CONFIG"]
-        for cname, value in spec.config:
-            lines.append("  %s = %s" % (cname, va.fmt_value(value)))
-    lines += ["", "INIT"]
-    for c in spec.init:
-        lines.append("  /\\ %s" % _fmt_conjunct(c))
-    for a in spec.actions:
-        lines += ["", "ACTION %s(%s)" % (a.name, a.param)]
-        for c in a.conjuncts:
-            lines.append("  /\\ %s" % _fmt_conjunct(c))
-    if spec.actions:
-        lines += ["", "NEXT \\E %s \\in %s :" % (spec.next_var,
-                                                 fmt_expr(spec.next_domain))]
-        for a in spec.actions:
-            lines.append("  \\/ %s(%s)" % (a.name, spec.next_var))
-    for p in spec.properties:
-        lines += ["", "PROPERTY %s" % p.name, "  %s" % fmt_expr(p.body)]
-    return "\n".join(lines) + "\n"

@@ -12,7 +12,7 @@ and 4) and every property, with bound 30,000:
 - the groups `recomp_verify` builds under S1-S3 after static reduction:
   each group's name, action order and digests of its LTS (`err_lts`
   for the property group, `to_lts` for the others) and of that LTS's
-  strong and observational quotients, the latter hiding what
+  quotients by `minimize`, hiding nothing and hiding what observational
   `comp_verify` hides (the labels no other group's actions name);
 - `recomp_verify` under S1-S4, each with strong and observational
   minimization: verdict, reason, witness, n, m, k, stages, `max_states`.
@@ -52,7 +52,6 @@ def _lts_row(l):
 def _groups_row(spec, prop, kind):
     from recomp import (decompose, err_lts, make_strategy, minimize,
                         static_reduce, to_lts, total_order)
-    from recomp.engine import _minimized
     from recomp.recompose import build_groups
     from recomp.syntax import symbolic_actions
 
@@ -65,10 +64,10 @@ def _groups_row(spec, prop, kind):
     cells = []
     for i, (g, l) in enumerate(zip([d_p] + groups, lts)):
         visible = set().union(*alphas[:i], *alphas[i + 1:])
+        hide = {lab for lab in l.alphabet if lab[0] not in visible}
         cells.append("%s[%s] %s strong=%s observational=%s" % (
             g.name, ",".join(a.name for a in g.actions), _digest(l),
-            _digest(minimize(l, "strong")),
-            _digest(_minimized(l, "observational", visible, None))))
+            _digest(minimize(l)), _digest(minimize(l, hide))))
     return " ; ".join(cells)
 
 

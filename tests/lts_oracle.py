@@ -11,7 +11,7 @@ and `bisimilar` refines one partition over both systems.  `refine` is
 signature refinement over per-state lists of (label, target) pairs, and
 `quotient` lays out a partition's quotient with the pairs as keys, where
 `lts.minimize` codes each edge as an int.  `branching_minimize` is
-observational minimization by the definition of branching bisimulation:
+minimization after hiding by the definition of branching bisimulation:
 it searches each state's inert tau paths one by one, where
 `lts.minimize` collapses tau-SCCs and reuses their signatures.
 `weak_minimize` saturates the weak transition relation and refines
@@ -208,9 +208,9 @@ def quotient(l, block):
 
 
 def strong_minimize(l):
-    """The quotient `lts.minimize(l, "strong")` must give: pi is seeded
-    in its own block, and `quotient` lays out the partition `refine`
-    finds over the edges as stored."""
+    """The quotient `lts.minimize(l)` must give when l has no tau label:
+    pi is seeded in its own block, and `quotient` lays out the partition
+    `refine` finds over the edges as stored."""
     if l.n_states == 0:
         return l
     seed = [1 if s == l.pi else 0 for s in range(l.n_states)]
@@ -319,9 +319,10 @@ def branching_refine(l, seed):
 
 
 def branching_minimize(l, hide=None):
-    """The quotient `lts.minimize(l, "observational", hide)` must give:
-    labels in `hide` become a fresh tau, pi is seeded in its own block,
-    and `quotient` lays out the partition `branching_refine` finds."""
+    """The quotient `lts.minimize(l, hide)` must give: labels in `hide`
+    become a fresh tau, pi is seeded in its own block, and `quotient`
+    lays out the partition `branching_refine` finds.  Without a tau
+    label, that is the partition `refine` finds too."""
     if l.n_states == 0:
         return l
     l, seed = _hidden(l, hide)

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from recomp import parse, decompose, pretty, total_order
+from recomp import parse, decompose, total_order
 from recomp.cli import MAX_TIMEOUT, main
 from recomp.corpus import tpcounter, twophase
+from spec_helpers import pretty
 
 REPO = Path(__file__).parent.parent
 

@@ -17,7 +17,7 @@ from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
                            comp_verify, recomp_verify, run_portfolio)
 from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded, explore,
-                        minimize)
+                        hide_labels, minimize)
 from recomp.order import Strategy, make_strategy
 from recomp.recompose import P, build_groups, make_map, static_reduce
 from recomp.semantics import err_lts, to_lts
@@ -125,8 +125,10 @@ def test_minimize_polls_cancel(tp, mode):
     n = _POLL_EVERY + 2
     chain = explore([0], lambda k: [(0, k + 1)] if k < n - 1 else [],
                     [("A", None)], lambda k: False)
+    # hiding A puts the branching kernel on the chain
+    hide = {("A", None)} if mode == "observational" else ()
     with pytest.raises(Cancelled):
-        minimize(chain, mode, hide={("A", None)}, cancel=cancel)
+        minimize(chain, hide, cancel=cancel)
     # twophase(3)'s LTSs are smaller than the poll interval; a whole
     # check still sees the cancel, in composition or in minimization
     verdict, _ = recomp_verify(tp, tp.property("Consistent"), "S1",
@@ -209,20 +211,20 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     minimization and composition make over the edges they read.
     Composition reads the group's rows that its search reaches.
 
-    Strong minimization reads every edge at least twice: for the edge
-    keys of each refinement round, then for the quotient's keys.
-    Observational minimization reads them three times: in the tau-SCC
-    search, in the pass that lists each SCC's tau successors and visible
-    pairs, and for the quotient's keys.  Its branching refinement rounds
-    poll on top of that, once per `_POLL_EVERY` pairs and signature
-    elements they read while building the SCCs' signatures, and once per
-    `_POLL_EVERY` SCCs they number.  Determinization reads the edges of
-    the quotient outside pi's row three times: in its tau-SCC search,
-    its closure pass and its step pass; its subset search and strong
-    quotient poll on top of that."""
+    Minimization of a system without tau labels (every stage in strong
+    mode, and those that hide nothing in observational mode) reads every
+    edge at least twice: for the edge keys of each refinement round,
+    then for the quotient's keys.  Minimization with a tau label reads
+    them three times: in the tau-SCC search, in the pass that lists each
+    SCC's tau successors and visible pairs, and for the quotient's keys.
+    Its branching refinement rounds poll on top of that, once per
+    `_POLL_EVERY` pairs and signature elements they read while building
+    the SCCs' signatures, and once per `_POLL_EVERY` SCCs they number.
+    Determinization reads the edges of the quotient outside pi's row
+    three times: in its tau-SCC search, its closure pass and its step
+    pass; its subset search and strong quotient poll on top of that."""
     cancel = _CountingCancel()
     checked = []
-    passes = {"strong": 2, "observational": 3}
     called = {"strong": {"explore", "minimize", "compose"},
               "observational": {"explore", "minimize", "determinize",
                                 "compose"}}
@@ -243,10 +245,13 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     def read(l):
         return l.n_edges // _POLL_EVERY
 
+    def passes(l, hide):
+        return 3 if any(map(lts.is_tau, hide_labels(l, hide).alphabet)) else 2
+
     count(lts, "explore", lambda args, out: searched(out))
     count(semantics, "explore", lambda args, out: searched(out))
     count(engine, "minimize",
-          lambda args, out: passes[args[1]] * read(args[0]))
+          lambda args, out: passes(*args) * read(args[0]))
     count(engine, "determinize", lambda args, out: 3 * searched(args[0]))
     # the product, and the rows of the group (the operand without pi)
     # that it reaches
@@ -254,7 +259,7 @@ def test_polls_are_bounded_by_edges(monkeypatch):
         _group_edges_reached(*args) if args[1].pi is None
         else _group_edges_reached(args[1], args[0])) // _POLL_EVERY)
     spec = parse(lockserv(4))
-    for mode in passes:
+    for mode in called:
         checked.clear()
         verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
                                    minimize_mode=mode, cancel=cancel)
@@ -333,7 +338,7 @@ def test_observational_quotients_are_weakly_minimal_on_the_corpus(name):
                 for l, visible in groups:
                     hide = {lab for lab in l.alphabet
                             if lab[0] not in visible}
-                    m = engine._minimized(l, "observational", visible, None)
+                    m = minimize(l, hide)
                     assert m.n_states == weak_minimize(l, hide).n_states, \
                         (n, prop.name, kind)
                     compared += 1
@@ -357,8 +362,9 @@ def test_observational_minimize_stops_in_its_refinement_rounds():
                 tripped.append(frame.f_lineno)
             return bool(tripped)
 
+    hide = {lab for lab in l.alphabet if lab[0] not in visible}
     with pytest.raises(Cancelled):
-        engine._minimized(l, "observational", visible, InRounds())
+        minimize(l, hide, InRounds())
     assert len(tripped) == 1
 
 
@@ -758,6 +764,26 @@ def test_portfolio_rejects_a_timeout_out_of_range(tp, pool, monkeypatch,
     assert launches.launched == 0 and pool.workers == []
 
 
+@pytest.mark.parametrize("mode", ["Observational", "bogus", None])
+def test_an_unknown_minimize_mode_raises(tp, mode):
+    prop = tp.property("Consistent")
+    for kind in ("S1", "S4"):
+        with pytest.raises(ValueError, match="unknown minimization mode"):
+            recomp_verify(tp, prop, kind, minimize_mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["Observational", "bogus"])
+def test_portfolio_rejects_an_unknown_minimize_mode(tp, pool, monkeypatch,
+                                                    mode):
+    # checked before the pool starts: no worker is forked
+    launches = _LaunchCounter()
+    monkeypatch.setattr(engine, "multiprocessing", launches)
+    with pytest.raises(ValueError, match="unknown minimization mode"):
+        run_portfolio(tp, tp.property("Consistent"), ["S1", "S4"],
+                      workers=2, minimize_mode=mode)
+    assert launches.launched == 0 and pool.workers == []
+
+
 def test_custom_strategy_runs_through_the_engine(tp):
     verdict, stats = recomp_verify(tp, tp.property("Consistent"), TUNED)
     assert verdict.outcome == HOLDS
@@ -814,7 +840,7 @@ def test_every_traced_name_is_called_through_the_engine_globals():
     """The tracer patches names in `recomp.engine`'s namespace, so each
     must be a global there that the engine's functions look up."""
     looked_up = set()
-    for fn in (engine.comp_verify, engine.recomp_verify, engine._minimized):
+    for fn in (engine.comp_verify, engine.recomp_verify, engine._reduced):
         looked_up.update(fn.__code__.co_names)
     for name in _load_tracer().TRACED:
         assert name in vars(engine), name

@@ -9,9 +9,10 @@ from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
                         refine, shortest_pi_trace, strong_minimize,
                         tau_closures, trace_set, traces_equal, weak_minimize,
                         weak_subsets, weak_words, weakly_bisimilar)
-from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded, _refine,
-                        compose, determinize, explore, hide_labels, is_tau,
-                        minimize, pi_reachable, pi_trace)
+from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded,
+                        _branching_refine, _refine, compose, determinize,
+                        explore, hide_labels, is_tau, minimize, pi_reachable,
+                        pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -84,8 +85,7 @@ def test_pi_trace_matches_a_breadth_first_search():
         err, other = rand_lts(rng, 4, with_pi=True), rand_lts(rng, 4)
         c = compose(err, other) if rng.random() < 0.5 else compose(other, err)
         hide = set(rng.sample(c.alphabet, rng.randrange(len(c.alphabet))))
-        for l in (c, minimize(c, "strong"),
-                  minimize(c, "observational", hide=hide)):
+        for l in (c, minimize(c), minimize(c, hide)):
             expected = shortest_pi_trace(l)
             assert pi_trace(l) == expected
             assert pi_reachable(l) == (expected is not None)
@@ -183,19 +183,19 @@ def test_minimize_strong_preserves_bisimilarity():
     rng = random.Random(12)
     for _ in range(30):
         l = rand_lts(rng, 6, with_pi=rng.random() < 0.3)
-        m = minimize(l, "strong")
+        m = minimize(l)
         assert m.n_states <= l.n_states
         assert bisimilar(l, m)
         assert pi_reachable(m) == (shortest_pi_trace(l) is not None)
         # idempotent
-        assert minimize(m, "strong").n_states == m.n_states
+        assert minimize(m).n_states == m.n_states
 
 
 def test_minimize_merges_duplicate_states():
     # two states with identical behavior collapse to one
     l = lts_from_edges(3, [("A", None)],
                        [(0, 0, 1), (0, 0, 2)], [0])
-    m = minimize(l, "strong")
+    m = minimize(l)
     assert m.n_states == 2
 
 
@@ -231,7 +231,9 @@ def _reachable(l):
 def test_strong_refinement_matches_the_oracle():
     # the int-coded edge keys give the oracle's partition over (label,
     # target) pairs, numbered alike, also from seeds whose ids are not
-    # dense; and the quotient is the oracle's, array for array
+    # dense; and the quotient is the oracle's, array for array.  Without
+    # tau, branching refinement gives that partition too, numbered
+    # alike, which is why `minimize` may take `_refine` there
     rng = random.Random(19)
     draws = 1500
     seen = dict.fromkeys(("pi inside", "self-loop", "duplicate",
@@ -244,7 +246,8 @@ def test_strong_refinement_matches_the_oracle():
                  [rng.choice((0, 3, 7)) for _ in range(n)])
         for seed in seeds:
             assert _refine(l, seed) == refine(n, rows, seed)
-        assert _layout(minimize(l, "strong")) == _layout(strong_minimize(l))
+            assert _branching_refine(l, seed) == _refine(l, seed)
+        assert _layout(minimize(l)) == _layout(strong_minimize(l))
         seen["pi inside"] += l.pi is not None and l.pi < n - 1
         seen["self-loop"] += any(s == t for s in range(n)
                                  for _, t in rows[s])
@@ -269,19 +272,19 @@ def test_strong_minimize_polls_while_coding_the_edges():
     assert _refine(l, [0], Counting()) == [0]
     assert len(polls) >= 10
     del polls[:]
-    m = minimize(l, "strong", cancel=Counting())
+    m = minimize(l, cancel=Counting())
     assert (m.n_states, list(m.out(0))) == (1, [(0, 0)])
     assert len(polls) >= 20
 
 
 def test_quotient_keeps_reachable_blocks_with_pi_last():
     # 0 -A-> 1 -A-> pi (state 2, without its self-loops); 3 and 4 are
-    # unreachable and differ from every reachable state
+    # unreachable and differ from every reachable state.  Hiding B, which
+    # only they step by, puts the branching kernel on the same system
     l = lts_from_edges(5, LABELS[:2],
                        [(0, 0, 1), (1, 0, 2), (3, 1, 4), (4, 1, 3)],
                        [0], pi=2)
-    for mode in ("strong", "observational"):
-        m = minimize(l, mode)
+    for m in (minimize(l), minimize(l, {LABELS[1]})):
         assert (m.n_states, m.pi, m.initials) == (3, 2, (0,))
         assert list(m.out(0)) == [(0, 1)]
         assert list(m.out(1)) == [(0, 2)]
@@ -292,10 +295,10 @@ def test_observational_minimize_collapses_internal_steps():
     # s0 -B-> s1 -A-> s2 with B hidden: s0 and s1 are weakly equivalent
     l = lts_from_edges(3, [("A", None), ("B", None)],
                        [(0, 1, 1), (1, 0, 2)], [0])
-    m = minimize(l, "observational", hide={("B", None)})
+    m = minimize(l, {("B", None)})
     assert m.n_states == 2
-    # strong minimization cannot merge them
-    assert minimize(l, "strong").n_states == 3
+    # with nothing hidden (strong minimization) they stay apart
+    assert minimize(l).n_states == 3
 
 
 def _weak_draw(rng):
@@ -345,7 +348,7 @@ def test_observational_minimize_matches_the_branching_oracle():
     cycles = pi_on_cycle = hide_all = hide_none = 0
     for _ in range(draws):
         l, hide = _weak_draw(rng)
-        m = minimize(l, "observational", hide=hide)
+        m = minimize(l, hide)
         assert _layout(m) == _layout(branching_minimize(l, hide))
         assert weakly_bisimilar(hide_labels(l, hide), m)
         assert m.n_states >= weak_minimize(l, hide).n_states
@@ -370,14 +373,14 @@ def test_observational_minimize_is_branching_not_weak():
                        [(0, 0, 1), (1, 3, 2), (1, 2, 3), (2, 1, 3),
                         (4, 0, 1), (4, 0, 2)], [0, 4])
     hide = {("D", None)}
-    m = minimize(l, "observational", hide=hide)
+    m = minimize(l, hide)
     assert _layout(m) == _layout(branching_minimize(l, hide))
     assert (m.n_states, weak_minimize(l, hide).n_states) == (5, 4)
 
 
 def test_observational_keeps_pi_separate():
     l = lts_from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
-    m = minimize(l, "observational", hide={("A", None)})
+    m = minimize(l, {("A", None)})
     assert m.pi is not None
     assert pi_reachable(m)
 
@@ -393,8 +396,7 @@ def test_determinize_keeps_the_weak_traces_and_pi():
     seen = {"capped": 0, "kept": 0, "pi reached": 0, "shrunk": 0}
     for _ in range(draws):
         l, hide = _weak_draw(rng)
-        for h in (hide_labels(l, hide),
-                  minimize(l, "observational", hide=hide)):
+        for h in (hide_labels(l, hide), minimize(l, hide)):
             d = determinize(h)
             if len(weak_subsets(h)) > h.n_states - (h.pi is not None):
                 assert d is h
@@ -407,7 +409,7 @@ def test_determinize_keeps_the_weak_traces_and_pi():
                 assert len(row) == len(set(row))
             assert weak_words(d, 4) == weak_words(h, 4)
             assert pi_reachable(d) == (shortest_pi_trace(h) is not None)
-            assert minimize(d, "strong").n_states == d.n_states
+            assert minimize(d).n_states == d.n_states
             seen["kept"] += 1
             seen["pi reached"] += pi_reachable(d)
             seen["shrunk"] += d.n_states < h.n_states
@@ -517,9 +519,10 @@ def test_pi_in_a_disconnected_part_is_unreachable():
     l = lts_from_edges(4, [("A", None)], [(0, 0, 1), (2, 0, 3), (3, 0, 3)],
                        [0], pi=3)
     assert shortest_pi_trace(l) is None
-    # explore adds pi only once reached, so what it builds from l has none
-    for mode in ("strong", "observational"):
-        assert not pi_reachable(minimize(l, mode))
+    # explore adds pi only once reached, so what it builds from l has
+    # none, with either kernel
+    for m in (minimize(l), minimize(l, {("A", None)})):
+        assert not pi_reachable(m)
     assert not pi_reachable(compose(l, lts_from_edges(1, (), [], [0])))
 
 

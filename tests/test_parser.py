@@ -2,10 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from recomp import parse, pretty
+from recomp import parse
 from recomp import syntax as sx
 from recomp.corpus import ALL
 from recomp.parser import ParseError
+from spec_helpers import pretty
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
