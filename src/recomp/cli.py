@@ -12,7 +12,7 @@ import sys
 
 from .decompose import decompose
 from .engine import (HOLDS, INCONCLUSIVE, MAX_TIMEOUT, MINIMIZE_MODES,
-                     VIOLATED, run_portfolio)
+                     VIOLATED, ordered_components, run_portfolio)
 from .order import KINDS, Strategy, data_flow_order, make_strategy, total_order
 from .parser import parse
 from .recompose import parse_map_file, render_map
@@ -65,12 +65,6 @@ def _load(args):
     return spec, prop
 
 
-def _ordered_components(spec, prop):
-    comps = decompose(spec, prop)
-    perm = total_order(comps, spec)
-    return [comps[i - 1] for i in perm]
-
-
 def _strategies(selector, spec, prop):
     sel = selector.lower()
     if sel == "portfolio":
@@ -79,7 +73,7 @@ def _strategies(selector, spec, prop):
         return [Strategy(sel.upper())]
     if selector.startswith("map:"):
         path = selector[4:]
-        comps = _ordered_components(spec, prop)
+        comps = ordered_components(spec, prop)
         with open(path) as fh:
             f = parse_map_file(fh.read(), comps)
         return [Strategy("custom", custom=f)]
@@ -89,8 +83,6 @@ def _strategies(selector, spec, prop):
 def _cmd_check(args):
     spec, prop = _load(args)
     strategies = _strategies(args.strategy, spec, prop)
-    if (args.bound is not None and args.bound < 1) or args.workers < 1:
-        raise SpecError("bound and workers must be at least 1")
     verdict, stats, winner = run_portfolio(
         spec, prop, strategies, workers=args.workers, timeout=args.timeout,
         bound=args.bound, minimize_mode=args.minimize)
@@ -103,7 +95,7 @@ def _cmd_check(args):
 
 def _cmd_decompose(args):
     spec, prop = _load(args)
-    comps = _ordered_components(spec, prop)
+    comps = ordered_components(spec, prop)
     print("components: %d" % len(comps))
     for c in comps:
         print("%s" % c.name)

@@ -7,10 +7,10 @@ together in a non-frame action conjunct.  Frames couple nothing: an
 slice keeps the names that lie in it.  The first block is the union of
 the blocks that hold the checked property's variables; each later one
 is the block of the leftover variable with the fewest occurrences in
-the spec, ties broken by name.  Each component is the spec sliced onto
-one block (`slice_spec`), so slicing onto the union of any components'
-blocks is their composition, and slicing onto all of them gives back
-the spec with each action's frames joined into one.
+the spec, ties broken by name; `component_blocks` lists them, and the
+whole-system search counts them without slicing.  Each component is the
+spec sliced onto one block (`slice_spec`), so slicing onto the union of
+any components' blocks is their composition.
 """
 
 from __future__ import annotations
@@ -83,10 +83,9 @@ def _blocks(spec):
     return block
 
 
-def decompose(spec, prop):
-    """Components C1..Cn; C1 carries all of the property's variables.
-
-    Each component is the spec sliced onto one block of variables."""
+def component_blocks(spec, prop):
+    """The variable blocks of components C1..Cn; the first holds all of
+    the property's variables."""
     extra = (sx.free_idents(prop.body) - set(spec.variables)
              - set(spec.constants))
     if extra:
@@ -104,5 +103,10 @@ def decompose(spec, prop):
         if rest:
             seed = {min(rest, key=lambda v: (spec.occurrences[v], v))}
     # a spec without variables is one component with an empty block
+    return blocks or [rest]
+
+
+def decompose(spec, prop):
+    """Components C1..Cn: the spec sliced onto each block of variables."""
     return [replace(slice_spec(spec, b), name="%s_C%d" % (spec.name, i + 1))
-            for i, b in enumerate(blocks or [rest])]
+            for i, b in enumerate(component_blocks(spec, prop))]

@@ -8,9 +8,10 @@ determinize, since only visible traces, and which of them reach the
 error state, decide the verdict.  The minimization mode decides only
 what is hidden: in observational mode, the actions no other group
 needs; in strong mode, nothing.  The running composite is reduced the
-same way between compositions, but only when it hides a label.  `recomp_verify`
-is the full pipeline (decompose, order, map, statically reduce, build
-groups, verify).  `run_portfolio` races several strategies in separate
+same way between compositions, but only when it hides a label.
+`recomp_verify` is the full pipeline (decompose, order, map, statically
+reduce, build groups, verify); under S4 it checks the parsed spec
+itself.  `run_portfolio` races several strategies in separate
 processes and returns the first conclusive answer.  Its worker processes
 are started on first use and persist across `run_portfolio` calls in one
 process; the losers of a race finish cancelling in the background while
@@ -29,7 +30,7 @@ from functools import partial
 from typing import Optional
 
 from . import syntax as sx
-from .decompose import decompose
+from .decompose import component_blocks, decompose
 from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
                   is_tau, minimize, pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
@@ -88,8 +89,12 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
     ordered groups; Holds as soon as pi is unreachable (k groups used),
     Violated if it stays reachable through all of them.  A run that
     exceeds the bound ends with the stage it was building, its count at
-    the bound, and a cancelled run with the stages it finished."""
+    the bound, and a cancelled run with the stages it finished.  A bound
+    below 1 raises `ValueError`."""
     _check_mode(minimize_mode)
+    bound = DEFAULT_BOUND if bound is None else bound
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     observational = minimize_mode == "observational"
 
     def hidden(l, visible_actions):
@@ -101,7 +106,6 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         return {lab for lab in l.alphabet
                 if not is_tau(lab) and lab[0] not in visible_actions}
 
-    bound = bound or DEFAULT_BOUND
     t0 = time.monotonic()
     stages = []
     max_states = 0
@@ -181,25 +185,30 @@ def _reduced(l, hide, cancel):
     return determinize(m, cancel) if hide else m
 
 
+def ordered_components(spec, prop):
+    """The spec's components in total order."""
+    comps = decompose(spec, prop)
+    return [comps[i - 1] for i in total_order(comps, spec)]
+
+
 def recomp_verify(spec, prop, strategy, bound=None, minimize_mode="strong",
                   cancel=None):
-    """Decompose, order, map, statically reduce, build groups, verify."""
+    """Decompose, order, map, statically reduce, build groups, verify.
+    S4, the whole-system search, checks the parsed spec and only counts
+    its components."""
     if isinstance(strategy, str):
         strategy = Strategy(strategy)
-    comps = decompose(spec, prop)
-    perm = total_order(comps, spec)
-    comps = [comps[i - 1] for i in perm]
-    n = len(comps)
-    f = strategy.custom or make_strategy(strategy.kind, n)
-    # S4 is the whole-system backstop: its one group is the spec sliced
-    # onto all its variables, i.e. the spec's own actions in written
-    # order, so component dropping does not apply to it.
-    if strategy.kind != "S4":
-        f = static_reduce(f, comps)
-    d_p, groups = build_groups(f, comps, spec)
+    if strategy.kind == "S4":
+        n = len(component_blocks(spec, prop))
+        d_p, groups = spec, []
+    else:
+        comps = ordered_components(spec, prop)
+        n = len(comps)
+        f = strategy.custom or make_strategy(strategy.kind, n)
+        d_p, groups = build_groups(static_reduce(f, comps), comps, spec)
     verdict, stats = comp_verify(d_p, groups, prop, bound=bound,
                                  minimize_mode=minimize_mode, cancel=cancel)
-    return verdict, replace(stats, strategy=strategy.kind, n=n, m=f.m)
+    return verdict, replace(stats, strategy=strategy.kind, n=n)
 
 
 def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
@@ -208,14 +217,17 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     verdict wins, and losers are cancelled cooperatively and finish in
     the background.  A worker that exits without a result is an
     inconclusive outcome.  Concurrent calls take turns.  A timeout must
-    lie in (0, `MAX_TIMEOUT`] seconds, the mode must be one of
-    `MINIMIZE_MODES`, and a custom map must cover the spec's components
-    exactly once: each raises before any worker starts.  Returns
-    (verdict, stats, winning strategy)."""
+    lie in (0, `MAX_TIMEOUT`] seconds, the bound and the worker count
+    must be at least 1, the mode must be one of `MINIMIZE_MODES`, and a
+    custom map must cover the spec's components exactly once: each
+    raises before any worker starts.  Returns (verdict, stats, winning
+    strategy)."""
     # NaN fails both comparisons
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:
         raise ValueError("timeout must be above 0 and at most %d seconds"
                          % MAX_TIMEOUT)
+    if (bound is not None and bound < 1) or workers < 1:
+        raise ValueError("bound and workers must be at least 1")
     _check_mode(minimize_mode)
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
@@ -232,7 +244,7 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
         return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None
     try:
         return _POOL.race((spec, prop, bound, minimize_mode),
-                          strategies, max(1, workers), deadline)
+                          strategies, workers, deadline)
     finally:
         _POOL.lock.release()
 

@@ -18,19 +18,13 @@ from recomp import syntax as sx
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.decompose import slice_spec
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, comp_verify,
-                           recomp_verify, run_portfolio)
+                           ordered_components, recomp_verify, run_portfolio)
 from recomp.lts import StateBoundExceeded, compose, is_tau
 from recomp.order import Strategy, dataflow_from_alphabets, make_strategy
 from recomp.recompose import (P, alphabets, build_groups, interaction_sets,
                               make_map, static_reduce)
 from recomp.semantics import err_lts, to_lts
 from spec_helpers import normalize
-
-
-def _ordered_components(spec, prop):
-    comps = decompose(spec, prop)
-    perm = total_order(comps, spec)
-    return [comps[i - 1] for i in perm]
 
 
 # the hand-tuned two-phase commit map: components 2..4 to groups 1, 2, 1
@@ -199,7 +193,7 @@ def _decomposition_groups():
                 acc, _ = build_groups(make_map([(1, P), (2, P)]), parts, spec)
                 out.append(pytest.param(acc, parts, id="%s-%s-%s" % (
                     name, prop.name, nxt.name)))
-            comps = _ordered_components(spec, prop)
+            comps = ordered_components(spec, prop)
             maps = [(kind, make_strategy(kind, len(comps)))
                     for kind in ("S1", "S2", "S3")]
             if len(comps) == 4:
@@ -285,7 +279,7 @@ def test_unbounded_counter_is_reduced_away():
 
 def test_reduction_fixpoint_converges_and_drops_the_counter():
     spec = parse(tpcounter(3))
-    comps = _ordered_components(spec, spec.property("Consistent"))
+    comps = ordered_components(spec, spec.property("Consistent"))
     x_sets = interaction_sets(alphabets(comps))
     assert x_sets[2] == x_sets[3]
     counter = next(i + 1 for i, c in enumerate(comps)
@@ -297,7 +291,7 @@ def test_reduction_fixpoint_converges_and_drops_the_counter():
 def test_reduction_never_changes_a_verdict(name):
     spec = parse(ALL[name]())
     for prop in spec.properties:
-        comps = _ordered_components(spec, prop)
+        comps = ordered_components(spec, prop)
         for kind in ("S1", "S2", "S3"):
             with_r, _ = recomp_verify(spec, prop, kind)
             f = make_strategy(kind, len(comps))

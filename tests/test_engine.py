@@ -71,6 +71,52 @@ def test_stopping_early_agrees_with_the_oracle():
     assert oc.oracle_check(spec, prop) == (True, None)
 
 
+# twophase(3) with an action that changes nothing: slicing would drop it
+IDLE = twophase(3).replace("ACTION SilentAbort", """ACTION Idle(rm)
+  /\\ UNCHANGED <<msgs, rmState, tmState, tmPrepared>>
+
+ACTION SilentAbort""").replace("\\/ SilentAbort(rm)",
+                               "\\/ SilentAbort(rm)\n  \\/ Idle(rm)")
+
+
+@pytest.mark.parametrize("name", ["Consistent", "NoPrepares"])
+def test_s4_checks_the_parsed_spec(tp, monkeypatch, name):
+    idle = parse(IDLE)
+    assert "Idle" in [a.name for a in idle.actions]
+    prop = idle.property(name)
+    calls = []
+
+    def counted(attr, fn):
+        def count(*args, **kwargs):
+            calls.append(attr)
+            return fn(*args, **kwargs)
+        return count
+    for module, attr in [
+            (engine, "decompose"), (engine, "total_order"),
+            (engine, "make_strategy"), (engine, "static_reduce"),
+            (engine, "build_groups"),
+            (sys.modules["recomp.decompose"], "slice_spec"),
+            (sys.modules["recomp.recompose"], "slice_spec")]:
+        monkeypatch.setattr(module, attr,
+                            counted(attr, getattr(module, attr)))
+    verdict, stats = recomp_verify(idle, prop, "S4")
+    assert calls == []
+    recomp_verify(idle, prop, "S1")  # the counters do count
+    assert {"decompose", "total_order", "make_strategy", "static_reduce",
+            "build_groups", "slice_spec"} <= set(calls)
+    monkeypatch.undo()
+    plain, plain_stats = recomp_verify(tp, tp.property(name), "S4")
+    assert verdict == plain
+    assert stats.max_states == plain_stats.max_states
+    assert [s.name for s in stats.stages] == ["TwoPhase"]
+    assert (stats.n, stats.m) == (4, 0)
+    holds, shortest = oc.oracle_check(idle, prop)
+    assert (verdict.outcome == HOLDS) == holds
+    if not holds:
+        _assert_replays(idle, prop, verdict.witness)
+        assert len(verdict.witness) == len(shortest)
+
+
 def test_bound_exceeded_is_inconclusive(tp):
     verdict, stats = recomp_verify(tp, tp.property("Consistent"), "S4",
                                    bound=10)
@@ -82,8 +128,7 @@ def test_bound_exceeded_is_inconclusive(tp):
 @pytest.mark.parametrize("model,size,prop,kind,bound,stages", [
     # the whole-system search, the only stage of S4
     (tpcounter, 3, "Consistent", "S4", 5000, [
-        ("TPCounter_C1_TPCounter_C5_TPCounter_C3_TPCounter_C4_TPCounter_C2",
-         5000)]),
+        ("TPCounter", 5000)]),
     # the property group
     (twophase, 5, "Consistent", "S3", 2000, [
         ("TwoPhase_C1_TwoPhase_C4_TwoPhase_C2", 2000)]),
@@ -764,6 +809,28 @@ def test_portfolio_rejects_a_timeout_out_of_range(tp, pool, monkeypatch,
     assert launches.launched == 0 and pool.workers == []
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_a_bound_below_one_raises(tp, bound):
+    prop = tp.property("Consistent")
+    for kind in ("S1", "S4"):
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            recomp_verify(tp, prop, kind, bound=bound)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"bound": 0}, {"bound": -1}, {"workers": 0}, {"workers": -2}],
+    ids=["bound-0", "bound-negative", "workers-0", "workers-negative"])
+def test_portfolio_rejects_a_bound_or_worker_count_below_one(
+        tp, pool, monkeypatch, kwargs):
+    # checked before the pool starts: no worker is forked
+    launches = _LaunchCounter()
+    monkeypatch.setattr(engine, "multiprocessing", launches)
+    kwargs = {"workers": 2, **kwargs}
+    with pytest.raises(ValueError, match="must be at least 1"):
+        run_portfolio(tp, tp.property("Consistent"), ["S1", "S4"], **kwargs)
+    assert launches.launched == 0 and pool.workers == []
+
+
 @pytest.mark.parametrize("mode", ["Observational", "bogus", None])
 def test_an_unknown_minimize_mode_raises(tp, mode):
     prop = tp.property("Consistent")
@@ -816,6 +883,13 @@ def test_portfolio_raises_for_a_map_off_the_components(tp, pool, monkeypatch,
     assert launches.launched == 0 and pool.workers == []
 
 
+@pytest.mark.parametrize("kind", ["S1", "S4"])
+def test_a_property_on_unknown_variables_raises(tp, kind):
+    lock = parse(lockserv(3))
+    with pytest.raises(SpecError, match="references unknown variables"):
+        recomp_verify(tp, lock.property("Mutex"), kind)
+
+
 def test_verdict_conclusiveness():
     assert Verdict(HOLDS).conclusive()
     assert Verdict(VIOLATED, witness=()).conclusive()
@@ -840,7 +914,8 @@ def test_every_traced_name_is_called_through_the_engine_globals():
     """The tracer patches names in `recomp.engine`'s namespace, so each
     must be a global there that the engine's functions look up."""
     looked_up = set()
-    for fn in (engine.comp_verify, engine.recomp_verify, engine._reduced):
+    for fn in (engine.comp_verify, engine.recomp_verify, engine._reduced,
+               engine.ordered_components):
         looked_up.update(fn.__code__.co_names)
     for name in _load_tracer().TRACED:
         assert name in vars(engine), name
