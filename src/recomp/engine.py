@@ -35,7 +35,7 @@ from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
                   is_tau, minimize, pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
-from .semantics import DEFAULT_BOUND, err_lts, err_reach, to_lts
+from .semantics import err_lts, err_reach, state_bound, to_lts
 
 # the values of `minimize_mode`
 MINIMIZE_MODES = ("strong", "observational")
@@ -92,9 +92,7 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
     the bound, and a cancelled run with the stages it finished.  A bound
     below 1 raises `ValueError`."""
     _check_mode(minimize_mode)
-    bound = DEFAULT_BOUND if bound is None else bound
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    bound = state_bound(bound)
     observational = minimize_mode == "observational"
 
     def hidden(l, visible_actions):
@@ -226,8 +224,9 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     if timeout is not None and not 0 < timeout <= MAX_TIMEOUT:
         raise ValueError("timeout must be above 0 and at most %d seconds"
                          % MAX_TIMEOUT)
-    if (bound is not None and bound < 1) or workers < 1:
-        raise ValueError("bound and workers must be at least 1")
+    bound = state_bound(bound)
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     _check_mode(minimize_mode)
     strategies = [Strategy(s) if isinstance(s, str) else s for s in strategies]
     if not strategies:
@@ -241,7 +240,7 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
     deadline = None if timeout is None else time.monotonic() + timeout
     # a call that waits for another thread's race spends its own timeout
     if not _POOL.lock.acquire(timeout=-1 if timeout is None else timeout):
-        return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None
+        return _timed_out()
     try:
         return _POOL.race((spec, prop, bound, minimize_mode),
                           strategies, workers, deadline)
@@ -283,8 +282,7 @@ class _Pool:
 
     def race(self, job, strategies, workers, deadline):
         if not self._settle(deadline):
-            return (Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(),
-                    None)
+            return _timed_out()
         if self.finished is None:  # the first race since the pool started
             self.finished = _shared_counter(_multiprocessing().get_context(),
                                             self.races)
@@ -316,12 +314,10 @@ class _Pool:
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
-                        return (Verdict(INCONCLUSIVE, reason="timeout"),
-                                _empty_stats(), None)
+                        return _timed_out()
                 ready = _ready(running, remaining)
                 if not ready:
-                    return (Verdict(INCONCLUSIVE, reason="timeout"),
-                            _empty_stats(), None)
+                    return _timed_out()
                 for w in sorted(ready, key=running.get):
                     strat = strategies[running.pop(w)]
                     result = self._result(w)
@@ -508,3 +504,8 @@ _POOL = _Pool()
 def _empty_stats():
     return StatsReport(strategy="", n=0, m=0, k=0, stages=(),
                        max_states=0, elapsed_ms=0)
+
+
+def _timed_out():
+    """`run_portfolio`'s outcome when its timeout passes first."""
+    return Verdict(INCONCLUSIVE, reason="timeout"), _empty_stats(), None

@@ -27,6 +27,10 @@ of the SCC it steps to.  No weak transition relation is built.
 minimal deterministic automaton of its visible traces with pi kept,
 which preserves whether pi is reachable in a composition: a subset
 construction over int bitmasks, then a strong quotient.
+
+A portfolio cancels the checks that lose its race, so every loop here
+that grows with the state space spends its work through one budget,
+`_poller(cancel)`, which polls the token as `_POLL_EVERY` says.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
-# Loops poll their `cancel` argument once per this many edges they read
-# or append (`_refine` also once per this many states,
-# `_branching_refine` per pairs, set elements or SCCs it reads), so that
-# the time between two polls is bounded by work done rather than by
-# states expanded.
+# The cancellation budget.  A loop spends the units of work it does (edges
+# read or appended, pairs, set elements, states or SCCs) through
+# `_poller(cancel)`, which polls `cancel` each time another this many
+# units have been spent, and after a large spend on each call until it
+# has caught up, so that the time between two polls is bounded by work
+# done rather than by states expanded.  A loop that works in slices
+# spends this much per slice, and so polls after each.
 _POLL_EVERY = 1024
 
 _tau_counter = itertools.count()
@@ -58,9 +64,19 @@ class Cancelled(Exception):
     """Cooperative cancellation requested by the portfolio coordinator."""
 
 
-def _check_cancel(cancel):
-    if cancel is not None and cancel.is_set():
-        raise Cancelled()
+def _poller(cancel):
+    """`spend(n)` for the budget `_POLL_EVERY` describes; it raises
+    `Cancelled` at a poll that finds `cancel` set (None never is)."""
+    due = _POLL_EVERY
+
+    def spend(n):
+        nonlocal due
+        due -= n
+        if due <= 0:
+            due += _POLL_EVERY
+            if cancel is not None and cancel.is_set():
+                raise Cancelled()
+    return spend
 
 
 def is_tau(label):
@@ -108,8 +124,7 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
     one absorbing pi, the last state, with a self-loop on every label;
     `is_pi` runs once per distinct key.  With `stop_at_pi` the search
     ends at the first edge into pi, leaving states discovered but not
-    expanded without edges.  `cancel` is polled after expanding a state
-    once another `_POLL_EVERY` edges have been appended.
+    expanded without edges.  It spends the edges it appends.
     """
     index = {}
     order = []
@@ -142,7 +157,7 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
     labels_append, dsts_append = labels.append, dsts.append
     done = stop_at_pi and pi_seen
     head = 0
-    next_poll = _POLL_EVERY
+    spend = _poller(cancel)
     while head < len(order) and not done:
         for lab, key in successors(order[head]):
             i = get(key)
@@ -155,10 +170,8 @@ def explore(initials, successors, alphabet, is_pi, bound=None, cancel=None,
                 break
         head += 1
         e = len(dsts)
+        spend(e - offsets[-1])
         offsets.append(e)
-        if e >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
     offsets.extend([len(dsts)] * (len(order) - head))
 
     n = len(order)
@@ -217,8 +230,7 @@ def compose(a, b, bound=None, cancel=None):
     a's rows (the running composite's, in the engine) are read as stored;
     a row of b (the minimized group) is split into shared-label targets
     and interleaved edges when the search first reaches its state, and
-    kept.  `cancel` is polled once per `_POLL_EVERY` edges split, on top
-    of the polls of the search.
+    kept; the edges split are spent on top of the search's.
     """
     if a.pi is not None and b.pi is not None:
         raise ValueError("at most one composition operand may carry pi")
@@ -235,16 +247,11 @@ def compose(a, b, bound=None, cancel=None):
     b_sync = [lab in shared for lab in b.alphabet]
     b_offsets, b_labels, b_dsts = b.offsets, b.labels, b.dsts
     b_rows = [None] * b.n_states  # (union label -> targets, free edges)
-    split_edges = 0
-    next_poll = _POLL_EVERY
+    spend = _poller(cancel)
 
     def split(y):
-        nonlocal split_edges, next_poll
         lo, hi = b_offsets[y], b_offsets[y + 1]
-        split_edges += hi - lo
-        if split_edges >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
+        spend(hi - lo)
         row_shared, row_free = {}, []
         for lab, t in zip(b_labels[lo:hi], b_dsts[lo:hi]):
             ul = b_union[lab]
@@ -288,24 +295,25 @@ def _refine(l, seed, cancel=None):
     width = len(l.alphabet)
     block = list(seed)
     n_blocks = len(set(block))
+    spend = _poller(cancel)
     while True:
         keys = _edge_keys(l, range(width), [b * width for b in block],
-                          cancel)
+                          spend)
         sigs = {}
         new = []
         for lo in range(0, l.n_states, _POLL_EVERY):
             hi = lo + _POLL_EVERY
             new += [sigs.setdefault((b, frozenset(keys[r])), len(sigs))
                     for b, r in zip(block[lo:hi], rows[lo:hi])]
-            _check_cancel(cancel)
+            spend(_POLL_EVERY)
         if len(sigs) == n_blocks:
             return new
         block, n_blocks = new, len(sigs)
 
 
-def _edge_keys(l, label_key, target_key, cancel):
+def _edge_keys(l, label_key, target_key, spend):
     """label_key[label] + target_key[target] for l's edges, in a list
-    built in slices of `_POLL_EVERY` edges with a poll after each."""
+    built in slices of `_POLL_EVERY` edges."""
     labels, dsts = l.labels, l.dsts
     label_key = list(label_key)
     keys = []
@@ -313,7 +321,7 @@ def _edge_keys(l, label_key, target_key, cancel):
         hi = lo + _POLL_EVERY
         keys += [label_key[lab] + target_key[t]
                  for lab, t in zip(labels[lo:hi], dsts[lo:hi])]
-        _check_cancel(cancel)
+        spend(_POLL_EVERY)
     return keys
 
 
@@ -323,28 +331,22 @@ def _quotient(l, block, cancel=None):
     over its members' edges, coded as label * blocks + block of target
     (`_edge_keys`), whose int order is the pairs' order, and decoded by
     `divmod`.  Only reachable blocks are kept (all of them on an LTS
-    that `explore` built), and pi's block becomes the last.  `cancel`
-    is also polled once per `_POLL_EVERY` edges of l read."""
+    that `explore` built), and pi's block becomes the last."""
     n_blocks = max(block) + 1
     members = [[] for _ in range(n_blocks)]
     for s, b in enumerate(block):
         members[b].append(s)
+    spend = _poller(cancel)
     keys = _edge_keys(l, range(0, len(l.alphabet) * n_blocks, n_blocks),
-                      block, cancel)
+                      block, spend)
     offsets = l.offsets
-    read = 0
-    next_poll = _POLL_EVERY
 
     def successors(b):
-        nonlocal read, next_poll
         row = set()
         for s in members[b]:
             lo, hi = offsets[s], offsets[s + 1]
             row.update(keys[lo:hi])
-            read += hi - lo
-        if read >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
+            spend(hi - lo)
         return map(divmod, sorted(row), itertools.repeat(n_blocks))
 
     pi = block[l.pi] if l.pi is not None else None
@@ -352,7 +354,7 @@ def _quotient(l, block, cancel=None):
                    l.alphabet, lambda b: b == pi, cancel=cancel)
 
 
-def _tau_sccs(l, tau, seed, cancel=None):
+def _tau_sccs(l, tau, seed, spend):
     """The tau-SCCs of l, by an iterative Tarjan over its tau edges whose
     two ends share a seed block.
 
@@ -361,8 +363,8 @@ def _tau_sccs(l, tau, seed, cancel=None):
     component, and the components are numbered in the order Tarjan
     emits them, sinks first, so a tau edge inside a seed block never
     leads to a higher number.  Component c's states are
-    members[member_offsets[c]:member_offsets[c + 1]].  `cancel` is
-    polled once per `_POLL_EVERY` edges read.
+    members[member_offsets[c]:member_offsets[c + 1]].  It spends the
+    edges it reads.
     """
     n = l.n_states
     offsets, labels, dsts = l.offsets, l.labels, l.dsts
@@ -373,8 +375,6 @@ def _tau_sccs(l, tau, seed, cancel=None):
     member_offsets = array("q", [0])
     stack = []
     counter = 0
-    read = 0
-    next_poll = _POLL_EVERY
     for root in range(n):
         if index[root] >= 0:
             continue
@@ -397,10 +397,7 @@ def _tau_sccs(l, tau, seed, cancel=None):
                     if scc[w] < 0 and index[w] < low[v]:  # on the stack
                         low[v] = index[w]
                 e += 1
-            read += e - work[-1][1]
-            if read >= next_poll:
-                _check_cancel(cancel)
-                next_poll += _POLL_EVERY
+            spend(e - work[-1][1])
             if descend >= 0:
                 work[-1] = (v, e)
                 index[descend] = low[descend] = counter
@@ -441,13 +438,14 @@ def _branching_refine(l, seed, cancel=None):
     the SCCs its inert steps lead to, reused as they are when they hold
     the rest.  Rounds run over the SCCs, whose key is (block,
     signature); the final partition is numbered by first occurrence over
-    the states, as in `_refine`.  Every pass polls `cancel` once per
-    `_POLL_EVERY` pairs, set elements or SCCs it reads.
+    the states, as in `_refine`.  Every pass spends the pairs, set
+    elements or SCCs it reads.
     """
     tau = [is_tau(lab) for lab in l.alphabet]
     width = len(tau) + 1  # label codes: the label's index, or tau_code
     tau_code = len(tau)
-    scc, members, member_offsets = _tau_sccs(l, tau, seed, cancel)
+    spend = _poller(cancel)
+    scc, members, member_offsets = _tau_sccs(l, tau, seed, spend)
     n_scc = len(member_offsets) - 1
 
     # Per SCC, as CSR over SCC numbers: the other SCCs one tau step
@@ -459,17 +457,12 @@ def _branching_refine(l, seed, cancel=None):
     vis_sccs = array("i")
     offsets, labels, dsts = l.offsets, l.labels, l.dsts
     scc_of = scc.__getitem__
-    read = 0
-    next_poll = _POLL_EVERY
     for c in range(n_scc):
         pairs = set()
         for m in members[member_offsets[c]:member_offsets[c + 1]]:
             lo, hi = offsets[m], offsets[m + 1]
             pairs.update(zip(labels[lo:hi], map(scc_of, dsts[lo:hi])))
-            read += hi - lo
-        if read >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
+            spend(hi - lo)
         taus = [p for p in pairs if tau[p[0]]]
         pairs.difference_update(taus)
         succ.extend({d for _, d in taus if d != c})
@@ -486,8 +479,6 @@ def _branching_refine(l, seed, cancel=None):
         # pair (code, block b) as code + width * b
         key = [width * b for b in block]
         sig = [None] * n_scc
-        read = 0
-        next_poll = _POLL_EVERY
         for c in range(n_scc):
             lo, hi = vis_offsets[c], vis_offsets[c + 1]
             slo, shi = succ_offsets[c], succ_offsets[c + 1]
@@ -505,13 +496,10 @@ def _branching_refine(l, seed, cancel=None):
                 rest = [s for s in inert if s is not base and not s <= base]
                 sig[c] = (base.union(own, *rest) if rest or not own <= base
                           else base)
-                read += sum(map(len, inert))
+                spend(sum(map(len, inert)))
             else:
                 sig[c] = frozenset(own)
-            read += hi - lo + shi - slo
-            if read >= next_poll:
-                _check_cancel(cancel)
-                next_poll += _POLL_EVERY
+            spend(hi - lo + shi - slo)
 
         ids = {}
         new = []
@@ -519,7 +507,7 @@ def _branching_refine(l, seed, cancel=None):
             hi = lo + _POLL_EVERY
             new += [ids.setdefault(k, len(ids))
                     for k in zip(block[lo:hi], sig[lo:hi])]
-            _check_cancel(cancel)
+            spend(_POLL_EVERY)
         if len(ids) == n_blocks:
             break
         block, n_blocks = new, len(ids)
@@ -564,9 +552,7 @@ def determinize(l, cancel=None):
     pi exactly when some path of l that spells it, taus aside, reaches
     pi; whether pi is reachable in a composition with systems that share
     no tau therefore does not change.  If the subsets without pi
-    outnumber l's states other than pi, l is returned unchanged.  The
-    closure pass, the step pass and the subset search poll `cancel` once
-    per `_POLL_EVERY` edges they read.
+    outnumber l's states other than pi, l is returned unchanged.
     """
     n = l.n_states
     if n == 0:
@@ -577,12 +563,11 @@ def determinize(l, cancel=None):
     for j, i in enumerate(visible):
         relabel[i] = j
     offsets, labels, dsts = l.offsets, l.labels, l.dsts
+    spend = _poller(cancel)
 
     # tau-closures per tau-SCC, sinks first (`_tau_sccs`)
-    scc, members, member_offsets = _tau_sccs(l, tau, [0] * n, cancel)
+    scc, members, member_offsets = _tau_sccs(l, tau, [0] * n, spend)
     closure = []
-    read = 0
-    next_poll = _POLL_EVERY
     for c in range(len(member_offsets) - 1):
         mask = 0
         for m in members[member_offsets[c]:member_offsets[c + 1]]:
@@ -591,18 +576,13 @@ def determinize(l, cancel=None):
             for lab, t in zip(labels[lo:hi], dsts[lo:hi]):
                 if tau[lab] and scc[t] != c:
                     mask |= closure[scc[t]]
-            read += hi - lo
+            spend(hi - lo)
         closure.append(mask)
-        if read >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
     closure = [closure[c] for c in scc]
 
     # per state, its (visible label, union of the closures of its
     # targets by that label) pairs; pi's row is never read
     steps = [()] * n
-    read = 0
-    next_poll = _POLL_EVERY
     for s in range(n):
         if s != l.pi:
             row = {}
@@ -611,17 +591,10 @@ def determinize(l, cancel=None):
                 j = relabel[lab]
                 if j >= 0:
                     row[j] = row.get(j, 0) | closure[t]
-            read += hi - lo
+            spend(hi - lo)
             steps[s] = tuple(row.items())
-        if read >= next_poll:
-            _check_cancel(cancel)
-            next_poll += _POLL_EVERY
-
-    read = 0
-    next_poll = _POLL_EVERY
 
     def successors(mask):
-        nonlocal read, next_poll
         row = {}
         get = row.get
         bits = bin(mask)[:1:-1]  # bit i at position i
@@ -630,10 +603,7 @@ def determinize(l, cancel=None):
             step = steps[s]
             for j, m in step:
                 row[j] = get(j, 0) | m
-            read += len(step)
-            if read >= next_poll:
-                _check_cancel(cancel)
-                next_poll += _POLL_EVERY
+            spend(len(step))
             s = bits.find("1", s + 1)
         return sorted(row.items())
 

@@ -28,8 +28,9 @@ Set, record and tuple literals built from literals, constants and the
 action parameter are evaluated once per build, when the module runs: a
 constant one as a module-level value, one that reads the parameter as a
 module-level list indexed by the element's position in the Next domain.
-Only these constructors are hoisted, since they cannot fail; every other
-operator runs where the spec evaluates it.  The test suite cross-checks
+So are the elements of a binder's domain that names a constant set.
+Only these are hoisted, since they cannot fail; every other operator
+runs where the spec evaluates it.  The test suite cross-checks
 the compiled code against an independent oracle.
 """
 
@@ -44,6 +45,16 @@ from .syntax import SpecError
 from .values import EvalError
 
 DEFAULT_BOUND = 10_000_000
+
+
+def state_bound(bound):
+    """The state bound a run keeps to: `DEFAULT_BOUND` for None.  A
+    bound below 1 raises `ValueError`."""
+    if bound is None:
+        return DEFAULT_BOUND
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    return bound
 
 
 # --------------------------------------------------------------------------
@@ -114,10 +125,12 @@ DEFAULT_BOUND = 10_000_000
 # raises the same EvalError and reads the same variables.  Only a leading
 # run may move, since a later part runs only after the parts before it
 # fail for some element.  Each hoisting quantifier of a module binds its
-# own s<k>, as nested binders may share a name.  Where the domain names a
-# constant whose value is a set, its elements are known at compile time:
-# they are bound once, to a module-level `_h<k>` as hoisted constructors
-# are, and the emptiness test is decided then, so an empty domain
+# own s<k>, as nested binders may share a name.  Where a binder's domain
+# (`\A`, `\E` or a function literal, hoisting or not) names a constant
+# whose value is a set, its elements are known at compile time: they are
+# bound once per module, to a module-level `_h<k>` as hoisted
+# constructors are, and every such binder reads that name.  A hoisting
+# quantifier also decides its emptiness test then, so an empty domain
 # compiles to `True` (`\A`) or `False` (`\E`) and a non-empty one to
 # `(H1 or ... or all(rest for b_x in _h<k>))`.  A quantifier inside a
 # comprehension's domain does not hoist, since Python allows no
@@ -237,9 +250,13 @@ class _Codegen:
         return body, "for b_%s in %%s" % var
 
     def _elems(self, domain, bound, iterable):
-        """Source of the elements of a binder's domain; `iterable` when
-        the source goes into a comprehension's `for` clause, where Python
+        """Source of the elements of a binder's domain: for a constant
+        set, the module-level name they are bound to.  `iterable` when the
+        source goes into a comprehension's `for` clause, where Python
         allows no assignment expression, so no quantifier in it hoists."""
+        if self._const_set(domain, bound) is not None:
+            return self.hoisted.setdefault("_elems(c_%s)" % domain.id,
+                                           "_h%d" % len(self.hoisted))
         outer = self.iterable
         self.iterable = outer or iterable
         src = "_elems(%s)" % self.expr(domain, bound)
@@ -308,7 +325,8 @@ class _Codegen:
         leading parts of the body (`_split`) that do not mention the bound
         name are hoisted before the loop, after the domain's elements are
         bound to s<k> and tested for emptiness; a constant set's elements
-        are bound in the module instead, and its emptiness decided here."""
+        are read from the module (`_elems`), and its emptiness decided
+        here."""
         forall = isinstance(e, sx.Forall)
         quant = "all" if forall else "any"
         parts = _split(e.body, forall)
@@ -328,8 +346,7 @@ class _Codegen:
             elems = "s%d" % self.domains
             self.domains += 1
         else:
-            elems = self.hoisted.setdefault("_elems(c_%s)" % e.domain.id,
-                                            "_h%d" % len(self.hoisted))
+            elems = self._elems(e.domain, bound, False)
         rest = parts[lead:]
         if rest:
             body = rest[0] if len(rest) == 1 else (
@@ -624,7 +641,7 @@ def _enumerate(spec, prop, bound, cancel, stop_at_pi=False):
     violates = ns["violates"] if prop is not None else lambda c: False
     try:
         return explore(initials, ns["successors"], alphabet, violates,
-                       bound or DEFAULT_BOUND, cancel, stop_at_pi)
+                       state_bound(bound), cancel, stop_at_pi)
     finally:
         # the module's functions hold it as their globals, so without
         # this its tables and caches would wait for a full collection
@@ -651,7 +668,7 @@ def err_reach(spec, prop, bound=None, cancel=None):
     """
     sets = symmetric_sets(spec, prop)
     if sets:
-        return _reduced_reach(spec, prop, sets, bound, cancel)
+        return _reduced_reach(spec, prop, sets, state_bound(bound), cancel)
     l = _enumerate(spec, prop, bound, cancel, stop_at_pi=True)
     trace = pi_trace(l)
     return trace is not None, l.n_states, trace
@@ -800,8 +817,7 @@ def _reduced_reach(spec, prop, sets, bound, cancel):
                 yield lab, canon(t)
 
         l = explore([canon(c) for c in initials], reduced, alphabet,
-                    ns["violates"], bound or DEFAULT_BOUND, cancel,
-                    stop_at_pi=True)
+                    ns["violates"], bound, cancel, stop_at_pi=True)
         path = pi_path(l)
         if path is None:
             return False, l.n_states, None

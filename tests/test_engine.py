@@ -401,7 +401,7 @@ def test_observational_minimize_stops_in_its_refinement_rounds():
 
     class InRounds:
         def is_set(self):
-            frame = sys._getframe(2)  # past `_check_cancel`
+            frame = sys._getframe(2)  # past the poller's `spend`
             if (frame.f_code.co_name == "_branching_refine"
                     and "sig" in frame.f_locals):
                 tripped.append(frame.f_lineno)

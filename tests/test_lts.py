@@ -10,7 +10,8 @@ from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
                         tau_closures, trace_set, traces_equal, weak_minimize,
                         weak_subsets, weak_words, weakly_bisimilar)
 from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded,
-                        _branching_refine, _refine, compose, determinize,
+                        _branching_refine, _poller, _refine, compose,
+                        determinize,
                         explore, hide_labels, is_tau, minimize, pi_reachable,
                         pi_trace)
 
@@ -447,7 +448,7 @@ def test_determinize_polls_in_each_of_its_passes():
 
     class ByPass:
         def is_set(self):
-            frame = sys._getframe(2)  # past `_check_cancel`
+            frame = sys._getframe(2)  # past the poller's `spend`
             name = frame.f_code.co_name
             if name == "determinize":
                 name = "step" if "steps" in frame.f_locals else "closure"
@@ -466,6 +467,59 @@ def test_determinize_polls_in_each_of_its_passes():
 
     with pytest.raises(Cancelled):
         determinize(l, Set())
+
+
+class _Counting:
+    """A cancel token that counts its polls, and is set once `set` is."""
+
+    def __init__(self, set=False):
+        self.polls = 0
+        self.set = set
+
+    def is_set(self):
+        self.polls += 1
+        return self.set
+
+
+def test_poller_polls_once_per_budget():
+    token = _Counting()
+    spend = _poller(token)
+    for _ in range(3 * _POLL_EVERY - 1):
+        spend(1)
+    assert token.polls == 2
+    spend(1)
+    assert token.polls == 3
+    spend(0)
+    assert token.polls == 3
+    # None never cancels
+    _poller(None)(10 * _POLL_EVERY)
+
+
+def test_poller_catches_up_after_a_large_spend():
+    """One spend of 3 x `_POLL_EVERY` polls on that call and on each of
+    the next two, whatever they spend, then once per `_POLL_EVERY`."""
+    token = _Counting()
+    spend = _poller(token)
+    spend(3 * _POLL_EVERY)
+    assert token.polls == 1
+    spend(1)
+    spend(1)
+    assert token.polls == 3
+    for _ in range(_POLL_EVERY - 3):
+        spend(1)
+    assert token.polls == 3
+    spend(1)
+    assert token.polls == 4
+
+
+def test_poller_raises_on_a_set_token():
+    token = _Counting(set=True)
+    spend = _poller(token)
+    spend(_POLL_EVERY - 1)
+    assert token.polls == 0
+    with pytest.raises(Cancelled):
+        spend(1)
+    assert token.polls == 1
 
 
 def test_hide_labels_uses_fresh_tau():

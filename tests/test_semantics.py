@@ -56,6 +56,25 @@ def test_violating_states_do_not_count_against_the_bound(tp):
         err_lts(tp, prop, bound=90)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_a_bound_below_one_raises_in_every_build(monkeypatch, bound):
+    """Before, `bound=0` ran with the default and `bound=-3` reported
+    that a state bound of -3 was exceeded."""
+    spec = parse(twophase(2))
+    prop = spec.property("Consistent")
+    builds = [lambda: to_lts(spec, bound), lambda: err_lts(spec, prop, bound),
+              lambda: err_reach(spec, prop, bound)]
+    for build in builds:
+        with pytest.raises(ValueError, match="bound must be at least 1"):
+            build()
+    # err_reach without the symmetry reduction, and None for the default
+    monkeypatch.setattr(semantics, "symmetric_sets", lambda spec, prop: [])
+    with pytest.raises(ValueError, match="bound must be at least 1"):
+        err_reach(spec, prop, bound)
+    assert semantics.state_bound(None) == semantics.DEFAULT_BOUND
+    assert err_reach(spec, prop) == (False, 56, None)
+
+
 def _search(f):
     try:
         return f()

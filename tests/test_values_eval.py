@@ -477,8 +477,8 @@ def test_twophase_applies_and_updates_at_the_parameter_position():
     assert src.count("_apply(") == 2 and "_except(" not in src
     # Consistent applies rmState at the positions of its two binders, and
     # its rm1 disjunct runs once per rm1, before the loop over rm2;
-    # RMs is a non-empty constant set, so the inner loop reads its
-    # elements from the module, bound once
+    # RMs is a non-empty constant set, so both loops read its elements
+    # from the module, bound once
     cg = _Codegen(spec.config, spec.variables, spec.name)
     src = cg.predicate_fn(spec.property("Consistent").body)
     rm1, rm2 = (_inline_apply("q[1]", "b_" + x, "j_" + x)
@@ -486,7 +486,7 @@ def test_twophase_applies_and_updates_at_the_parameter_position():
     assert src == (
         "def prop(q):\n    return all(((not (%s == ('str', 'aborted'))) or "
         "all((not (%s == ('str', 'committed'))) for j_rm2, b_rm2 in "
-        "enumerate(_h0))) for j_rm1, b_rm1 in enumerate(_elems(c_RMs)))\n"
+        "enumerate(_h0))) for j_rm1, b_rm1 in enumerate(_h0))\n"
         % (rm1, rm2))
     assert cg.hoisted == {"_elems(c_RMs)": "_h0"}
     _assert_properties_match_oracle(spec)
@@ -500,6 +500,21 @@ def test_mutex_is_not_hoisted():
     assert ":=" not in src
     assert src.startswith("def prop(q):\n    return all(all(((b_x == b_y) "
                           "or (not (")
+
+
+def test_every_binder_reads_a_constant_set_domain_from_the_module():
+    """Mutex's two quantifiers hoist nothing, and a function literal
+    never does; each still reads Clients' elements from the one
+    module-level name they are bound to, not from `_elems` per call."""
+    spec = parse(lockserv(3) + "\nPROPERTY Fun\n  [c \\in Clients |-> 0] "
+                 "= [c \\in Clients |-> 0]\n")
+    for name in ("Mutex", "Fun"):
+        cg = _Codegen(spec.config, spec.variables, spec.name)
+        src = cg.predicate_fn(spec.property(name).body)
+        assert cg.hoisted == {"_elems(c_Clients)": "_h0"}, name
+        assert "_elems(c_Clients)" not in src, name
+        assert src.count("_h0") == 2, name
+    _assert_properties_match_oracle(spec)
 
 
 def _inline_apply(f, b, j):
@@ -605,7 +620,7 @@ def test_constant_set_domains_are_decided_at_compile_time():
     # an empty one leaves the quantifier's value alone
     assert sources["EmptyForall"] == (
         "def prop(q):\n    return ((q[1] == ('int', 2)) or "
-        "all(True for b_x in _elems(c_S)))\n", {})
+        "all(True for b_x in _h0))\n", {"_elems(c_S)": "_h0"})
     assert sources["EmptyExists"] == (
         "def prop(q):\n    return ((q[1] == ('int', 0)) or False)\n", {})
     # any other domain compiles as before, and fails where it is read
