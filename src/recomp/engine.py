@@ -12,8 +12,11 @@ same way between compositions, but only when it hides a label.
 `recomp_verify` is the full pipeline (decompose, order, map, statically
 reduce, build groups, verify); under S4 it checks the parsed spec
 itself.  `run_portfolio` races several strategies in separate
-processes and returns the first conclusive answer.  Its worker processes
-are started on first use and persist across `run_portfolio` calls in one
+processes and returns the first conclusive answer.  With fewer workers
+than strategies the first wave decides the race, so under symmetry S4,
+the reduced whole-system search, starts second, directly behind the
+caller's first strategy (`_launch_order`).  The worker processes are
+started on first use and persist across `run_portfolio` calls in one
 process; the losers of a race finish cancelling in the background while
 the caller goes on.  The workers are daemonic, so multiprocessing stops
 them when the interpreter exits.  `multiprocessing` itself is imported on
@@ -35,7 +38,8 @@ from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
                   is_tau, minimize, pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
-from .semantics import err_lts, err_reach, state_bound, to_lts
+from .semantics import (err_lts, err_reach, state_bound, symmetric_sets,
+                        to_lts)
 
 # the values of `minimize_mode`
 MINIMIZE_MODES = ("strong", "observational")
@@ -213,8 +217,11 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
                   bound=None, minimize_mode="strong"):
     """Race the strategies on the worker pool; the first conclusive
     verdict wins, and losers are cancelled cooperatively and finish in
-    the background.  A worker that exits without a result is an
-    inconclusive outcome.  Concurrent calls take turns.  A timeout must
+    the background.  At most `workers` run at once, and the next starts
+    when one ends inconclusive, in the order `_launch_order` gives: the
+    caller's, except that S4 starts second under symmetry when there are
+    fewer workers than strategies.  A worker that exits without a result
+    is an inconclusive outcome.  Concurrent calls take turns.  A timeout must
     lie in (0, `MAX_TIMEOUT`] seconds, the bound and the worker count
     must be at least 1, the mode must be one of `MINIMIZE_MODES`, and a
     custom map must cover the spec's components exactly once: each
@@ -237,6 +244,7 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
         comps = decompose(spec, prop)
         for f in custom:
             static_reduce(f, comps)
+    strategies = _launch_order(spec, prop, strategies, workers)
     deadline = None if timeout is None else time.monotonic() + timeout
     # a call that waits for another thread's race spends its own timeout
     if not _POOL.lock.acquire(timeout=-1 if timeout is None else timeout):
@@ -246,6 +254,21 @@ def run_portfolio(spec, prop, strategies, workers=4, timeout=None,
                           strategies, workers, deadline)
     finally:
         _POOL.lock.release()
+
+
+def _launch_order(spec, prop, strategies, workers):
+    """The strategies in the order the pool starts them, as a new list.
+    With fewer workers than strategies and a symmetric set in the check,
+    S4 moves to second place, directly behind the caller's first
+    strategy: its search of one state per orbit is the fastest plan on
+    every symmetric check of the corpus, but it never finishes on a spec
+    with an unbounded counter, which the first strategy may decide at
+    once.  Otherwise the order is the caller's."""
+    i = next((i for i, s in enumerate(strategies) if s.kind == "S4"), 0)
+    if i < 2 or workers >= len(strategies) or not symmetric_sets(spec, prop):
+        return list(strategies)
+    return ([strategies[0], strategies[i]] + strategies[1:i]
+            + strategies[i + 1:])
 
 
 # Seconds a worker may take, after its race has ended, to post its

@@ -633,6 +633,81 @@ def test_pool_replaces_a_worker_killed_while_idle(tp, pool):
     assert all(w.process.is_alive() for w in pool.workers)
 
 
+PORTFOLIO = ("S1", "S2", "S3", "S4")
+
+
+def _launch_order(spec, kinds, workers=2, prop="Consistent"):
+    """The kinds `_launch_order` starts, with the caller's list checked
+    to be unchanged; a custom map is named by its `Strategy`."""
+    strategies = [Strategy(k) if isinstance(k, str) else k for k in kinds]
+    given = list(strategies)
+    out = engine._launch_order(spec, spec.property(prop), strategies,
+                               workers)
+    assert strategies == given and out is not strategies
+    return [s.kind if s.custom is None else s for s in out]
+
+
+def test_launch_order_starts_s4_second_under_symmetry(tp):
+    assert semantics.symmetric_sets(tp, tp.property("Consistent"))
+    assert _launch_order(tp, PORTFOLIO) == ["S1", "S4", "S2", "S3"]
+    assert _launch_order(tp, PORTFOLIO, workers=1) == ["S1", "S4", "S2",
+                                                       "S3"]
+
+
+@pytest.mark.parametrize("kinds", [["S4", "S1"], ["S2", "S3"], ["S1", "S4"]])
+def test_launch_order_keeps_an_order_without_s4_behind_second(tp, kinds):
+    assert _launch_order(tp, kinds, workers=1) == kinds
+
+
+def test_launch_order_keeps_a_custom_maps_relative_place(tp):
+    assert _launch_order(tp, ["S1", TUNED, "S2", "S4"]) == [
+        "S1", "S4", TUNED, "S2"]
+    assert _launch_order(tp, [TUNED, "S2", "S4"], workers=1) == [
+        TUNED, "S4", "S2"]
+
+
+def test_launch_order_without_symmetry_is_the_callers():
+    spec = parse(_asym_twophase(3))
+    assert not semantics.symmetric_sets(spec, spec.property("Consistent"))
+    assert _launch_order(spec, PORTFOLIO) == list(PORTFOLIO)
+
+
+def test_launch_order_with_a_worker_per_strategy_is_the_callers(tp):
+    assert _launch_order(tp, PORTFOLIO, workers=4) == list(PORTFOLIO)
+    assert _launch_order(tp, ["S1", "S2", "S4"], workers=3) == [
+        "S1", "S2", "S4"]
+
+
+def test_one_worker_starts_the_callers_first_strategy_first(pool):
+    # S4 alone runs toward the default bound on the counter; S1 decides
+    # the check in milliseconds
+    counter = parse(tpcounter(3))
+    prop = counter.property("Consistent")
+    assert semantics.symmetric_sets(counter, prop)
+    (verdict, stats, winner), seconds = _bounded(lambda: run_portfolio(
+        counter, prop, list(PORTFOLIO), workers=1))
+    assert verdict.outcome == HOLDS
+    assert winner == Strategy("S1") and stats.strategy == "S1"
+    assert seconds < 10
+
+
+@pytest.mark.parametrize("model,size", [(twophase, 4), (tpcounter, 3)],
+                         ids=["twophase4", "tpcounter3"])
+def test_portfolio_witnesses_replay_whichever_strategy_wins(model, size):
+    # which strategy wins is timing-dependent; S4's witnesses are
+    # representatives' paths renamed back to concrete states
+    spec = parse(model(size))
+    prop = spec.property("NoPrepares")
+    kinds = list(PORTFOLIO)
+    for _ in range(5):
+        (verdict, stats, winner), _ = _bounded(lambda: run_portfolio(
+            spec, prop, kinds, workers=2))
+        assert verdict.outcome == VIOLATED
+        assert stats.strategy == winner.kind
+        _assert_replays(spec, prop, verdict.witness)
+    assert kinds == list(PORTFOLIO)
+
+
 class _LaunchCounter:
     """Stands in for `multiprocessing` in the engine, and for its default
     context, and counts the processes started through it."""
