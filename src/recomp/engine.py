@@ -8,7 +8,15 @@ determinize, since only visible traces, and which of them reach the
 error state, decide the verdict.  The minimization mode decides only
 what is hidden: in observational mode, the actions no other group
 needs; in strong mode, nothing.  The running composite is reduced the
-same way between compositions, but only when it hides a label.
+same way between compositions, but only when it hides a label.  The
+last group is searched rather than built: nothing after it uses its
+reduction, so `compose` searches its product with the composite over
+the group's compiled successors (`semantics.unbuilt`) up to the first
+step into the error state, and only if that search outgrows the group,
+or the bound, is the group built, reduced and composed like the others.  Under a
+tracer of the engine's names, the searched group's enumeration is
+timed as `compose`, not `to_lts`; a build after the search gives up is
+timed as `to_lts`.
 `recomp_verify` is the full pipeline (decompose, order, map, statically
 reduce, build groups, verify); under S4 it checks the parsed spec
 itself.  `run_portfolio` races several strategies in separate
@@ -39,7 +47,7 @@ from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import (err_lts, err_reach, state_bound, symmetric_sets,
-                        to_lts)
+                        to_lts, unbuilt)
 
 # the values of `minimize_mode`
 MINIMIZE_MODES = ("strong", "observational")
@@ -68,7 +76,14 @@ class Stage:
     """One group's sizes: `generated` as built, `minimized` after
     reduction (in observational mode possibly determinized), and
     `composed` the product with the running composite before any
-    reduction of it, which is what `max_states` counts."""
+    reduction of it, which is what `max_states` counts.
+
+    A last group that is searched, not built, has `generated` the group
+    states the search reached (the targets of the group's steps it
+    read), `minimized` None, and `composed` the product searched;
+    `max_states` counts only the product.  A search that gives up, past
+    its budget or the bound, is not reported: the stage is the group as
+    built after it."""
 
     name: str
     generated: int
@@ -91,10 +106,12 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
                 cancel=None):
     """Iterative compose-and-check over the property group and the
     ordered groups; Holds as soon as pi is unreachable (k groups used),
-    Violated if it stays reachable through all of them.  A run that
-    exceeds the bound ends with the stage it was building, its count at
-    the bound, and a cancelled run with the stages it finished.  A bound
-    below 1 raises `ValueError`."""
+    Violated if it stays reachable through all of them.  The last group
+    is searched in the product, not built, unless the search outgrows
+    it or the bound (`lts.compose`).  A run that exceeds the bound ends with the
+    stage it was building, its count at the bound, and a cancelled run
+    with the stages it finished.  A bound below 1 raises
+    `ValueError`."""
     _check_mode(minimize_mode)
     bound = state_bound(bound)
     observational = minimize_mode == "observational"
@@ -146,7 +163,22 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         composed_alpha = set(sx.symbolic_actions(d_p))
         for j, g in enumerate(groups):
             building = partial(Stage, g.name)
-            gl = to_lts(g, bound, cancel)
+            if j + 1 < len(groups):
+                gl = to_lts(g, bound, cancel)
+            else:
+                with unbuilt(g) as src:
+                    product = compose(d, src, bound=bound, cancel=cancel)
+                    if product is not None:
+                        k_done = j + 1
+                        stages.append(Stage(g.name, src.n_states,
+                                            composed=product.n_states))
+                        max_states = max(max_states, product.n_states)
+                        if not pi_reachable(product):
+                            return report(Verdict(HOLDS), k_done)
+                        return report(Verdict(
+                            VIOLATED, witness=pi_trace(product)), k_done)
+                    # the search outgrew the group or the bound
+                    gl = to_lts(src, bound, cancel)
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
             later = set().union(*remaining_alpha[j + 1:])

@@ -8,6 +8,8 @@ keeps multi-million-edge systems affordable.  `explore` is the one
 breadth-first search: enumeration, error automata, composition and
 quotients all feed it a successor function, and the layout it leaves
 (see `Lts`) answers the error-state queries without a second search.
+`compose` also takes an `Unbuilt` operand, a system given by its
+successor function, and searches the product with it up to pi.
 Labels are concrete actions `(name, argument)`; hidden actions are
 relabeled to a tau label that is unique per LTS, so tau never
 synchronizes in a composition.
@@ -222,6 +224,56 @@ def pi_reachable(l):
 # Composition
 
 
+class Unbuilt:
+    """A system given by its successor function in place of CSR rows, for
+    `compose` to search without building it: `successors(key)` yields
+    (label index, key) pairs over `alphabet`.  Keys are numbered as first
+    seen, the initial keys first, so `n_states` is the number of states
+    the rows read so far (`row`) have reached."""
+
+    pi = None
+
+    def __init__(self, initials, successors, alphabet):
+        self.successors = successors
+        self.alphabet = tuple(alphabet)
+        self.keys = []
+        self._index = {}
+        self.initials = tuple(map(self._number, initials))
+
+    @property
+    def n_states(self):
+        return len(self.keys)
+
+    def _number(self, key):
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.keys)
+            self.keys.append(key)
+        return i
+
+    def row(self, y):
+        """State y's (label index, target) pairs, its targets numbered."""
+        number = self._number
+        return [(lab, number(key))
+                for lab, key in self.successors(self.keys[y])]
+
+
+# An `Unbuilt` operand's search gives up once it has expanded more product
+# states than the operand has states numbered, plus this many: past that
+# the product outgrows the operand, and building and reducing the operand
+# first is the cheaper plan.  A search starts with the operand's initial
+# states only, so without a slack it would give up at once; 64 lets the
+# searches that pay get going (lockserv(5) `Mutex` S2 pairs a 7-state
+# property group with a group of 65,536 states and reaches 512 product
+# states), and twophase(6) `Consistent` S2, whose group reduces from
+# 1,459 to 731 states, still gives up after 311 product states.
+_SEARCH_SLACK = 64
+
+
+class _GaveUp(Exception):
+    """A search of an `Unbuilt` operand outgrew it (`compose`)."""
+
+
 def compose(a, b, bound=None, cancel=None):
     """Parallel composition: synchronize on shared labels, interleave the
     rest; restricted to reachable product states; pi coordinates collapse
@@ -231,7 +283,15 @@ def compose(a, b, bound=None, cancel=None):
     a row of b (the minimized group) is split into shared-label targets
     and interleaved edges when the search first reaches its state, and
     kept; the edges split are spent on top of the search's.
+
+    b may be `Unbuilt`, whose rows are read from its successor function
+    (`Unbuilt.row`) as the search reaches them.  Only a's pi can then
+    end the check, so the search stops at the first edge into pi; and it
+    gives up, returning None, once it has expanded more product states
+    than b has states numbered, plus `_SEARCH_SLACK`, or once the product
+    exceeds the bound, which b built and reduced may still keep to.
     """
+    unbuilt = isinstance(b, Unbuilt)
     if a.pi is not None and b.pi is not None:
         raise ValueError("at most one composition operand may carry pi")
     if b.pi is not None:
@@ -245,15 +305,22 @@ def compose(a, b, bound=None, cancel=None):
     a_sync = [lab in shared for lab in a.alphabet]
     b_union = [uidx[lab] for lab in b.alphabet]
     b_sync = [lab in shared for lab in b.alphabet]
-    b_offsets, b_labels, b_dsts = b.offsets, b.labels, b.dsts
-    b_rows = [None] * b.n_states  # (union label -> targets, free edges)
+    if unbuilt:
+        read = b.row
+    else:
+        b_offsets, b_labels, b_dsts = b.offsets, b.labels, b.dsts
+
+        def read(y):
+            lo, hi = b_offsets[y], b_offsets[y + 1]
+            return list(zip(b_labels[lo:hi], b_dsts[lo:hi]))
+    b_rows = {}  # state of b -> (union label -> targets, free edges)
     spend = _poller(cancel)
 
     def split(y):
-        lo, hi = b_offsets[y], b_offsets[y + 1]
-        spend(hi - lo)
+        row = read(y)
+        spend(len(row))
         row_shared, row_free = {}, []
-        for lab, t in zip(b_labels[lo:hi], b_dsts[lo:hi]):
+        for lab, t in row:
             ul = b_union[lab]
             if b_sync[lab]:
                 row_shared.setdefault(ul, []).append(t)
@@ -264,7 +331,7 @@ def compose(a, b, bound=None, cancel=None):
 
     def successors(key):
         x, y = key
-        row_shared, row_free = b_rows[y] or split(y)
+        row_shared, row_free = b_rows.get(y) or split(y)
         for lab, t in a.out(x):
             ul = a_union[lab]
             if a_sync[lab]:
@@ -275,10 +342,28 @@ def compose(a, b, bound=None, cancel=None):
         for ul, t2 in row_free:
             yield ul, (x, t2)
 
+    if unbuilt:
+        product = successors
+        expanded = 0
+
+        def successors(key):
+            nonlocal expanded
+            expanded += 1
+            if expanded > b.n_states + _SEARCH_SLACK:
+                raise _GaveUp()
+            return product(key)
+
     a_pi = a.pi
-    return explore([(x, y) for x in a.initials for y in b.initials],
-                   successors, alphabet, lambda key: key[0] == a_pi,
-                   bound, cancel)
+    try:
+        return explore([(x, y) for x in a.initials for y in b.initials],
+                       successors, alphabet, lambda key: key[0] == a_pi,
+                       bound, cancel, stop_at_pi=unbuilt)
+    except _GaveUp:
+        return None
+    except StateBoundExceeded:
+        if unbuilt:
+            return None
+        raise
 
 
 # --------------------------------------------------------------------------

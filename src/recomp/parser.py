@@ -87,6 +87,8 @@ class _Parser:
     def __init__(self, text):
         self.toks = tokenize(text)
         self.i = 0
+        # the column of the innermost `/\` bullet being parsed (0: none)
+        self.bullet = 0
 
     # -- token helpers
 
@@ -146,8 +148,12 @@ class _Parser:
         return parts[0] if len(parts) == 1 else sx.Or(tuple(parts))
 
     def and_expr(self, no_and=False):
+        """A `/\\` at or left of the innermost bullet's column starts the
+        next item of its conjunct list, as in TLA+, so it ends this
+        expression even inside a quantifier's body."""
         parts = [self.cmp_expr()]
-        while not no_and and self.at("/\\"):
+        while (not no_and and self.at("/\\")
+               and self.peek()[3] > self.bullet):
             self.take()
             parts.append(self.cmp_expr())
         return parts[0] if len(parts) == 1 else sx.And(tuple(parts))
@@ -289,9 +295,12 @@ class _Parser:
 
     def conjunct_list(self):
         out = []
+        outer = self.bullet
         while self.at("/\\"):
+            self.bullet = self.peek()[3]
             self.take()
             out.append(self.expr(no_and=True))
+        self.bullet = outer
         if not out:
             self.error("expected a `/\\`-prefixed conjunct list")
         return tuple(out)

@@ -6,7 +6,9 @@ generates.  `eval_const` evaluates expressions closed over the constants
 (`to_lts`, `err_lts`, `err_reach`) compiles one generated module that
 holds the spec's successor generator and, for a property, its predicate,
 and builds its state graph with `lts.explore`, the breadth-first LTS
-builder.
+builder.  `unbuilt` compiles the module without building: it gives the
+generator to `lts.compose` to search, and `to_lts` builds from it if
+the search gives up.
 
 Every build codes its states: a state is a tuple of small ids, one per
 variable in the spec's variable order, each naming a value in that
@@ -36,11 +38,12 @@ the compiled code against an independent oracle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from operator import getitem
 
 from . import syntax as sx
 from . import values as va
-from .lts import explore, pi_path, pi_trace
+from .lts import Unbuilt, explore, pi_path, pi_trace
 from .syntax import SpecError
 from .values import EvalError
 
@@ -649,8 +652,27 @@ def _enumerate(spec, prop, bound, cancel, stop_at_pi=False):
 
 
 def to_lts(spec, bound=None, cancel=None):
-    """Reachable state graph of a spec as an LTS."""
+    """Reachable state graph of a spec as an LTS.  `spec` may instead be
+    an `lts.Unbuilt` system from `unbuilt`: the build then reuses its
+    compiled module, whose caches hold the successors a search of it
+    already computed."""
+    if isinstance(spec, Unbuilt):
+        initials = [spec.keys[i] for i in spec.initials]
+        return explore(initials, spec.successors, spec.alphabet,
+                       lambda c: False, state_bound(bound), cancel)
     return _enumerate(spec, None, bound, cancel)
+
+
+@contextmanager
+def unbuilt(spec):
+    """The spec's state graph as an `lts.Unbuilt` system over its compiled
+    successor generator, for `lts.compose` to search without building
+    it; the module is released on exit."""
+    initials, alphabet, ns = _compile(spec)
+    try:
+        yield Unbuilt(initials, ns["successors"], alphabet)
+    finally:
+        ns.clear()
 
 
 def err_lts(spec, prop, bound=None, cancel=None):

@@ -174,7 +174,8 @@ def fmt_expr(e, prec=0):
 
 
 def _fmt_conjunct(c):
-    # quantifier conjuncts need parentheses in a `/\`-bulleted list
+    # a quantifier conjunct is printed in parentheses, so that its body
+    # ends where they close and not only at the next bullet
     if isinstance(c, (sx.Forall, sx.Exists)):
         return "(%s)" % fmt_expr(c)
     return fmt_expr(c, _PREC["and"] + 1)

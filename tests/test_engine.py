@@ -32,6 +32,13 @@ def tp():
 # the hand-tuned two-phase commit map: components 2..4 to groups 1, 2, 1
 TUNED = Strategy("custom", custom=make_map([(1, P), (2, 1), (3, 2), (4, 1)]))
 
+# lockserv's components, in total order, are its slices onto holds,
+# grants, rels, server and reqs: this map builds grants, rels and reqs as
+# a middle group (4,096 states at size 4, 32,768 at size 5) and searches
+# server's group last
+LOCKSERV_MIDDLE = Strategy("custom", custom=make_map(
+    [(1, P), (2, 1), (3, 1), (4, 2), (5, 1)]))
+
 
 def _assert_replays(spec, prop, witness):
     trace = [(name, oc._conv(arg)) for name, arg in witness]
@@ -132,14 +139,18 @@ def test_bound_exceeded_is_inconclusive(tp):
     # the property group
     (twophase, 5, "Consistent", "S3", 2000, [
         ("TwoPhase_C1_TwoPhase_C4_TwoPhase_C2", 2000)]),
-    # a group, after the property group
-    (lockserv, 5, "Mutex", "S2", 5000, [
-        ("LockServ_C1", 7, 7),
-        ("LockServ_C3_LockServ_C4_LockServ_C2_LockServ_C5", 5000)]),
+    # a group, after the property group and before the last
+    (lockserv, 5, "Mutex", LOCKSERV_MIDDLE, 5000, [
+        ("LockServ_C1", 7, 7), ("LockServ_C3_LockServ_C4_LockServ_C5", 5000)]),
     # the composite of the property group and a group
     (twophase, 5, "Consistent", "S1", 2000, [
         ("TwoPhase_C1", 455, 245), ("TwoPhase_C4", 128, 128, 2000)]),
-], ids=["search", "property-group", "group", "composite"])
+    # the last group: its search gives up at the bound, and the build
+    # that follows stops there
+    (lockserv, 5, "Mutex", "S2", 300, [
+        ("LockServ_C1", 7, 7),
+        ("LockServ_C3_LockServ_C4_LockServ_C2_LockServ_C5", 300)]),
+], ids=["search", "property-group", "group", "composite", "last-group"])
 def test_bound_exceeded_reports_the_stage_at_the_bound(model, size, prop,
                                                         kind, bound, stages):
     spec = parse(model(size))
@@ -249,12 +260,32 @@ def _group_edges_reached(a, b):
     return sum(b.offsets[y + 1] - b.offsets[y] for y in reached)
 
 
+def _count_rows_read(monkeypatch):
+    """The lengths of the rows that `Unbuilt.row` returns from now on."""
+    lengths = []
+    row = lts.Unbuilt.row
+
+    def counted(self, y):
+        out = row(self, y)
+        lengths.append(len(out))
+        return out
+    monkeypatch.setattr(lts.Unbuilt, "row", counted)
+    return lengths
+
+
+def _searched(l):
+    """Edges `explore` appended to l before pi's self-loops."""
+    return l.n_edges if l.pi is None else l.offsets[l.pi]
+
+
 def test_polls_are_bounded_by_edges(monkeypatch):
-    """lockserv(4) S2 checks, with strong and with observational
-    minimization, poll their cancel token at least once per
-    `_POLL_EVERY` edges of every LTS they build, and of every pass that
-    minimization and composition make over the edges they read.
-    Composition reads the group's rows that its search reaches.
+    """lockserv(4) checks that build a 4,096-state middle group, with
+    strong and with observational minimization, poll their cancel token
+    at least once per `_POLL_EVERY` edges of every LTS they build, and of
+    every pass that minimization and composition make over the edges
+    they read.  Composition reads the group's rows that its search
+    reaches; a search of the last group (`test_searched_stage_polls`)
+    reads its rows from the group's successors.
 
     Minimization of a system without tau labels (every stage in strong
     mode, and those that hide nothing in observational mode) reads every
@@ -273,6 +304,7 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     called = {"strong": {"explore", "minimize", "compose"},
               "observational": {"explore", "minimize", "determinize",
                                 "compose"}}
+    rows_read = _count_rows_read(monkeypatch)
 
     def count(module, name, needed):
         fn = getattr(module, name)
@@ -284,35 +316,72 @@ def test_polls_are_bounded_by_edges(monkeypatch):
             return out
         monkeypatch.setattr(module, name, counted)
 
-    def searched(l):  # edges appended before pi's self-loops
-        return (l.n_edges if l.pi is None else l.offsets[l.pi]) // _POLL_EVERY
-
     def read(l):
         return l.n_edges // _POLL_EVERY
 
     def passes(l, hide):
         return 3 if any(map(lts.is_tau, hide_labels(l, hide).alphabet)) else 2
 
-    count(lts, "explore", lambda args, out: searched(out))
-    count(semantics, "explore", lambda args, out: searched(out))
+    def composed(args, out):
+        """The product, and the rows of the group (the operand without
+        pi) that it reaches; of a searched group, the rows it read, and
+        no product if the search gave up."""
+        if isinstance(args[1], lts.Unbuilt):
+            rows = sum(rows_read) // _POLL_EVERY
+            rows_read.clear()
+            return rows + (0 if out is None else _searched(out)
+                           // _POLL_EVERY)
+        a, b = args if args[1].pi is None else args[::-1]
+        return (_searched(out) // _POLL_EVERY
+                + _group_edges_reached(a, b) // _POLL_EVERY)
+
+    count(lts, "explore", lambda args, out: _searched(out) // _POLL_EVERY)
+    count(semantics, "explore",
+          lambda args, out: _searched(out) // _POLL_EVERY)
     count(engine, "minimize",
           lambda args, out: passes(*args) * read(args[0]))
-    count(engine, "determinize", lambda args, out: 3 * searched(args[0]))
-    # the product, and the rows of the group (the operand without pi)
-    # that it reaches
-    count(engine, "compose", lambda args, out: searched(out) + (
-        _group_edges_reached(*args) if args[1].pi is None
-        else _group_edges_reached(args[1], args[0])) // _POLL_EVERY)
+    count(engine, "determinize",
+          lambda args, out: 3 * (_searched(args[0]) // _POLL_EVERY))
+    count(engine, "compose", composed)
     spec = parse(lockserv(4))
     for mode in called:
         checked.clear()
-        verdict, _ = recomp_verify(spec, spec.property("Mutex"), "S2",
-                                   minimize_mode=mode, cancel=cancel)
+        verdict, _ = recomp_verify(spec, spec.property("Mutex"),
+                                   LOCKSERV_MIDDLE, minimize_mode=mode,
+                                   cancel=cancel)
         assert verdict.outcome == HOLDS
         assert {name for name, _, _ in checked} == called[mode]
         assert max(needed for _, _, needed in checked) >= 50  # big enough
         short = [c for c in checked if c[1] < c[2]]
         assert not short, (mode, short)
+
+
+def test_searched_stage_polls(monkeypatch):
+    """The search of lockserv(6) `Mutex`'s last group under S2 polls its
+    cancel token at least once per `_POLL_EVERY` edges it appends to the
+    product, and once per `_POLL_EVERY` edges it reads from the group's
+    rows."""
+    cancel = _CountingCancel()
+    rows_read = _count_rows_read(monkeypatch)
+    searches = []
+    compose = engine.compose
+
+    def counted(a, b, **kwargs):
+        before = cancel.polls
+        out = compose(a, b, **kwargs)
+        searches.append((cancel.polls - before,
+                         _searched(out) // _POLL_EVERY
+                         + sum(rows_read) // _POLL_EVERY))
+        return out
+    monkeypatch.setattr(engine, "compose", counted)
+    spec = parse(lockserv(6))
+    verdict, stats = recomp_verify(spec, spec.property("Mutex"), "S2",
+                                   cancel=cancel)
+    assert verdict.outcome == HOLDS
+    assert stats.stages[-1].minimized is None  # searched, not built
+    [(polls, needed)] = searches
+    assert needed >= 5  # big enough
+    assert polls >= needed
 
 
 _CAPPED_OBSERVATIONAL_CHECK = """
@@ -324,27 +393,31 @@ cap = 1200 * 2 ** 20
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 if hard == resource.RLIM_INFINITY or hard > cap:
     resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-from recomp import parse, recomp_verify
+from recomp import Strategy, parse, recomp_verify
 from recomp.corpus import lockserv
+from recomp.recompose import P, make_map
 spec = parse(lockserv(4))
-verdict, stats = recomp_verify(spec, spec.property("Mutex"), "S2",
+middle = Strategy("custom", custom=make_map(
+    [(1, P), (2, 1), (3, 1), (4, 2), (5, 1)]))
+verdict, stats = recomp_verify(spec, spec.property("Mutex"), middle,
                                bound=30_000, minimize_mode="observational")
-print(verdict.outcome, stats.max_states, stats.stages[-1].minimized)
+print(verdict.outcome, stats.max_states, stats.stages[1].minimized)
 """
 
 
 def test_observational_minimization_fits_in_1_2_gb():
-    """lockserv(4) `Mutex` under S2 hides most labels of its one 8,192-state
-    group.  Its observational check runs in a process that caps its own
-    address space at 1.2 GB, as `tests/fingerprint.py` does; saturating
-    the weak transition relation raised `MemoryError` there.  Branching
-    refinement keeps one signature set per tau-SCC and builds no
-    saturated relation."""
+    """lockserv(4) `Mutex` under `LOCKSERV_MIDDLE` hides most labels of its
+    4,096-state middle group.  Its observational check runs in a process
+    that caps its own address space at 1.2 GB, as `tests/fingerprint.py`
+    does; saturating the weak transition relation raised `MemoryError`
+    there on the 8,192-state group that S2 built before the last group
+    was searched.  Branching refinement keeps one signature set per
+    tau-SCC and builds no saturated relation."""
     src = str(pathlib.Path(__file__).parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", _CAPPED_OBSERVATIONAL_CHECK,
                            src], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["holds", "8192", "512"]
+    assert proc.stdout.split() == ["holds", "4096", "256"]
 
 
 def _group_ltss(spec, prop, f=None, kind=None):
@@ -483,14 +556,19 @@ def _asym_twophase(n):
       ("minimize", 256, 256)]),
     # the property group and the first group hide labels and are
     # determinized; so is the first composite, which hides the labels
-    # that only they name
+    # that only they name; the last group is searched, unreduced
     (twophase(7), TUNED, 4247,
-     [(4247, 705, None), (384, 130, 833), (128, 128, 129)],
+     [(4247, 705, None), (384, 130, 833), (128, None, 129)],
      [("minimize", 4247, 1265), ("determinize", 1265, 705),
       ("minimize", 384, 130), ("determinize", 130, 130),
-      ("minimize", 833, 131), ("determinize", 131, 130),
-      ("minimize", 128, 128)]),
-], ids=["asym-twophase6-S1", "twophase7-tuned"])
+      ("minimize", 833, 131), ("determinize", 131, 130)]),
+    # the search of the last group gives up, so the group is built, and
+    # it hides the labels only it names and is determinized
+    (twophase(6), Strategy("S2"), 1459,
+     [(1395, 321, None), (1459, 66, 320)],
+     [("minimize", 1395, 563), ("determinize", 563, 321),
+      ("minimize", 1459, 66), ("determinize", 66, 66)]),
+], ids=["asym-twophase6-S1", "twophase7-tuned", "twophase6-S2"])
 def test_observational_stages_reduce_only_what_hides_a_label(
         monkeypatch, text, strategy, max_states, stages, reductions):
     """Each (generated, minimized, composed) stage, and the (input,
@@ -511,6 +589,48 @@ def test_observational_stages_reduce_only_what_hides_a_label(
     assert [(s.generated, s.minimized, s.composed)
             for s in stats.stages] == stages
     assert seen == reductions
+
+
+@pytest.mark.parametrize("model,size,prop,max_states,last", [
+    # searched up to the verdict: building the group would take 65,536
+    # and 96,696 states
+    (lockserv, 5, "Mutex", 512, (1664, None, 512)),
+    (twophase, 7, "NoPrepares", 17, (31, None, 17)),
+    # the search outgrows the group, which is built and reduced
+    (twophase, 6, "Consistent", 4417, (1459, 731, 4417)),
+    (tpcounter, 3, "Consistent", 93, (55, 29, 93)),
+], ids=["lockserv5-Mutex", "twophase7-NoPrepares", "twophase6-Consistent",
+        "tpcounter3-Consistent"])
+def test_the_last_group_is_searched_until_the_search_outgrows_it(
+        model, size, prop, max_states, last):
+    """S2's one group after the property group is the last: its
+    (generated, minimized, composed) stage, the group states the search
+    numbered, no reduction and the product if the search decides the
+    check, or the stage as built if it gives up."""
+    spec = parse(model(size))
+    verdict, stats = recomp_verify(spec, spec.property(prop), "S2")
+    expected = VIOLATED if prop == "NoPrepares" else HOLDS
+    assert verdict.outcome == expected
+    if expected == VIOLATED:
+        _assert_replays(spec, spec.property(prop), verdict.witness)
+    assert stats.max_states == max_states
+    s = stats.stages[-1]
+    assert (s.generated, s.minimized, s.composed) == last
+
+
+def test_a_search_past_the_bound_leaves_the_check_to_the_build():
+    """twophase(2) `Consistent` S2 searches a product of 56 states, but
+    the group reduces from 19 states to 11 and its product has 29: under
+    a bound of 40 the search gives up and the build decides the check."""
+    spec = parse(twophase(2))
+    prop = spec.property("Consistent")
+    _, searched = recomp_verify(spec, prop, "S2")
+    assert searched.stages[-1].composed == 56
+    verdict, stats = recomp_verify(spec, prop, "S2", bound=40)
+    assert verdict.outcome == HOLDS
+    assert stats.max_states == 29
+    s = stats.stages[-1]
+    assert (s.generated, s.minimized, s.composed) == (19, 11, 29)
 
 
 # --------------------------------------------------------------------------

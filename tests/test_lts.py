@@ -9,10 +9,10 @@ from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
                         refine, shortest_pi_trace, strong_minimize,
                         tau_closures, trace_set, traces_equal, weak_minimize,
                         weak_subsets, weak_words, weakly_bisimilar)
-from recomp.lts import (_POLL_EVERY, Cancelled, StateBoundExceeded,
-                        _branching_refine, _poller, _refine, compose,
-                        determinize,
-                        explore, hide_labels, is_tau, minimize, pi_reachable,
+from recomp.lts import (_POLL_EVERY, _SEARCH_SLACK, Cancelled,
+                        StateBoundExceeded, Unbuilt, _branching_refine,
+                        _poller, _refine, compose, determinize, explore,
+                        hide_labels, is_tau, minimize, pi_reachable,
                         pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
@@ -170,6 +170,65 @@ def test_compose_splits_only_the_group_rows_it_reaches():
         out = compose(x, y, cancel=Counting())
         assert (out.n_states, out.n_edges) == (1, 0)
     assert polls == []
+
+
+def _unbuilt(l):
+    """l as an `Unbuilt` system whose keys are l's states, shifted so
+    that the numbering `Unbuilt` gives them differs from l's."""
+    return Unbuilt([s + 100 for s in l.initials],
+                   lambda k: [(lab, t + 100) for lab, t in l.out(k - 100)],
+                   l.alphabet)
+
+
+def test_unbuilt_numbers_keys_as_first_seen():
+    u = Unbuilt(["b", "a"], lambda k: [(0, "c"), (1, "a")], [("A", None),
+                                                              ("B", None)])
+    assert (u.initials, u.keys) == ((0, 1), ["b", "a"])
+    assert u.row(1) == [(0, 2), (1, 1)]
+    assert (u.n_states, u.keys) == (3, ["b", "a", "c"])
+
+
+def test_compose_searches_an_unbuilt_operand_up_to_pi():
+    """Against the product with the built operand: the same verdict and a
+    shortest witness of the same length, or the same product when pi is
+    out of reach; unless the search gave up."""
+    rng = random.Random(12)
+    searched = 0
+    for _ in range(200):
+        a, b = rand_lts(rng, 4, with_pi=True), rand_lts(rng, 5)
+        full = compose(a, b)
+        out = compose(a, _unbuilt(b))
+        if out is None:
+            continue
+        searched += 1
+        assert pi_reachable(out) == pi_reachable(full)
+        if pi_reachable(full):
+            assert len(pi_trace(out)) == len(pi_trace(full))
+            assert out.n_states <= full.n_states
+        else:
+            assert (out.n_states, out.n_edges) == (full.n_states,
+                                                   full.n_edges)
+    assert searched == 200  # too small to give up
+
+
+def test_compose_gives_up_once_the_product_outgrows_the_unbuilt_operand():
+    """A product that expands more states than the unbuilt operand has
+    numbered, plus `_SEARCH_SLACK`, returns None; one state fewer, and
+    the search runs to the end.  A search past the bound returns None
+    too, where the product with the built operand raises."""
+    b = lts_from_edges(1, [("B", None)], [], [0])
+    for n, gives_up in ((_SEARCH_SLACK + 2, True),
+                        (_SEARCH_SLACK + 1, False)):
+        # a: a chain of n states on A, which b does not name
+        a = lts_from_edges(n, [("A", None)],
+                           [(s, 0, s + 1) for s in range(n - 1)], [0])
+        out = compose(a, _unbuilt(b))
+        assert (out is None) == gives_up
+        if out is not None:
+            assert out.n_states == n
+    with pytest.raises(StateBoundExceeded):
+        compose(a, b, bound=n - 1)
+    assert compose(a, _unbuilt(b), bound=n - 1) is None
 
 
 def test_two_pi_operands_rejected():

@@ -2,9 +2,11 @@ from pathlib import Path
 
 import pytest
 
-from recomp import parse
+import oracle as oc
+from recomp import parse, recomp_verify
 from recomp import syntax as sx
 from recomp.corpus import ALL
+from recomp.engine import HOLDS, VIOLATED
 from recomp.parser import ParseError
 from spec_helpers import pretty
 
@@ -126,8 +128,8 @@ def test_unknown_property_raises():
 
 
 def test_quantifier_conjunct_requires_parens():
-    # an unparenthesized \A swallows the following conjuncts, so the
-    # canonical printer emits parens; check they round-trip
+    # the canonical printer emits parens around a quantifier conjunct;
+    # check they round-trip
     text = _module("""
 ACTION Step(d)
   /\\ (\\A n \\in {1} : x = 0)
@@ -141,3 +143,70 @@ NEXT \\E d \\in {"a"} :
     assert len(a.conjuncts) == 2
     assert isinstance(a.conjuncts[0], sx.Forall)
     assert parse(pretty(spec)) == spec
+
+
+# a bare quantifier conjunct, then a bullet at its column
+BARE = """MODULE Bare
+
+CONSTANTS S
+
+VARIABLES f, s
+
+CONFIG
+  S = {"a", "b"}
+
+INIT
+  /\\ f = [q \\in S |-> "v0"]
+  /\\ s = "v0"
+
+ACTION Go(p)
+  /\\ %s
+  /\\ s' = "v1"
+  /\\ f' = [f EXCEPT ![p] = "v1"]
+
+ACTION Back(p)
+  /\\ f[p] = "v1"
+  /\\ f' = [f EXCEPT ![p] = "v0"]
+  /\\ UNCHANGED <<s>>
+
+NEXT \\E p \\in S :
+  \\/ Go(p)
+  \\/ Back(p)
+
+PROPERTY Stays
+  s = "v0"
+
+PROPERTY SomeV0
+  \\E q \\in S : f[q] = "v0"
+"""
+QUANTIFIER = '\\E q \\in S : f[q] = "v0" /\\ q /= p'
+
+
+def test_bare_quantifier_conjunct_ends_at_the_next_bullet():
+    """As in TLA+, a `/\\` at the column of the list's bullets ends the
+    quantifier's body, so the bare conjunct parses as the parenthesized
+    one; a `/\\` right of that column continues the body."""
+    bare = parse(BARE % QUANTIFIER)
+    assert bare == parse(BARE % ("(%s)" % QUANTIFIER))
+    go = bare.actions[0]
+    assert len(go.conjuncts) == 3
+    assert isinstance(go.conjuncts[0], sx.Exists)
+    assert isinstance(go.conjuncts[0].body, sx.And)
+    wrapped = parse(BARE % QUANTIFIER.replace(" /\\", "\n        /\\"))
+    assert wrapped == bare
+
+
+def test_bare_quantifier_conjunct_agrees_with_the_oracle():
+    spec = parse(BARE % QUANTIFIER)
+    for prop in spec.properties:
+        holds, _ = oc.oracle_check(spec, prop)
+        for kind in ("S1", "S2", "S3", "S4"):
+            for mode in ("strong", "observational"):
+                verdict, _ = recomp_verify(spec, prop, kind,
+                                           minimize_mode=mode)
+                assert verdict.outcome == (HOLDS if holds else VIOLATED)
+                if not holds and mode == "strong":
+                    trace = [(a, oc._conv(d)) for a, d in verdict.witness]
+                    end = oc.oracle_replay(spec, trace)
+                    assert not oc.o_eval(prop.body,
+                                         {**oc._consts(spec), **dict(end)})
