@@ -7,16 +7,20 @@ follows one rule: minimize after hiding and, if a label was hidden,
 determinize, since only visible traces, and which of them reach the
 error state, decide the verdict.  The minimization mode decides only
 what is hidden: in observational mode, the actions no other group
-needs; in strong mode, nothing.  The running composite is reduced the
-same way between compositions, but only when it hides a label.  The
-last group is searched rather than built: nothing after it uses its
-reduction, so `compose` searches its product with the composite over
-the group's compiled successors (`semantics.unbuilt`) up to the first
-step into the error state, and only if that search outgrows the group,
-or the bound, is the group built, reduced and composed like the others.  Under a
-tracer of the engine's names, the searched group's enumeration is
-timed as `compose`, not `to_lts`; a build after the search gives up is
-timed as `to_lts`.
+needs; in strong mode, nothing.  The running composite is kept as the
+operands folded since its last reduction, and built (`compose`) only
+where a stage reduces it, because it hides a label, or at the last
+group; any other stage only asks whether the error state is reachable,
+which a depth-first search of the operands' product answers
+(`pi_reachable`).  The last group is searched rather than built:
+nothing after it uses its reduction, so `compose` searches its product
+with the operands over the group's compiled successors
+(`semantics.unbuilt`) up to the first step into the error state, and
+only if that search outgrows the group, or the bound, is the group
+built, reduced and composed like the others.  Under a tracer of the
+engine's names, the searched group's enumeration is timed as
+`compose`, not `to_lts`; a build after the search gives up is timed as
+`to_lts`.
 `recomp_verify` is the full pipeline (decompose, order, map, statically
 reduce, build groups, verify); under S4 it checks the parsed spec
 itself.  `run_portfolio` races several strategies in separate
@@ -76,7 +80,10 @@ class Stage:
     """One group's sizes: `generated` as built, `minimized` after
     reduction (in observational mode possibly determinized), and
     `composed` the product with the running composite before any
-    reduction of it, which is what `max_states` counts.
+    reduction of it, which is what `max_states` counts.  A stage before
+    the last whose composite hides no label is searched, not built:
+    `composed` is then the product states the depth-first search
+    visited, all of them if the error state is unreachable.
 
     A last group that is searched, not built, has `generated` the group
     states the search reached (the targets of the group's steps it
@@ -106,23 +113,26 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
                 cancel=None):
     """Iterative compose-and-check over the property group and the
     ordered groups; Holds as soon as pi is unreachable (k groups used),
-    Violated if it stays reachable through all of them.  The last group
-    is searched in the product, not built, unless the search outgrows
-    it or the bound (`lts.compose`).  A run that exceeds the bound ends with the
-    stage it was building, its count at the bound, and a cancelled run
-    with the stages it finished.  A bound below 1 raises
-    `ValueError`."""
+    Violated if it stays reachable through all of them.  The composite
+    is the product of the operands folded since its last reduction: a
+    stage before the last that hides nothing searches that product to pi
+    (`lts.pi_reachable`), one that hides a label builds and reduces it.
+    The last group is searched in the product, not built, unless the
+    search outgrows it or the bound (`lts.compose`).  A run that exceeds
+    the bound ends with the stage it was building or searching, its
+    count at the bound, and a cancelled run with the stages it finished.
+    A bound below 1 raises `ValueError`."""
     _check_mode(minimize_mode)
     bound = state_bound(bound)
     observational = minimize_mode == "observational"
 
-    def hidden(l, visible_actions):
-        """What a stage hides: in observational mode, l's labels, tau
+    def hidden(alphabet, visible_actions):
+        """What a stage hides: in observational mode, the labels, tau
         aside, whose action is not in visible_actions; in strong mode,
         nothing."""
         if not observational:
             return set()
-        return {lab for lab in l.alphabet
+        return {lab for lab in alphabet
                 if not is_tau(lab) and lab[0] not in visible_actions}
 
     t0 = time.monotonic()
@@ -154,26 +164,32 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
         d = err_lts(d_p, prop, bound, cancel)
         gen = d.n_states
         max_states = gen
-        if not pi_reachable(d):
+        if d.pi is None:
             stages.append(Stage(d_p.name, gen))
             return report(Verdict(HOLDS), 0)
-        d = _reduced(d, hidden(d, set().union(*remaining_alpha)), cancel)
+        d = _reduced(d, hidden(d.alphabet, set().union(*remaining_alpha)),
+                     cancel)
         stages.append(Stage(d_p.name, gen, minimized=d.n_states))
 
+        # the running composite: the product of these, built only where
+        # a stage reduces it
+        operands = [d]
         composed_alpha = set(sx.symbolic_actions(d_p))
         for j, g in enumerate(groups):
             building = partial(Stage, g.name)
-            if j + 1 < len(groups):
+            last = j + 1 == len(groups)
+            if not last:
                 gl = to_lts(g, bound, cancel)
             else:
                 with unbuilt(g) as src:
-                    product = compose(d, src, bound=bound, cancel=cancel)
+                    product = compose(*operands, src, bound=bound,
+                                      cancel=cancel)
                     if product is not None:
                         k_done = j + 1
                         stages.append(Stage(g.name, src.n_states,
                                             composed=product.n_states))
                         max_states = max(max_states, product.n_states)
-                        if not pi_reachable(product):
+                        if product.pi is None:
                             return report(Verdict(HOLDS), k_done)
                         return report(Verdict(
                             VIOLATED, witness=pi_trace(product)), k_done)
@@ -182,22 +198,29 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
             later = set().union(*remaining_alpha[j + 1:])
-            gm = _reduced(gl, hidden(gl, composed_alpha | later), cancel)
+            gm = _reduced(gl, hidden(gl.alphabet, composed_alpha | later),
+                          cancel)
             building = partial(Stage, g.name, gen, gm.n_states)
-            d = compose(d, gm, bound=bound, cancel=cancel)
+            operands.append(gm)
             k_done = j + 1
             composed_alpha |= remaining_alpha[j]
+            # the composite's labels that no later group names
+            hide = hidden(set().union(*(o.alphabet for o in operands)), later)
+            if last or hide:
+                d = compose(*operands, bound=bound, cancel=cancel)
+                reached, count = d.pi is not None, d.n_states
+            else:
+                reached, count = pi_reachable(*operands, bound=bound,
+                                              cancel=cancel)
             stages.append(Stage(g.name, gen, minimized=gm.n_states,
-                                composed=d.n_states))
-            max_states = max(max_states, gen, d.n_states)
-            if not pi_reachable(d):
+                                composed=count))
+            max_states = max(max_states, gen, count)
+            if not reached:
                 return report(Verdict(HOLDS), k_done)
-            if j + 1 < len(groups):
-                # the composite's labels that no later group names
-                hide = hidden(d, later)
-                if hide:
-                    d = _reduced(d, hide, cancel)
-        return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
+            if last:
+                return report(Verdict(VIOLATED, witness=pi_trace(d)), k_done)
+            if hide:
+                operands = [_reduced(d, hide, cancel)]
     except StateBoundExceeded as exc:
         stages.append(building(exc.bound))
         max_states = max(max_states, exc.bound)

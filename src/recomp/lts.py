@@ -8,8 +8,14 @@ keeps multi-million-edge systems affordable.  `explore` is the one
 breadth-first search: enumeration, error automata, composition and
 quotients all feed it a successor function, and the layout it leaves
 (see `Lts`) answers the error-state queries without a second search.
-`compose` also takes an `Unbuilt` operand, a system given by its
-successor function, and searches the product with it up to pi.
+`compose` is the one synchronous product, of any number of operands
+(the on-the-fly product of a network of LTSs, after Garavel's
+OPEN/CAESAR): a label moves every operand whose alphabet holds it, and
+the product lists its rows as the left fold of two-operand products
+would, without building the composites in between.  Its last operand
+may be `Unbuilt`, a system given by its successor function, and the
+product with it is searched up to pi.  `pi_reachable` searches the same
+product depth first up to pi and builds nothing.
 Labels are concrete actions `(name, argument)`; hidden actions are
 relabeled to a tau label that is unique per LTS, so tau never
 synchronizes in a composition.
@@ -215,11 +221,6 @@ def pi_path(l):
     return path[::-1]
 
 
-def pi_reachable(l):
-    """Whether pi is reachable: `explore` adds pi only once reached."""
-    return l.pi is not None
-
-
 # --------------------------------------------------------------------------
 # Composition
 
@@ -274,38 +275,153 @@ class _GaveUp(Exception):
     """A search of an `Unbuilt` operand outgrew it (`compose`)."""
 
 
-def compose(a, b, bound=None, cancel=None):
-    """Parallel composition: synchronize on shared labels, interleave the
-    rest; restricted to reachable product states; pi coordinates collapse
-    into a single absorbing pi, the last state.
+def compose(*operands, bound=None, cancel=None):
+    """The synchronous product of the operands (`_product`), restricted to
+    reachable product states; pi coordinates collapse into a single
+    absorbing pi, the last state.  Its rows list the edges in the order
+    the left fold of two-operand products lists them, so `compose(a, b,
+    c)` is `compose(compose(a, b), c)`, array for array, and the
+    composites in between are never built.
 
-    a's rows (the running composite's, in the engine) are read as stored;
-    a row of b (the minimized group) is split into shared-label targets
-    and interleaved edges when the search first reaches its state, and
-    kept; the edges split are spent on top of the search's.
-
-    b may be `Unbuilt`, whose rows are read from its successor function
-    (`Unbuilt.row`) as the search reaches them.  Only a's pi can then
-    end the check, so the search stops at the first edge into pi; and it
-    gives up, returning None, once it has expanded more product states
-    than b has states numbered, plus `_SEARCH_SLACK`, or once the product
-    exceeds the bound, which b built and reduced may still keep to.
+    The last operand may be `Unbuilt`, whose rows are read from its
+    successor function (`Unbuilt.row`) as the search reaches them.  Only
+    pi can then end the check, so the search stops at the first edge into
+    pi; and it gives up, returning None, once it has expanded more
+    product states than that operand has states numbered, plus
+    `_SEARCH_SLACK`, or once the product exceeds the bound, which the
+    operand built and reduced may still keep to.
     """
+    initials, successors, alphabet, is_pi = _product(operands,
+                                                     _poller(cancel))
+    b = operands[-1]
     unbuilt = isinstance(b, Unbuilt)
-    if a.pi is not None and b.pi is not None:
-        raise ValueError("at most one composition operand may carry pi")
-    if b.pi is not None:
-        a, b = b, a
-
-    alphabet = sorted(set(a.alphabet) | set(b.alphabet), key=repr)
-    uidx = {l: i for i, l in enumerate(alphabet)}
-    shared = set(a.alphabet) & set(b.alphabet)
-
-    a_union = [uidx[lab] for lab in a.alphabet]
-    a_sync = [lab in shared for lab in a.alphabet]
-    b_union = [uidx[lab] for lab in b.alphabet]
-    b_sync = [lab in shared for lab in b.alphabet]
     if unbuilt:
+        product = successors
+        expanded = 0
+
+        def successors(key):
+            nonlocal expanded
+            expanded += 1
+            if expanded > b.n_states + _SEARCH_SLACK:
+                raise _GaveUp()
+            return product(key)
+
+    try:
+        return explore(initials, successors, alphabet, is_pi, bound, cancel,
+                       stop_at_pi=unbuilt)
+    except _GaveUp:
+        return None
+    except StateBoundExceeded:
+        if unbuilt:
+            return None
+        raise
+
+
+def pi_reachable(*operands, bound=None, cancel=None):
+    """Whether pi is reachable in the product of the operands that
+    `compose` would build, by a depth-first search of it that visits
+    each state's successors in row order and stops at the first edge
+    into pi: (reached, states visited).  It raises `StateBoundExceeded`
+    once it would visit more states than the bound, and spends the edges
+    it generates."""
+    spend = _poller(cancel)
+    initials, successors, _, is_pi = _product(operands, spend)
+    seen = set()
+    for key in initials:
+        if key in seen:
+            continue
+        if is_pi(key):
+            return True, len(seen)
+        if bound is not None and len(seen) >= bound:
+            raise StateBoundExceeded(bound)
+        seen.add(key)
+        stack = [successors(key)]
+        while stack:
+            edges = 0
+            for _, key in stack[-1]:
+                edges += 1
+                if key not in seen:
+                    if is_pi(key):
+                        spend(edges)
+                        return True, len(seen)
+                    if bound is not None and len(seen) >= bound:
+                        raise StateBoundExceeded(bound)
+                    seen.add(key)
+                    stack.append(successors(key))
+                    break
+            else:
+                stack.pop()
+            spend(edges)
+    return False, len(seen)
+
+
+def _product(operands, spend):
+    """(initial keys, successor function, alphabet, pi test) of the
+    synchronous product of the operands, which `explore` and
+    `pi_reachable` search.
+
+    A label moves every operand whose alphabet holds it, and the others
+    stay.  The product is the left fold of two-operand products, each
+    level's rows computed from the level below's as they are read, and
+    never kept: a key is the pair of a key of the operands before the
+    last and a state of the last.  The operand that carries pi, if any,
+    goes first, and pi is every key whose first coordinate is its pi.
+    At a level, the rows of the operands so far are read as the level
+    below yields them; a row of the level's operand is split into
+    shared-label targets and interleaved edges when the search first
+    reaches its state, and kept; the edges split are spent.  Only the
+    last operand may be `Unbuilt`."""
+    if not operands:
+        raise ValueError("composition needs an operand")
+    if isinstance(operands[0], Unbuilt) or any(
+            isinstance(o, Unbuilt) for o in operands[1:-1]):
+        raise ValueError("only the last of several operands may be Unbuilt")
+    carriers = [i for i, o in enumerate(operands) if o.pi is not None]
+    if len(carriers) > 1:
+        raise ValueError("at most one composition operand may carry pi")
+    if carriers:
+        i = carriers[0]
+        operands = (operands[i],) + operands[:i] + operands[i + 1:]
+
+    a = operands[0]
+    alphabet = sorted(set().union(*(o.alphabet for o in operands)), key=repr)
+    uidx = {lab: i for i, lab in enumerate(alphabet)}
+    a_union = [uidx[lab] for lab in a.alphabet]
+    if len(operands) == 1:
+        def successors(x):
+            for lab, t in a.out(x):
+                yield a_union[lab], t
+    else:
+        successors, union = a.out, a_union
+        known = set(a.alphabet)
+        for b in operands[1:]:
+            mine = set(b.alphabet)
+            successors = _level(successors, union,
+                                [alphabet[ul] in mine for ul in union],
+                                b, [uidx[lab] for lab in b.alphabet],
+                                [lab in known for lab in b.alphabet], spend)
+            union = list(range(len(alphabet)))
+            known |= mine
+
+    initials = list(a.initials)
+    for b in operands[1:]:
+        initials = [(k, y) for k in initials for y in b.initials]
+    a_pi, depth = a.pi, len(operands) - 1
+
+    def is_pi(key):
+        for _ in range(depth):
+            key = key[0]
+        return key == a_pi
+    return initials, successors, alphabet, is_pi
+
+
+def _level(read_a, a_union, a_sync, b, b_union, b_sync, spend):
+    """The successor function of the product of the operands so far,
+    whose rows `read_a` yields with labels that `a_union` maps into the
+    product's alphabet, and the operand b: a label of the former
+    synchronizes when `a_sync` says so, a label of b when `b_sync` does,
+    and the rest interleave."""
+    if isinstance(b, Unbuilt):
         read = b.row
     else:
         b_offsets, b_labels, b_dsts = b.offsets, b.labels, b.dsts
@@ -314,7 +430,6 @@ def compose(a, b, bound=None, cancel=None):
             lo, hi = b_offsets[y], b_offsets[y + 1]
             return list(zip(b_labels[lo:hi], b_dsts[lo:hi]))
     b_rows = {}  # state of b -> (union label -> targets, free edges)
-    spend = _poller(cancel)
 
     def split(y):
         row = read(y)
@@ -332,7 +447,7 @@ def compose(a, b, bound=None, cancel=None):
     def successors(key):
         x, y = key
         row_shared, row_free = b_rows.get(y) or split(y)
-        for lab, t in a.out(x):
+        for lab, t in read_a(x):
             ul = a_union[lab]
             if a_sync[lab]:
                 for t2 in row_shared.get(ul, ()):
@@ -341,29 +456,7 @@ def compose(a, b, bound=None, cancel=None):
                 yield ul, (t, y)
         for ul, t2 in row_free:
             yield ul, (x, t2)
-
-    if unbuilt:
-        product = successors
-        expanded = 0
-
-        def successors(key):
-            nonlocal expanded
-            expanded += 1
-            if expanded > b.n_states + _SEARCH_SLACK:
-                raise _GaveUp()
-            return product(key)
-
-    a_pi = a.pi
-    try:
-        return explore([(x, y) for x in a.initials for y in b.initials],
-                       successors, alphabet, lambda key: key[0] == a_pi,
-                       bound, cancel, stop_at_pi=unbuilt)
-    except _GaveUp:
-        return None
-    except StateBoundExceeded:
-        if unbuilt:
-            return None
-        raise
+    return successors
 
 
 # --------------------------------------------------------------------------

@@ -294,16 +294,18 @@ class _Parser:
     # -- top level
 
     def conjunct_list(self):
-        out = []
+        """The conjuncts, and the (line, column) of each one's bullet."""
+        out, at = [], []
         outer = self.bullet
         while self.at("/\\"):
+            at.append(self.peek()[2:])
             self.bullet = self.peek()[3]
             self.take()
             out.append(self.expr(no_and=True))
         self.bullet = outer
         if not out:
             self.error("expected a `/\\`-prefixed conjunct list")
-        return tuple(out)
+        return tuple(out), at
 
     def name_list(self):
         names = [self.ident()]
@@ -334,13 +336,19 @@ class _Parser:
                     e = self.expr()
                     config.append((cname, e))
             elif sect == "INIT":
-                init = self.conjunct_list()
+                init, _ = self.conjunct_list()
             elif sect == "ACTION":
                 aname = self.ident()
                 self.take("(")
                 param = self.ident()
                 self.take(")")
-                body = self.conjunct_list()
+                body, at = self.conjunct_list()
+                for c, (line, col) in zip(body, at):
+                    try:
+                        sx.classify_conjunct(c)
+                    except SpecError as exc:
+                        raise ParseError("action %s: %s" % (aname, exc),
+                                         line, col) from None
                 actions.append(sx.ActionDef(aname, param, body))
             elif sect == "NEXT":
                 self.take("\\E")

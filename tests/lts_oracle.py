@@ -3,6 +3,9 @@ comparisons, for the tests.
 
 `lts_from_edges` lays out an LTS from an edge list in any order, with pi
 anywhere, which the package's one builder `explore` never does.
+`product` is the synchronous product of any number of LTSs by the
+definition, over tuples of their states, where `lts.compose` folds
+two-operand products level by level.
 `shortest_pi_trace` searches any LTS for pi breadth-first, where
 `lts.pi_trace` relies on `explore`'s layout.  The comparisons are
 brute-force and test-scale: `trace_set` materializes every bounded
@@ -43,6 +46,65 @@ def lts_from_edges(n, alphabet, edges, initials, pi=None):
         dsts[i] = t
         pos[s] = i + 1
     return Lts(n, tuple(alphabet), offsets, labels, dsts, tuple(initials), pi)
+
+
+def product(*operands):
+    """The synchronous product by the definition, and its states as
+    tuples of operand states, pi's left out.
+
+    A label moves every operand whose alphabet holds it, to each
+    combination of their targets by it, and leaves the others where they
+    are.  A tuple with some operand at its pi is pi, one absorbing state
+    with a self-loop on every label.  Only reachable tuples are kept,
+    numbered as a breadth-first search finds them, pi last; each row
+    lists its labels in alphabet order, and a label's targets in the
+    order of the operands' rows."""
+    alphabet = sorted(set().union(*(o.alphabet for o in operands)),
+                      key=repr)
+    holders = [[i for i, o in enumerate(operands) if lab in o.alphabet]
+               for lab in alphabet]
+    moves = [[{o.alphabet[lab]: ts for lab, ts in row.items()}
+              for row in _grouped(o)] for o in operands]
+
+    def is_pi(key):
+        return any(s == o.pi for s, o in zip(key, operands))
+
+    keys = []
+    index = {}
+    for key in itertools.product(*(o.initials for o in operands)):
+        if not is_pi(key) and key not in index:
+            index[key] = len(keys)
+            keys.append(key)
+    initials = [index.get(key, -1) for key in
+                itertools.product(*(o.initials for o in operands))]
+    edges = []
+    head = 0
+    while head < len(keys):
+        key = keys[head]
+        for lab, (label, movers) in enumerate(zip(alphabet, holders)):
+            targets = [moves[i][key[i]].get(label, ()) for i in movers]
+            for combo in itertools.product(*targets):
+                nxt = list(key)
+                for i, t in zip(movers, combo):
+                    nxt[i] = t
+                nxt = tuple(nxt)
+                if is_pi(nxt):
+                    edges.append((head, lab, -1))
+                    continue
+                if nxt not in index:
+                    index[nxt] = len(keys)
+                    keys.append(nxt)
+                edges.append((head, lab, index[nxt]))
+        head += 1
+    n = len(keys)
+    pi = None
+    if any(t < 0 for _, _, t in edges) or -1 in initials:
+        pi = n
+        n += 1
+        edges = [(s, lab, pi if t < 0 else t) for s, lab, t in edges]
+        edges += [(pi, lab, pi) for lab in range(len(alphabet))]
+        initials = [pi if s < 0 else s for s in initials]
+    return lts_from_edges(n, alphabet, edges, initials, pi), keys
 
 
 def shortest_pi_trace(l):

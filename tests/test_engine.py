@@ -11,7 +11,7 @@ import time
 import pytest
 
 import oracle as oc
-from lts_oracle import weak_minimize
+from lts_oracle import product, weak_minimize
 from recomp import decompose, engine, lts, parse, semantics, total_order
 from recomp.corpus import ALL, consensus, lockserv, tpcounter, twophase
 from recomp.engine import (HOLDS, INCONCLUSIVE, VIOLATED, Verdict,
@@ -38,6 +38,57 @@ TUNED = Strategy("custom", custom=make_map([(1, P), (2, 1), (3, 2), (4, 1)]))
 # server's group last
 LOCKSERV_MIDDLE = Strategy("custom", custom=make_map(
     [(1, P), (2, 1), (3, 1), (4, 2), (5, 1)]))
+
+
+def _blocked(k):
+    """x and a count up to k apart, and `Bad` steps x past k only at a = k
+    + 1 and c = 0: `Small` holds, since a never gets there, and the
+    product of x's and a's systems, (k + 1) ** 2 states, has no pi."""
+    return """MODULE Blocked
+
+CONSTANTS Below, Who
+
+VARIABLES x, a, c
+
+CONFIG
+  Below = {%s}
+  Who = {"w"}
+
+INIT
+  /\\ x = 0
+  /\\ a = 0
+  /\\ c = 0
+
+ACTION IncX(w)
+  /\\ x \\in Below
+  /\\ x' = x + 1
+  /\\ UNCHANGED <<a, c>>
+
+ACTION IncA(w)
+  /\\ a \\in Below
+  /\\ a' = a + 1
+  /\\ UNCHANGED <<x, c>>
+
+ACTION Bad(w)
+  /\\ x = %d
+  /\\ a = %d
+  /\\ c = 0
+  /\\ x' = %d
+  /\\ UNCHANGED <<a, c>>
+
+NEXT \\E w \\in Who :
+  \\/ IncX(w)
+  \\/ IncA(w)
+  \\/ Bad(w)
+
+PROPERTY Small
+  x /= %d
+""" % (", ".join(map(str, range(k))), k, k + 1, k + 1, k + 1)
+
+
+# `_blocked`'s components, in total order, are its slices onto x, c and a:
+# this map composes a's group in the middle and c's last
+BLOCKED_MIDDLE = Strategy("custom", custom=make_map([(1, P), (2, 2), (3, 1)]))
 
 
 def _assert_replays(spec, prop, witness):
@@ -142,9 +193,10 @@ def test_bound_exceeded_is_inconclusive(tp):
     # a group, after the property group and before the last
     (lockserv, 5, "Mutex", LOCKSERV_MIDDLE, 5000, [
         ("LockServ_C1", 7, 7), ("LockServ_C3_LockServ_C4_LockServ_C5", 5000)]),
-    # the composite of the property group and a group
-    (twophase, 5, "Consistent", "S1", 2000, [
-        ("TwoPhase_C1", 455, 245), ("TwoPhase_C4", 128, 128, 2000)]),
+    # the composite of the property group and a group, searched, not
+    # built: the search would visit all 900 states of a product without pi
+    (_blocked, 29, "Small", BLOCKED_MIDDLE, 500, [
+        ("Blocked_C1", 31, 31), ("Blocked_C3", 30, 30, 500)]),
     # the last group: its search gives up at the bound, and the build
     # that follows stops there
     (lockserv, 5, "Mutex", "S2", 300, [
@@ -231,33 +283,43 @@ class _CountingCancel:
         return False
 
 
-def _group_edges_reached(a, b):
-    """Edges in the rows of b that `compose(a, b)` reaches, where a is the
-    operand that may carry pi: a plain search of the product."""
-    shared = set(a.alphabet) & set(b.alphabet)
+def _rows_split(operands):
+    """Edges in the operands' rows that `compose(*operands)` splits: the
+    rows of every operand but the one that goes first (the one that
+    carries pi, or else the first), at the states that the product, by
+    the definition, reaches outside pi."""
+    first = next((i for i, o in enumerate(operands) if o.pi is not None), 0)
+    _, keys = product(*operands)
+    return sum(o.offsets[s + 1] - o.offsets[s]
+               for i, o in enumerate(operands) if i != first
+               for s in {key[i] for key in keys})
 
-    def moves(l, s):
-        return [(l.alphabet[lab], t) for lab, t in l.out(s)]
 
-    seen = {(x, y) for x in a.initials for y in b.initials}
-    todo = list(seen)
-    while todo:
-        x, y = todo.pop()
-        if x == a.pi:
+def _searched_edges(l):
+    """Edges that a depth-first search of l in row order, as
+    `lts.pi_reachable` searches a product, reads up to the first edge
+    into pi."""
+    seen = set()
+    edges = 0
+    for s in l.initials:
+        if s == l.pi:
+            return edges
+        if s in seen:
             continue
-        b_moves = moves(b, y)
-        nxt = [(x, t) for lab, t in b_moves if lab not in shared]
-        for lab, t in moves(a, x):
-            if lab in shared:
-                nxt += [(t, t2) for lab2, t2 in b_moves if lab2 == lab]
+        seen.add(s)
+        stack = [iter(l.out(s))]
+        while stack:
+            for _, t in stack[-1]:
+                edges += 1
+                if t == l.pi:
+                    return edges
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(iter(l.out(t)))
+                    break
             else:
-                nxt.append((t, y))
-        for key in nxt:
-            if key not in seen:
-                seen.add(key)
-                todo.append(key)
-    reached = {y for x, y in seen if x != a.pi}
-    return sum(b.offsets[y + 1] - b.offsets[y] for y in reached)
+                stack.pop()
+    return edges
 
 
 def _count_rows_read(monkeypatch):
@@ -282,10 +344,13 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     """lockserv(4) checks that build a 4,096-state middle group, with
     strong and with observational minimization, poll their cancel token
     at least once per `_POLL_EVERY` edges of every LTS they build, and of
-    every pass that minimization and composition make over the edges
-    they read.  Composition reads the group's rows that its search
-    reaches; a search of the last group (`test_searched_stage_polls`)
-    reads its rows from the group's successors.
+    every pass that minimization, composition and search make over the
+    edges they read or generate.  Composition reads the rows of the
+    operands after the first that its search reaches; a search of the
+    last group reads its rows from the group's successors
+    (`test_searched_stage_polls`).  The depth-first search of a composite
+    (`lts.pi_reachable`) generates the product's edges up to the first
+    into pi, as many as the same search of the product built reads.
 
     Minimization of a system without tau labels (every stage in strong
     mode, and those that hide nothing in observational mode) reads every
@@ -301,18 +366,26 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     pass; its subset search and strong quotient poll on top of that."""
     cancel = _CountingCancel()
     checked = []
-    called = {"strong": {"explore", "minimize", "compose"},
+    called = {"strong": {"explore", "minimize", "pi_reachable", "compose"},
               "observational": {"explore", "minimize", "determinize",
                                 "compose"}}
     rows_read = _count_rows_read(monkeypatch)
+    figuring = []  # non-empty while `needed` runs, whose calls go unchecked
 
     def count(module, name, needed):
         fn = getattr(module, name)
 
         def counted(*args, **kwargs):
+            if figuring:
+                return fn(*args, **kwargs)
             before = cancel.polls
             out = fn(*args, **kwargs)
-            checked.append((name, cancel.polls - before, needed(args, out)))
+            figuring.append(name)
+            try:
+                checked.append((name, cancel.polls - before,
+                                needed(args, out)))
+            finally:
+                figuring.pop()
             return out
         monkeypatch.setattr(module, name, counted)
 
@@ -323,17 +396,16 @@ def test_polls_are_bounded_by_edges(monkeypatch):
         return 3 if any(map(lts.is_tau, hide_labels(l, hide).alphabet)) else 2
 
     def composed(args, out):
-        """The product, and the rows of the group (the operand without
-        pi) that it reaches; of a searched group, the rows it read, and
-        no product if the search gave up."""
-        if isinstance(args[1], lts.Unbuilt):
+        """The product, and the rows of the operands after the first that
+        it reaches; of a searched group, the rows it read, and no
+        product if the search gave up."""
+        if isinstance(args[-1], lts.Unbuilt):
             rows = sum(rows_read) // _POLL_EVERY
             rows_read.clear()
             return rows + (0 if out is None else _searched(out)
                            // _POLL_EVERY)
-        a, b = args if args[1].pi is None else args[::-1]
         return (_searched(out) // _POLL_EVERY
-                + _group_edges_reached(a, b) // _POLL_EVERY)
+                + _rows_split(args) // _POLL_EVERY)
 
     count(lts, "explore", lambda args, out: _searched(out) // _POLL_EVERY)
     count(semantics, "explore",
@@ -343,6 +415,9 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     count(engine, "determinize",
           lambda args, out: 3 * (_searched(args[0]) // _POLL_EVERY))
     count(engine, "compose", composed)
+    count(engine, "pi_reachable",
+          lambda args, out: _searched_edges(lts.compose(*args))
+          // _POLL_EVERY)
     spec = parse(lockserv(4))
     for mode in called:
         checked.clear()
@@ -360,20 +435,30 @@ def test_searched_stage_polls(monkeypatch):
     """The search of lockserv(6) `Mutex`'s last group under S2 polls its
     cancel token at least once per `_POLL_EVERY` edges it appends to the
     product, and once per `_POLL_EVERY` edges it reads from the group's
-    rows."""
+    rows.  The depth-first search of `_blocked(100)`'s middle composite,
+    10,201 states without pi, polls at least once per `_POLL_EVERY`
+    edges it generates, which are all the product's edges."""
     cancel = _CountingCancel()
     rows_read = _count_rows_read(monkeypatch)
     searches = []
-    compose = engine.compose
+    compose, pi_reachable = engine.compose, engine.pi_reachable
 
-    def counted(a, b, **kwargs):
+    def counted(*operands, **kwargs):
         before = cancel.polls
-        out = compose(a, b, **kwargs)
+        out = compose(*operands, **kwargs)
         searches.append((cancel.polls - before,
                          _searched(out) // _POLL_EVERY
                          + sum(rows_read) // _POLL_EVERY))
         return out
+
+    def counted_search(*operands, **kwargs):
+        before = cancel.polls
+        out = pi_reachable(*operands, **kwargs)
+        searches.append((cancel.polls - before,
+                         lts.compose(*operands).n_edges // _POLL_EVERY))
+        return out
     monkeypatch.setattr(engine, "compose", counted)
+    monkeypatch.setattr(engine, "pi_reachable", counted_search)
     spec = parse(lockserv(6))
     verdict, stats = recomp_verify(spec, spec.property("Mutex"), "S2",
                                    cancel=cancel)
@@ -381,6 +466,16 @@ def test_searched_stage_polls(monkeypatch):
     assert stats.stages[-1].minimized is None  # searched, not built
     [(polls, needed)] = searches
     assert needed >= 5  # big enough
+    assert polls >= needed
+
+    searches.clear()
+    spec = parse(_blocked(100))
+    verdict, stats = recomp_verify(spec, spec.property("Small"),
+                                   BLOCKED_MIDDLE, cancel=cancel)
+    assert verdict.outcome == HOLDS
+    assert stats.stages[-1].composed == 101 ** 2  # searched to the end
+    [(polls, needed)] = searches
+    assert needed >= 15  # big enough
     assert polls >= needed
 
 
@@ -547,11 +642,13 @@ def _asym_twophase(n):
 
 @pytest.mark.parametrize("text,strategy,max_states,stages,reductions", [
     # nothing is hidden, so no stage is determinized, and neither
-    # composite is reduced: branching refinement of their 35,969 and
-    # 71,937 states would take several times the whole check
-    (_asym_twophase(6), Strategy("S1"), 71_937,
-     [(1395, 563, None), (64, 64, 35_969), (3, 2, 71_937),
-      (256, 256, 12_260)],
+    # composite is built: the two middle stages search their products to
+    # pi, 9 states each, where building the composites would take 35,969
+    # and 71,937 states; the last group's search outgrows it, so the
+    # group is built and composed with the property group and the two
+    # groups before it, 12,260 states
+    (_asym_twophase(6), Strategy("S1"), 12_260,
+     [(1395, 563, None), (64, 64, 9), (3, 2, 9), (256, 256, 12_260)],
      [("minimize", 1395, 563), ("minimize", 64, 64), ("minimize", 3, 2),
       ("minimize", 256, 256)]),
     # the property group and the first group hide labels and are
@@ -589,6 +686,36 @@ def test_observational_stages_reduce_only_what_hides_a_label(
     assert [(s.generated, s.minimized, s.composed)
             for s in stats.stages] == stages
     assert seen == reductions
+
+
+@pytest.mark.parametrize("text,stages", [
+    # the middle composites, 5,987 and 13,300 states built, are searched
+    (twophase(6), [(1395, 563, None), (256, 256, 11), (64, 64, 17),
+                   (3, 2, 13_284)]),
+    # 35,969 and 71,937 states built
+    (_asym_twophase(6), [(1395, 563, None), (64, 64, 9), (3, 2, 9),
+                         (256, 256, 12_260)]),
+], ids=["twophase6", "asym-twophase6"])
+def test_middle_composites_are_searched_not_built(monkeypatch, text, stages):
+    """S1 with strong minimization builds no composite before the last
+    stage: each middle stage searches the product of the property group
+    and the groups so far depth first to pi, and reports the states it
+    visited; the last group's search outgrows it, and the group, built
+    and reduced, is composed with all the groups before it at once."""
+    built = []
+    compose = engine.compose
+
+    def counted(*operands, **kwargs):
+        built.append(len(operands))
+        return compose(*operands, **kwargs)
+    monkeypatch.setattr(engine, "compose", counted)
+    spec = parse(text)
+    verdict, stats = recomp_verify(spec, spec.property("Consistent"), "S1")
+    assert verdict.outcome == HOLDS
+    assert [(s.generated, s.minimized, s.composed)
+            for s in stats.stages] == stages
+    assert stats.max_states == stages[-1][2]
+    assert built == [4, 4]  # the search of the last group, then its build
 
 
 @pytest.mark.parametrize("model,size,prop,max_states,last", [

@@ -1,12 +1,13 @@
 """LTS algebra: composition, reachability, minimization, trace oracles."""
 
+import functools
 import random
 import sys
 
 import pytest
 
 from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
-                        refine, shortest_pi_trace, strong_minimize,
+                        product, refine, shortest_pi_trace, strong_minimize,
                         tau_closures, trace_set, traces_equal, weak_minimize,
                         weak_subsets, weak_words, weakly_bisimilar)
 from recomp.lts import (_POLL_EVERY, _SEARCH_SLACK, Cancelled,
@@ -89,7 +90,7 @@ def test_pi_trace_matches_a_breadth_first_search():
         for l in (c, minimize(c), minimize(c, hide)):
             expected = shortest_pi_trace(l)
             assert pi_trace(l) == expected
-            assert pi_reachable(l) == (expected is not None)
+            assert pi_reachable(l)[0] == (expected is not None)
             found[expected is not None] += 1
     assert min(found.values()) >= 100
     pi_initial = lts_from_edges(1, LABELS[:1], [], [0], pi=0)
@@ -138,7 +139,7 @@ def test_pi_collapses_and_absorbs():
                            [(0, 0, 1), (0, 1, 0)], [0])
     c = compose(err, other)
     assert c.pi is not None
-    assert pi_reachable(c)
+    assert pi_reachable(c)[0]
     # absorbing: every alphabet letter self-loops on pi
     assert sorted(c.out(c.pi)) == [(lab, c.pi)
                                    for lab in range(len(c.alphabet))]
@@ -172,6 +173,44 @@ def test_compose_splits_only_the_group_rows_it_reaches():
     assert polls == []
 
 
+# labels that the operands of an n-ary product draw their alphabets from
+POOL = LABELS + [("E", None)]
+
+# the unit of composition: one state, empty alphabet
+UNIT = lts_from_edges(1, (), [], [0])
+
+
+def _operand(rng, with_pi=False):
+    """An operand for an n-ary product over one to four labels of POOL:
+    one to four states, each stepping by each label to none, one or two
+    targets, some edges repeated, and each row in a random order; one or
+    two initial states; with_pi, pi is one more state, absorbing, that
+    one edge leads to."""
+    alphabet = rng.sample(POOL, rng.randrange(1, 5))
+    n = rng.randrange(1, 5)
+    edges = [(s, lab, rng.randrange(n)) for s in range(n)
+             for lab in range(len(alphabet))
+             for _ in range(rng.choice((0, 1, 1, 2)))]
+    edges += rng.sample(edges, min(len(edges), rng.randrange(3)))
+    initials = sorted(rng.sample(range(n), rng.randrange(1, min(n, 2) + 1)))
+    pi = None
+    if with_pi:
+        pi = n
+        edges.append((rng.randrange(n), rng.randrange(len(alphabet)), pi))
+        edges += [(pi, lab, pi) for lab in range(len(alphabet))]
+        n += 1
+    rng.shuffle(edges)
+    return lts_from_edges(n, alphabet, edges, initials, pi)
+
+
+def _operands(rng, k=None):
+    """k operands (one to four if None), pi carried by one of them in
+    three draws of four."""
+    k = k or rng.randrange(1, 5)
+    carrier = rng.choice([None] + [rng.randrange(k)] * 3)
+    return [_operand(rng, i == carrier) for i in range(k)]
+
+
 def _unbuilt(l):
     """l as an `Unbuilt` system whose keys are l's states, shifted so
     that the numbering `Unbuilt` gives them differs from l's."""
@@ -189,26 +228,30 @@ def test_unbuilt_numbers_keys_as_first_seen():
 
 
 def test_compose_searches_an_unbuilt_operand_up_to_pi():
-    """Against the product with the built operand: the same verdict and a
-    shortest witness of the same length, or the same product when pi is
-    out of reach; unless the search gave up."""
+    """One to three operands before an `Unbuilt` last one (`_operands`):
+    against the product with it built, the same verdict and a shortest
+    witness of the same length, or the same product, array for array,
+    when pi is out of reach; unless the search gave up, which two
+    operands are too small to do."""
     rng = random.Random(12)
-    searched = 0
-    for _ in range(200):
-        a, b = rand_lts(rng, 4, with_pi=True), rand_lts(rng, 5)
-        full = compose(a, b)
-        out = compose(a, _unbuilt(b))
+    searched = {True: 0, False: 0}
+    for _ in range(400):
+        ops = _operands(rng, rng.randrange(2, 5))
+        if ops[-1].pi is not None:
+            ops.reverse()
+        full = compose(*ops)
+        out = compose(*ops[:-1], _unbuilt(ops[-1]))
         if out is None:
+            assert len(ops) > 2
             continue
-        searched += 1
-        assert pi_reachable(out) == pi_reachable(full)
-        if pi_reachable(full):
+        searched[full.pi is not None] += 1
+        assert (out.pi is None) == (full.pi is None)
+        if full.pi is None:
+            assert _layout(out) == _layout(full)
+        else:
             assert len(pi_trace(out)) == len(pi_trace(full))
             assert out.n_states <= full.n_states
-        else:
-            assert (out.n_states, out.n_edges) == (full.n_states,
-                                                   full.n_edges)
-    assert searched == 200  # too small to give up
+    assert min(searched.values()) >= 50, searched
 
 
 def test_compose_gives_up_once_the_product_outgrows_the_unbuilt_operand():
@@ -239,6 +282,110 @@ def test_two_pi_operands_rejected():
         compose(a, b)
 
 
+def test_compose_is_the_left_fold_and_the_product_by_definition():
+    """One to four operands with nondeterministic rows, labels that two or
+    three of them share and pi in one of them: the product lays out as
+    the left fold of two-operand products, array for array (for one
+    operand, as its product with the unit), and is the product by the
+    definition up to strong bisimilarity, with as many states."""
+    rng = random.Random(23)
+    draws = 800
+    seen = dict.fromkeys(("4 operands", "nondeterministic", "shared by 3",
+                          "pi after the first", "pi reached"), 0)
+    for _ in range(draws):
+        ops = _operands(rng)
+        c = compose(*ops)
+        folded = (functools.reduce(compose, ops) if len(ops) > 1
+                  else compose(UNIT, ops[0]))
+        assert _layout(c) == _layout(folded)
+        oracle, _ = product(*ops)
+        assert c.n_states == oracle.n_states
+        assert (c.pi is None) == (shortest_pi_trace(oracle) is None)
+        assert traces_equal(c, oracle, 4)
+        assert bisimilar(c, oracle)
+        seen["4 operands"] += len(ops) == 4
+        seen["nondeterministic"] += any(
+            len({lab for lab, _ in o.out(s)}) < len(list(o.out(s)))
+            for o in ops for s in range(o.n_states) if s != o.pi)
+        seen["shared by 3"] += any(
+            sum(lab in o.alphabet for o in ops) >= 3 for lab in POOL)
+        seen["pi after the first"] += any(o.pi is not None for o in ops[1:])
+        seen["pi reached"] += c.pi is not None
+    assert min(seen.values()) >= draws // 10, seen
+
+
+def test_the_depth_first_search_agrees_with_the_product():
+    """`pi_reachable` of one to four operands reaches pi exactly when the
+    product by the definition does; it visits no more states than the
+    product has outside pi, and all of them when pi is out of reach; an
+    `Unbuilt` last operand changes nothing; and a bound one below the
+    states it visits stops it, where that many lets it finish."""
+    rng = random.Random(25)
+    draws = 800
+    seen = {True: 0, False: 0, "bounded": 0}
+    for _ in range(draws):
+        ops = _operands(rng)
+        oracle, _ = product(*ops)
+        reached, visited = pi_reachable(*ops)
+        assert reached == (shortest_pi_trace(oracle) is not None)
+        full = compose(*ops)
+        outside = full.n_states - (full.pi is not None)
+        assert 1 <= visited <= outside
+        if not reached:
+            assert visited == outside
+        if len(ops) > 1 and ops[-1].pi is None:
+            assert pi_reachable(*ops[:-1], _unbuilt(ops[-1])) == (reached,
+                                                                  visited)
+        assert pi_reachable(*ops, bound=visited) == (reached, visited)
+        if visited > 1:
+            with pytest.raises(StateBoundExceeded):
+                pi_reachable(*ops, bound=visited - 1)
+            seen["bounded"] += 1
+        seen[reached] += 1
+    assert min(seen.values()) >= draws // 10, seen
+
+
+def test_the_search_goes_depth_first_in_row_order():
+    """0 steps by A along a chain of three more states, and by B, its
+    second edge, into pi: the search visits the chain before it reads
+    that edge, where a breadth-first search, or a stack that takes the
+    last successor first, would stop after visiting 0 and 1, or 0."""
+    l = lts_from_edges(5, LABELS[:2],
+                       [(0, 0, 1), (0, 1, 4), (1, 0, 2), (2, 0, 3)]
+                       + [(4, lab, 4) for lab in range(2)], [0], pi=4)
+    assert pi_reachable(l) == (True, 4)
+    assert pi_reachable(l, UNIT) == (True, 4)
+
+
+def test_the_search_polls_per_edge_it_generates():
+    """A chain of 4 x `_POLL_EVERY` states, searched alone and in a
+    product with an operand that steps along with it: the search polls
+    at least once per `_POLL_EVERY` edges it generates, and a set token
+    stops it with `Cancelled`."""
+    k = 4 * _POLL_EVERY
+    chain = lts_from_edges(k, LABELS[:1],
+                           [(s, 0, s + 1) for s in range(k - 1)], [0])
+    loop = lts_from_edges(1, LABELS[:1], [(0, 0, 0)], [0])
+    for ops in ((chain,), (chain, loop)):
+        token = _Counting()
+        assert pi_reachable(*ops, cancel=token) == (False, k)
+        assert token.polls >= (k - 1) // _POLL_EVERY
+        with pytest.raises(Cancelled):
+            pi_reachable(*ops, cancel=_Counting(set=True))
+
+
+def test_only_the_last_of_several_operands_may_be_unbuilt():
+    rng = random.Random(26)
+    a, b = rand_lts(rng), rand_lts(rng)
+    for ops in ((_unbuilt(a),), (_unbuilt(a), b), (a, _unbuilt(b), a)):
+        with pytest.raises(ValueError):
+            compose(*ops)
+        with pytest.raises(ValueError):
+            pi_reachable(*ops)
+    with pytest.raises(ValueError):
+        compose()
+
+
 def test_minimize_strong_preserves_bisimilarity():
     rng = random.Random(12)
     for _ in range(30):
@@ -246,7 +393,7 @@ def test_minimize_strong_preserves_bisimilarity():
         m = minimize(l)
         assert m.n_states <= l.n_states
         assert bisimilar(l, m)
-        assert pi_reachable(m) == (shortest_pi_trace(l) is not None)
+        assert pi_reachable(m)[0] == (shortest_pi_trace(l) is not None)
         # idempotent
         assert minimize(m).n_states == m.n_states
 
@@ -442,7 +589,7 @@ def test_observational_keeps_pi_separate():
     l = lts_from_edges(2, [("A", None)], [(0, 0, 1), (1, 0, 1)], [0], pi=1)
     m = minimize(l, {("A", None)})
     assert m.pi is not None
-    assert pi_reachable(m)
+    assert pi_reachable(m)[0]
 
 
 def test_determinize_keeps_the_weak_traces_and_pi():
@@ -468,10 +615,10 @@ def test_determinize_keeps_the_weak_traces_and_pi():
                 row = [lab for lab, _ in d.out(s)]
                 assert len(row) == len(set(row))
             assert weak_words(d, 4) == weak_words(h, 4)
-            assert pi_reachable(d) == (shortest_pi_trace(h) is not None)
+            assert pi_reachable(d)[0] == (shortest_pi_trace(h) is not None)
             assert minimize(d).n_states == d.n_states
             seen["kept"] += 1
-            seen["pi reached"] += pi_reachable(d)
+            seen["pi reached"] += pi_reachable(d)[0]
             seen["shrunk"] += d.n_states < h.n_states
     assert min(seen.values()) >= draws // 20, seen
 
@@ -635,8 +782,8 @@ def test_pi_in_a_disconnected_part_is_unreachable():
     # explore adds pi only once reached, so what it builds from l has
     # none, with either kernel
     for m in (minimize(l), minimize(l, {("A", None)})):
-        assert not pi_reachable(m)
-    assert not pi_reachable(compose(l, lts_from_edges(1, (), [], [0])))
+        assert not pi_reachable(m)[0]
+    assert not pi_reachable(compose(l, lts_from_edges(1, (), [], [0])))[0]
 
 
 def test_compose_folds_left_from_the_unit():

@@ -5,7 +5,7 @@ import pytest
 import oracle as oc
 from recomp import parse, recomp_verify
 from recomp import syntax as sx
-from recomp.corpus import ALL
+from recomp.corpus import ALL, twophase
 from recomp.engine import HOLDS, VIOLATED
 from recomp.parser import ParseError
 from spec_helpers import pretty
@@ -95,6 +95,22 @@ def test_error_reports_location():
         parse("MODULE M\n\nVARIABLES x ,\n")
     assert str(exc.value).startswith("4:1:")
     assert exc.value.line == 4
+
+
+@pytest.mark.parametrize("conjunct,message", [
+    ("rmState' /= 1", "neither a guard, an update, nor a frame"),
+    ("tmState' = tmState'", "update right-hand side must not contain"),
+])
+def test_a_malformed_conjunct_names_its_action_and_line(conjunct, message):
+    text = twophase(2).replace(
+        "ACTION SilentAbort(rm)\n",
+        "ACTION SilentAbort(rm)\n  /\\ %s\n" % conjunct)
+    line = text.splitlines().index("  /\\ %s" % conjunct) + 1
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (line, 3)
+    assert str(exc.value).startswith("%d:3: action SilentAbort: " % line)
+    assert message in str(exc.value)
 
 
 def test_next_must_apply_every_action_once():

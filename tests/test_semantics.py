@@ -97,7 +97,7 @@ def test_err_reach_agrees_with_the_error_lts(name, prop_name):
         # before the bound, lets the streaming search finish
         assert reach == "bound" or reach[0]
     else:
-        assert reach[0] == pi_reachable(full)
+        assert reach[0] == pi_reachable(full)[0]
     if reach == "bound" or not reach[0]:
         return
     witness = reach[2]
