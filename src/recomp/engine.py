@@ -13,14 +13,18 @@ where a stage reduces it, because it hides a label, or at the last
 group; any other stage only asks whether the error state is reachable,
 which a depth-first search of the operands' product answers
 (`pi_reachable`).  The last group is searched rather than built:
-nothing after it uses its reduction, so `compose` searches its product
-with the operands over the group's compiled successors
-(`semantics.unbuilt`) up to the first step into the error state, and
-only if that search outgrows the group, or the bound, is the group
-built, reduced and composed like the others.  Under a tracer of the
-engine's names, the searched group's enumeration is timed as
-`compose`, not `to_lts`; a build after the search gives up is timed as
-`to_lts`.
+nothing after it uses its reduction.  The first operand, which carries
+the error state, is searched against its context (`lts.context`): the
+other operands and the group's compiled successors
+(`semantics.unbuilt`) as one system.  `compose` searches that product
+up to the first step into the error state; only if the search outgrows
+the context, or the bound, is the context built, reduced as the last
+group would be, and composed with the first operand.  This is
+compositional minimization (Graf & Steffen, CAV 1990): the groups that
+meet the property group last are reduced together first.  Under a
+tracer of the engine's names, the searched context's enumeration is
+timed as `compose`, not `to_lts`; a build after the search gives up is
+timed as `to_lts`, and its reduction as `minimize`.
 `recomp_verify` is the full pipeline (decompose, order, map, statically
 reduce, build groups, verify); under S4 it checks the parsed spec
 itself.  `run_portfolio` races several strategies in separate
@@ -46,8 +50,8 @@ from typing import Optional
 
 from . import syntax as sx
 from .decompose import component_blocks, decompose
-from .lts import (Cancelled, StateBoundExceeded, compose, determinize,
-                  is_tau, minimize, pi_reachable, pi_trace)
+from .lts import (Cancelled, StateBoundExceeded, compose, context,
+                  determinize, is_tau, minimize, pi_reachable, pi_trace)
 from .order import Strategy, make_strategy, total_order
 from .recompose import build_groups, static_reduce
 from .semantics import (err_lts, err_reach, state_bound, symmetric_sets,
@@ -85,12 +89,17 @@ class Stage:
     `composed` is then the product states the depth-first search
     visited, all of them if the error state is unreachable.
 
-    A last group that is searched, not built, has `generated` the group
-    states the search reached (the targets of the group's steps it
-    read), `minimized` None, and `composed` the product searched;
-    `max_states` counts only the product.  A search that gives up, past
-    its budget or the bound, is not reported: the stage is the group as
-    built after it."""
+    The last stage searches the running composite's first operand, which
+    carries pi, against its context: the other operands and the last
+    group as one system (`lts.context`).  If the search decides,
+    `generated` is the context states it reached (the targets of the
+    context steps it read), `minimized` None, and `composed` the product
+    searched; `max_states` counts only the product.  A search that gives
+    up, past its budget or the bound, is not reported: `generated` is
+    then the context as built after it, `minimized` its reduction and
+    `composed` its product with the first operand.  A context of the
+    last group alone (under S2 and S3, or after a middle stage reduced
+    the composite) is that group."""
 
     name: str
     generated: int
@@ -117,8 +126,12 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
     is the product of the operands folded since its last reduction: a
     stage before the last that hides nothing searches that product to pi
     (`lts.pi_reachable`), one that hides a label builds and reduces it.
-    The last group is searched in the product, not built, unless the
-    search outgrows it or the bound (`lts.compose`).  A run that exceeds
+    The last stage searches the first operand against its context, the
+    other operands and the last group unbuilt (`lts.context`); if the
+    search outgrows the context or the bound (`lts.compose`), the
+    context is built, reduced and composed with the first operand.  The
+    context hides what the last group would: in observational mode the
+    labels that only the last group names.  A run that exceeds
     the bound ends with the stage it was building or searching, its
     count at the bound, and a cancelled run with the stages it finished.
     A bound below 1 raises `ValueError`."""
@@ -182,19 +195,23 @@ def comp_verify(d_p, groups, prop, bound=None, minimize_mode="strong",
                 gl = to_lts(g, bound, cancel)
             else:
                 with unbuilt(g) as src:
-                    product = compose(*operands, src, bound=bound,
+                    # the carrier of pi against its context: the operands
+                    # after it and the group, searched as one system
+                    ctx = context(*operands[1:], src, cancel=cancel)
+                    product = compose(operands[0], ctx, bound=bound,
                                       cancel=cancel)
                     if product is not None:
                         k_done = j + 1
-                        stages.append(Stage(g.name, src.n_states,
+                        stages.append(Stage(g.name, ctx.n_states,
                                             composed=product.n_states))
                         max_states = max(max_states, product.n_states)
                         if product.pi is None:
                             return report(Verdict(HOLDS), k_done)
                         return report(Verdict(
                             VIOLATED, witness=pi_trace(product)), k_done)
-                    # the search outgrew the group or the bound
-                    gl = to_lts(src, bound, cancel)
+                    # the search outgrew the context or the bound
+                    gl = to_lts(ctx, bound, cancel)
+                    operands = operands[:1]
             gen = gl.n_states
             # labels only this group uses, never needed again, may be hidden
             later = set().union(*remaining_alpha[j + 1:])

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+import mutants
 import oracle as oc
 from lts_oracle import product, weak_minimize
 from recomp import decompose, engine, lts, parse, semantics, total_order
@@ -346,9 +347,11 @@ def test_polls_are_bounded_by_edges(monkeypatch):
     at least once per `_POLL_EVERY` edges of every LTS they build, and of
     every pass that minimization, composition and search make over the
     edges they read or generate.  Composition reads the rows of the
-    operands after the first that its search reaches; a search of the
-    last group reads its rows from the group's successors
-    (`test_searched_stage_polls`).  The depth-first search of a composite
+    operands after the first that its search reaches; the search of the
+    last stage reads the rows of its context, the middle group and the
+    last group, whose levels read the last group's rows from its
+    successors (`test_searched_stage_polls`), and both counts are rows
+    that `Unbuilt.row` returns.  The depth-first search of a composite
     (`lts.pi_reachable`) generates the product's edges up to the first
     into pi, as many as the same search of the product built reads.
 
@@ -644,13 +647,14 @@ def _asym_twophase(n):
     # nothing is hidden, so no stage is determinized, and neither
     # composite is built: the two middle stages search their products to
     # pi, 9 states each, where building the composites would take 35,969
-    # and 71,937 states; the last group's search outgrows it, so the
-    # group is built and composed with the property group and the two
-    # groups before it, 12,260 states
-    (_asym_twophase(6), Strategy("S1"), 12_260,
-     [(1395, 563, None), (64, 64, 9), (3, 2, 9), (256, 256, 12_260)],
+    # and 71,937 states; the search of the property group against its
+    # context, the two groups before the last and the last, outgrows the
+    # context, which is built (1,459 states) and reduced (731) and then
+    # composed with the property group, 3,393 states
+    (_asym_twophase(6), Strategy("S1"), 3393,
+     [(1395, 563, None), (64, 64, 9), (3, 2, 9), (1459, 731, 3393)],
      [("minimize", 1395, 563), ("minimize", 64, 64), ("minimize", 3, 2),
-      ("minimize", 256, 256)]),
+      ("minimize", 1459, 731)]),
     # the property group and the first group hide labels and are
     # determinized; so is the first composite, which hides the labels
     # that only they name; the last group is searched, unreduced
@@ -689,19 +693,22 @@ def test_observational_stages_reduce_only_what_hides_a_label(
 
 
 @pytest.mark.parametrize("text,stages", [
-    # the middle composites, 5,987 and 13,300 states built, are searched
+    # the middle composites, 5,987 and 13,300 states built, are searched;
+    # the last stage's context is the two middle groups and the last
     (twophase(6), [(1395, 563, None), (256, 256, 11), (64, 64, 17),
-                   (3, 2, 13_284)]),
+                   (1459, 731, 4417)]),
     # 35,969 and 71,937 states built
     (_asym_twophase(6), [(1395, 563, None), (64, 64, 9), (3, 2, 9),
-                         (256, 256, 12_260)]),
+                         (1459, 731, 3393)]),
 ], ids=["twophase6", "asym-twophase6"])
 def test_middle_composites_are_searched_not_built(monkeypatch, text, stages):
     """S1 with strong minimization builds no composite before the last
     stage: each middle stage searches the product of the property group
     and the groups so far depth first to pi, and reports the states it
-    visited; the last group's search outgrows it, and the group, built
-    and reduced, is composed with all the groups before it at once."""
+    visited.  The last stage searches the property group against its
+    context, the middle groups and the last group as one system; that
+    search outgrows the context, which is built and reduced and then
+    composed with the property group alone."""
     built = []
     compose = engine.compose
 
@@ -715,7 +722,60 @@ def test_middle_composites_are_searched_not_built(monkeypatch, text, stages):
     assert [(s.generated, s.minimized, s.composed)
             for s in stats.stages] == stages
     assert stats.max_states == stages[-1][2]
-    assert built == [4, 4]  # the search of the last group, then its build
+    assert built == [2, 2]  # the search of the context, then its product
+
+
+def _mutant_abort_unguarded():
+    """`tests/mutants.py`'s seed 22: twophase(3) with the guard
+    `[type |-> "Abort"] \\in msgs` dropped, so `Consistent` fails."""
+    name, text, made = mutants.mutant(22)
+    assert (name, made) == (
+        "twophase(3)", ["drop %r" % '/\\ [type |-> "Abort"] \\in msgs'])
+    return text
+
+
+@pytest.mark.parametrize("text,prop,outcome,last", [
+    # the search outgrows the context, 1,459 states, which reduces to 731
+    # before it meets the property group: as small as S2's one group
+    (twophase(6), "Consistent", HOLDS, (1459, 731, 4417)),
+    # decided by the search, which numbers 44 context states; the last
+    # group alone has 96,696
+    (twophase(7), "NoPrepares", VIOLATED, (44, None, 31)),
+    # the search gives up, and the built context decides: a witness
+    # through the reduced context still replays
+    (_mutant_abort_unguarded(), "Consistent", VIOLATED, (55, 29, 196)),
+], ids=["twophase6-Consistent", "twophase7-NoPrepares", "mutant22"])
+def test_the_last_stage_searches_the_property_group_against_its_context(
+        text, prop, outcome, last):
+    """S1 strong: the last stage's (generated, minimized, composed) are
+    the context states the search numbered, no reduction and the product
+    if the search decides the check, or else the context as built and
+    reduced and its product with the property group."""
+    spec = parse(text)
+    p = spec.property(prop)
+    verdict, stats = recomp_verify(spec, p, "S1")
+    assert verdict.outcome == outcome
+    if outcome == VIOLATED:
+        assert oc.oracle_check(spec, p)[0] is False
+        _assert_replays(spec, p, verdict.witness)
+    s = stats.stages[-1]
+    assert (s.generated, s.minimized, s.composed) == last
+
+
+def test_s1_reduces_its_context_as_s2_reduces_its_group():
+    """twophase(6) `Consistent` strong: S1's context and S2's one group
+    are the same three components, reduced from 1,459 to 731 states
+    before they meet the property group, so both peak at 4,417 states.
+    Under a bound of 5,000 S1 still holds, where composing the property
+    group with the unreduced groups would take 13,284."""
+    spec = parse(twophase(6))
+    prop = spec.property("Consistent")
+    _, s1 = recomp_verify(spec, prop, "S1")
+    _, s2 = recomp_verify(spec, prop, "S2")
+    assert s1.max_states == s2.max_states == 4417
+    verdict, stats = recomp_verify(spec, prop, "S1", bound=5000)
+    assert verdict.outcome == HOLDS
+    assert stats.max_states == 4417
 
 
 @pytest.mark.parametrize("model,size,prop,max_states,last", [

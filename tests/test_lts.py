@@ -12,9 +12,9 @@ from lts_oracle import (bisimilar, branching_minimize, lts_from_edges,
                         weak_subsets, weak_words, weakly_bisimilar)
 from recomp.lts import (_POLL_EVERY, _SEARCH_SLACK, Cancelled,
                         StateBoundExceeded, Unbuilt, _branching_refine,
-                        _poller, _refine, compose, determinize, explore,
-                        hide_labels, is_tau, minimize, pi_reachable,
-                        pi_trace)
+                        _poller, _refine, compose, context, determinize,
+                        explore, hide_labels, is_tau, minimize,
+                        pi_reachable, pi_trace)
 
 LABELS = [("A", None), ("B", None), ("C", None), ("D", None)]
 
@@ -312,6 +312,69 @@ def test_compose_is_the_left_fold_and_the_product_by_definition():
         seen["pi after the first"] += any(o.pi is not None for o in ops[1:])
         seen["pi reached"] += c.pi is not None
     assert min(seen.values()) >= draws // 10, seen
+
+
+def test_a_carrier_searched_against_its_context_is_the_product():
+    """The draws of the left-fold test above with two to four operands,
+    the one that carries pi, if any, first: `compose(a, context(b, c,
+    unbuilt d))` reaches pi exactly
+    when `compose(a, b, c, d)` does, and when pi is out of reach it has
+    as many states, unless its search gave up."""
+    rng = random.Random(23)
+    seen = dict.fromkeys(("4 operands", "pi reached", "holds", "gave up"), 0)
+    for _ in range(800):
+        ops = _operands(rng)
+        if len(ops) < 2:
+            continue
+        ops.sort(key=lambda o: o.pi is None)  # stable: the carrier first
+        full = compose(*ops)
+        ctx = context(*ops[1:-1], _unbuilt(ops[-1]))
+        out = compose(ops[0], ctx)
+        if out is None:
+            seen["gave up"] += 1
+            continue
+        assert (out.pi is None) == (full.pi is None)
+        if out.pi is None:
+            assert out.n_states == full.n_states
+            seen["holds"] += 1
+        else:
+            seen["pi reached"] += 1
+        seen["4 operands"] += len(ops) == 4
+    assert min(seen["4 operands"], seen["pi reached"], seen["holds"]) >= 80, \
+        seen
+
+
+def test_a_single_run_numbers_only_the_context_states_it_reaches():
+    """b, c and d count up to k - 1 by A, B and C, so their product has k
+    ** 3 states; the carrier runs A, B, C m times and then steps into pi
+    by A.  The search of the carrier against the context of b, c and an
+    unbuilt d finds pi without giving up, after 3m + 2 product states
+    (more than `_SEARCH_SLACK`), and the context numbers only the states
+    on the run and their successors, each row of the run's states read
+    once."""
+    k, m = 40, 30
+    abc = [("A", None), ("B", None), ("C", None)]
+
+    def counter(lab):
+        return lts_from_edges(k, [abc[lab]],
+                              [(s, 0, s + 1) for s in range(k - 1)], [0])
+    n = 3 * m + 1
+    carrier = lts_from_edges(n + 1, abc,
+                             [(s, s % 3, s + 1) for s in range(n)]
+                             + [(n, lab, n) for lab in range(3)], [0], pi=n)
+    ctx = context(counter(0), counter(1), _unbuilt(counter(2)))
+    out = compose(carrier, ctx)
+    assert out is not None and out.pi is not None
+    assert n + 1 > _SEARCH_SLACK
+    assert pi_trace(out) == tuple(abc[s % 3] for s in range(n))
+    run = [(s // 3 + (s % 3 > 0), s // 3 + (s % 3 > 1), s // 3)
+           for s in range(n)]
+    reached = set(run) | {
+        tuple(x + (i == j) for i, x in enumerate(key))
+        for key in run for j in range(3) if key[j] < k - 1}
+    assert ctx.n_states == len(reached) < k ** 3 // 100
+    with pytest.raises(ValueError):  # pi belongs to the carrier
+        context(carrier, counter(0))
 
 
 def test_the_depth_first_search_agrees_with_the_product():
